@@ -340,6 +340,14 @@ def _cmd_euler(args):
     return 0
 
 
+def _negative_degree(degree):
+    """Report a negative --degree, whose result would be vacuous."""
+    if degree is not None and degree < 0:
+        print(f"error: --degree must be >= 0, got {degree}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_derham(args):
     if args.from_file:
         return _reemit(args)
@@ -349,6 +357,8 @@ def _cmd_derham(args):
             "error: pick exactly one of --check-relations, --cohomology, --basic",
             file=sys.stderr,
         )
+        return 2
+    if _negative_degree(args.degree):
         return 2
     if args.check_relations or args.basic:
         if args.group is None:
@@ -436,6 +446,8 @@ def _cmd_sheaf(args):
         return _reemit(args)
     if not args.sections:
         print("error: --sections is required", file=sys.stderr)
+        return 2
+    if _negative_degree(args.degree):
         return 2
     try:
         weights = tuple(int(w) for w in args.weights.split(","))

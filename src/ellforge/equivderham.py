@@ -21,8 +21,10 @@ invariants are computed on finite blocks that the operators preserve.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .series import Gaussian, matrix_rank, nullspace, solve_exact
 
@@ -66,16 +68,29 @@ class GradedWorld:
         )
 
 
-def _merge_sign(o1, o2):
-    """Concatenate odd index tuples; (sign, sorted tuple) or (0, None) on repeat."""
-    inv = 0
-    for i in o1:
-        for j in o2:
-            if i == j:
-                return 0, None
-            if j < i:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(o1 + o2))
+def _splice(rest, t, odd):
+    """Sign and sorted tuple of rest[:t] + odd + rest[t:], or (0, None) on repeat.
+
+    rest and odd are strictly increasing; odd index b passes the
+    |bisect(rest, b) - t| entries of rest between its slot and its place.
+    """
+    if not odd:
+        return 1, rest
+    flips = 0
+    for b in odd:
+        pos = bisect_left(rest, b)
+        if pos < len(rest) and rest[pos] == b:
+            return 0, None
+        flips += pos - t
+    return (-1 if flips % 2 else 1), tuple(sorted(rest + odd))
+
+
+def _element(world, coeffs):
+    """GradedElement over a dict that already holds no zero coefficient."""
+    el = GradedElement.__new__(GradedElement)
+    el.world = world
+    el.coeffs = coeffs
+    return el
 
 
 class GradedElement:
@@ -143,7 +158,7 @@ class GradedElement:
         out = {}
         for (e1, o1), c1 in self.coeffs.items():
             for (e2, o2), c2 in other.coeffs.items():
-                sign, om = _merge_sign(o1, o2)
+                sign, om = _splice(o2, 0, o1)
                 if sign == 0:
                     continue
                 key = (tuple(a + b for a, b in zip(e1, e2)), om)
@@ -179,43 +194,52 @@ class Derivation:
                 raise ValueError(f"unknown generator {name}")
             if img is not None and not img.is_zero():
                 self.images[name] = img
+        # image terms (even exponents, odd indices, coefficient) per generator;
+        # integral coefficients as ints, which multiply a Fraction in one step
+        self._even = [self._terms(n) for n, _ in world.evens]
+        self._odd = [self._terms(n) for n, _ in world.odds]
+
+    def _terms(self, name):
+        img = self.images.get(name)
+        return [
+            (e, o, int(c) if isinstance(c, Fraction) and c.denominator == 1 else c)
+            for (e, o), c in img.coeffs.items()
+        ] if img else None
 
     def __call__(self, x):
         if x.world is not self.world:
             raise ValueError("element from a different generator world")
-        world = self.world
-        ne = len(world.evens)
         out = {}
 
-        def accumulate(elem, scale):
-            for k, c in elem.coeffs.items():
-                v = out.get(k, Fraction(0)) + scale * c
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+        def accumulate(key, v):
+            if key in out:
+                v += out[key]
+                if not v:
+                    del out[key]
+                    return
+            out[key] = v
 
         for (et, ot), c in x.coeffs.items():
             for i, k in enumerate(et):
-                if k == 0:
+                terms = self._even[i] if k else None
+                if not terms:
                     continue
-                img = self.images.get(world.evens[i][0])
-                if img is None:
+                rest = et[:i] + (k - 1,) + et[i + 1:]
+                for ei, oi, ci in terms:
+                    sign, odd = _splice(ot, 0, oi)
+                    if sign:
+                        accumulate((tuple(map(add, rest, ei)), odd), c * (sign * k * ci))
+            for t, g in enumerate(ot):
+                terms = self._odd[g]
+                if not terms:
                     continue
-                rest = GradedElement(
-                    world,
-                    {(tuple(e - 1 if j == i else e for j, e in enumerate(et)), ot): Fraction(1)},
-                )
-                accumulate(img * rest, c * k)
-            for t, oi in enumerate(ot):
-                img = self.images.get(world.odds[oi][0])
-                if img is None:
-                    continue
-                sign = -1 if (self.parity and t % 2) else 1
-                pre = GradedElement(world, {(et, ot[:t]): Fraction(1)})
-                post = GradedElement(world, {((0,) * ne, ot[t + 1:]): Fraction(1)})
-                accumulate(pre * img * post, c * sign)
-        return GradedElement(world, out)
+                rest = ot[:t] + ot[t + 1:]
+                flip = -1 if (self.parity and t % 2) else 1
+                for ei, oi, ci in terms:
+                    sign, odd = _splice(rest, t, oi)
+                    if sign:
+                        accumulate((tuple(map(add, et, ei)), odd), c * (sign * flip * ci))
+        return _element(self.world, out)
 
 
 def substitute(x, target_world, images):
@@ -442,42 +466,20 @@ def _compositions(total, slots):
 def _operator_rows(op, world, src_keys, dst_keys):
     """Matrix rows of a linear operator between monomial blocks."""
     dst_index = {k: i for i, k in enumerate(dst_keys)}
-    cols = []
-    for key in src_keys:
-        img = op(GradedElement(world, {key: Fraction(1)}))
-        col = [Fraction(0)] * len(dst_keys)
-        for k, c in img.coeffs.items():
-            col[dst_index[k]] = c
-        cols.append(col)
-    return [
-        [cols[j][i] for j in range(len(src_keys))] for i in range(len(dst_keys))
-    ]
+    rows = [[0] * len(src_keys) for _ in dst_keys]
+    for j, key in enumerate(src_keys):
+        for k, c in op(_element(world, {key: Fraction(1)})).coeffs.items():
+            rows[dst_index[k]][j] = c
+    return rows
 
 
 def joint_nullspace(row_blocks, ncols):
-    """Intersection of kernels, one operator at a time on a shrinking basis."""
-    basis = None
-    for rows in row_blocks:
-        if basis is None:
-            basis = nullspace(rows, ncols)
-            continue
-        if not basis:
-            return []
-        restricted = [
-            [sum(row[i] * v[i] for i in range(ncols) if row[i]) for v in basis]
-            for row in rows
-        ]
-        small = nullspace(restricted, len(basis))
-        basis = [
-            [sum(w[j] * basis[j][i] for j in range(len(basis))) for i in range(ncols)]
-            for w in small
-        ]
-    if basis is None:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    return basis
+    """Intersection of kernels: one elimination over the stacked rows.
+
+    The vectors are the canonical reduced basis of the joint kernel (see
+    series.nullspace), so they depend only on the kernel.
+    """
+    return nullspace([row for rows in row_blocks for row in rows], ncols)
 
 
 @dataclass
@@ -747,7 +749,7 @@ def _image_rank(d, world, elems, dst_keys):
     dst_index = {k: i for i, k in enumerate(dst_keys)}
     rows = []
     for elem in elems:
-        row = [Fraction(0)] * len(dst_keys)
+        row = [0] * len(dst_keys)
         for k, c in d(elem).coeffs.items():
             row[dst_index[k]] = c
         rows.append(row)
@@ -821,10 +823,7 @@ def cartan_cohomology(weights, degree_bound: int, wmax: int = None) -> Cohomolog
         keys = cartan_block(lie, world, ambient, xdeg, fdeg, udeg)
         if weights:
             return keys, invariant_vectors(lie, world, ambient, keys, mats)
-        return keys, [
-            [Fraction(1 if i == j else 0) for i in range(len(keys))]
-            for j in range(len(keys))
-        ]
+        return keys, nullspace([], len(keys))
 
     dims = _truncated_cohomology(d, lie, world, ambient, degree_bound, wmax, basis)
     expected = [1 if n % 2 == 0 else 0 for n in range(degree_bound + 1)]
@@ -923,6 +922,19 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
             return None
         return ((e[0], e[3]) + e[4:], o)
 
+    def restricted(gkeys, gvecs, tkeys):
+        """Each group invariant restricted to the torus, as a row over tkeys."""
+        tindex = {k: i for i, k in enumerate(tkeys)}
+        rows = []
+        for v in gvecs:
+            row = [0] * len(tkeys)
+            for k, c in zip(gkeys, v):
+                rk = restrict_key(k)
+                if c and rk is not None:
+                    row[tindex[rk]] += c
+            rows.append(row)
+        return rows
+
     group_dims = {}
     torus_dims = {}
     gsolved = {}
@@ -942,60 +954,21 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
                 gd += len(gvecs)
 
                 tkeys = cartan_block(torus, tworld, ambient, xdeg, fdeg, udeg)
-                if tkeys:
-                    tindex = {k: i for i, k in enumerate(tkeys)}
-                    row_blocks = []
-                    for la in tls:
-                        row_blocks.append(
-                            _operator_rows(la, tworld, tkeys, tkeys)
-                        )
-                    swap_rows = []
-                    for k in tkeys:
-                        img = substitute(
-                            GradedElement(tworld, {k: Fraction(1)}),
-                            tworld,
-                            swap_images,
-                        )
-                        col = [Fraction(0)] * len(tkeys)
-                        for kk, cc in img.coeffs.items():
-                            col[tindex[kk]] = cc
-                        swap_rows.append(col)
-                    sigma_minus_id = [
-                        [
-                            swap_rows[j][i] - (1 if i == j else 0)
-                            for j in range(len(tkeys))
-                        ]
-                        for i in range(len(tkeys))
-                    ]
-                    row_blocks.append(sigma_minus_id)
-                    tvecs = joint_nullspace(row_blocks, len(tkeys))
-                    td += len(tvecs)
-                else:
-                    tvecs = []
+                row_blocks = [_operator_rows(la, tworld, tkeys, tkeys) for la in tls]
+                row_blocks.append(_operator_rows(
+                    lambda x: substitute(x, tworld, swap_images) - x,
+                    tworld, tkeys, tkeys,
+                ))
+                tvecs = joint_nullspace(row_blocks, len(tkeys))
+                td += len(tvecs)
                 gsolved[xdeg, fdeg, udeg] = (gkeys, gvecs)
                 tsolved[xdeg, fdeg, udeg] = (tkeys, tvecs)
 
                 # injectivity of restriction on the invariants
-                if gvecs and tkeys:
-                    tindex = {k: i for i, k in enumerate(tkeys)}
-                    rows = []
-                    for v in gvecs:
-                        col = [Fraction(0)] * len(tkeys)
-                        for k, c in zip(gkeys, v):
-                            if c == 0:
-                                continue
-                            rk = restrict_key(k)
-                            if rk is not None:
-                                col[tindex[rk]] += c
-                        rows.append(col)
-                    mat = [
-                        [rows[j][i] for j in range(len(gvecs))]
-                        for i in range(len(tkeys))
-                    ]
-                    if matrix_rank(mat, len(gvecs)) != len(gvecs):
+                if gvecs:
+                    rows = restricted(gkeys, gvecs, tkeys)
+                    if matrix_rank(rows, len(tkeys)) != len(gvecs):
                         injective = False
-                elif gvecs:
-                    injective = False
         group_dims[deg] = gd
         torus_dims[deg] = td
 
@@ -1013,18 +986,10 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
     gkeys = cartan_block(lie, gworld, ambient, 0, 0, 1)
     gvecs = invariant_vectors(lie, gworld, ambient, gkeys)
     tkeys = cartan_block(torus, tworld, ambient, 0, 0, 1)
-    tindex = {k: i for i, k in enumerate(tkeys)}
-    cols = []
-    for v in gvecs:
-        col = [Fraction(0)] * len(tkeys)
-        for k, c in zip(gkeys, v):
-            rk = restrict_key(k)
-            if rk is not None and c != 0:
-                col[tindex[rk]] += c
-        cols.append(col)
-    t3_vec = [Fraction(0)] * len(tkeys)
-    t3_vec[tindex[((0, 1, 0, 0, 0, 0), ())]] = Fraction(1)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(tkeys))]
+    cols = restricted(gkeys, gvecs, tkeys)
+    t3_vec = [0] * len(tkeys)
+    t3_vec[tkeys.index(((0, 1, 0, 0, 0, 0), ()))] = 1
+    rows = [[col[i] for col in cols] for i in range(len(tkeys))]
     witness_excluded = solve_exact(rows, t3_vec) is None
 
     return ReductionReport(

@@ -8,6 +8,9 @@ appears only in the numeric evaluators.
 """
 from __future__ import annotations
 
+import os
+import sys
+import time
 from fractions import Fraction
 
 # Hard lower bound on Laurent exponents.  Nothing in the library needs
@@ -938,31 +941,72 @@ class MultiSeries:
 # linear algebra over the coefficient field (Fraction or Gaussian), used by
 # the modular-fit solvers, kernel computations, and rank checks.
 
+# ELLFORGE_TRACE=1 writes one stderr line per elimination: caller, shape,
+# input nonzeros, rank and seconds.  Standard output is never touched.
+_TRACE = os.environ.get("ELLFORGE_TRACE") == "1"
+_ZERO = Fraction(0)
+
+
+def _subtract(row, f, piv):
+    """row -= f * piv on sparse dict rows, dropping entries that cancel."""
+    f = -f
+    for j, x in piv.items():
+        if j not in row:
+            row[j] = f * x
+        elif v := row[j] + f * x:
+            row[j] = v
+        else:
+            del row[j]
+
 
 def rref(rows, ncols: int):
-    """Reduced row echelon form in place semantics; returns (matrix, pivots)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
+    """Reduced row echelon form; returns (matrix, pivots).
+
+    Only the first ncols columns take pivots; wider rows (an augmented
+    right-hand side) are carried along.  The returned matrix lists the
+    pivot rows in increasing pivot column, then the other rows, which
+    vanish in the first ncols columns.  Elimination runs on sparse dict
+    rows: each row is reduced by the pivot rows at its leading column,
+    and a full back-substitution makes the result the unique RREF.
+    """
+    start = time.perf_counter()
+    piv = {}  # pivot column -> row with 1 there, zeros at earlier pivots
+    rest = []
+    nnz = 0
+    for dense in rows:
+        row = {j: x for j, x in enumerate(dense) if x != 0}
+        nnz += len(row)
+        while True:
+            lead = min((j for j in row if j < ncols), default=None)
+            if lead not in piv:
                 break
-        if piv is None:
+            _subtract(row, row[lead], piv[lead])
+        if lead is None:
+            rest.append(row)
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c] if not isinstance(mat[r][c], Gaussian) else Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
+        inv = Fraction(1) / row[lead]
+        piv[lead] = {j: x * inv for j, x in row.items()}
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        row = piv[c]
+        for k in [k for k in row if k != c and k in piv]:
+            _subtract(row, row[k], piv[k])
+    width = max((len(r) for r in rows), default=ncols)
+    mat = []
+    for row in [piv[c] for c in pivots] + rest:
+        mat.append([_ZERO] * width)
+        for j, x in row.items():
+            mat[-1][j] = x
+    if _TRACE:
+        frame = sys._getframe(1)
+        while frame.f_code in _ELIMINATION_CODES:
+            frame = frame.f_back
+        print(
+            f"rref caller={frame.f_globals['__name__']}.{frame.f_code.co_name} "
+            f"shape={len(rows)}x{ncols} nnz={nnz} rank={len(pivots)} "
+            f"seconds={time.perf_counter() - start:.6f}",
+            file=sys.stderr,
+        )
     return mat, pivots
 
 
@@ -980,15 +1024,13 @@ def solve_exact(rows, rhs):
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     mat, pivots = rref(aug, ncols)
-    # inconsistent if a zero row has nonzero last entry
-    for row in mat:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
+    # inconsistent if a row without pivot has a nonzero last entry
+    for row in mat[len(pivots):]:
+        if row[ncols] != 0:
             return None
-    sol = [Fraction(0)] * ncols
-    r = 0
-    for c in pivots:
+    sol = [_ZERO] * ncols
+    for r, c in enumerate(pivots):
         sol[c] = mat[r][ncols]
-        r += 1
     # verify (guards against free columns hiding inconsistency)
     for row_in, b in zip(rows, rhs):
         acc = 0
@@ -1000,19 +1042,30 @@ def solve_exact(rows, rhs):
 
 
 def nullspace(rows, ncols: int):
-    """Basis of the right kernel as lists of field elements."""
+    """Basis of the right kernel, one vector per free column of the RREF.
+
+    The vector of free column f has 1 at f, 0 at the other free columns
+    and minus the RREF's column f at the pivots: the canonical reduced
+    basis, unique for the kernel and the column order.
+    """
     if not rows:
         return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
+            [Fraction(1) if i == j else _ZERO for i in range(ncols)]
             for j in range(ncols)
         ]
     mat, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
+    for fcol in range(ncols):
+        if fcol in pivot_set:
+            continue
+        vec = [_ZERO] * ncols
         vec[fcol] = Fraction(1)
         for r, pcol in enumerate(pivots):
             vec[pcol] = -mat[r][fcol]
         basis.append(vec)
     return basis
+
+
+# callers that the trace looks past, to name who asked for the elimination
+_ELIMINATION_CODES = {f.__code__ for f in (matrix_rank, solve_exact, nullspace)}

@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ellforge import cli, series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,6 +164,21 @@ def test_sheaf_sections_report():
     assert payload["cohomology_dims"] == [1, 0, 1, 0, 1]
 
 
+def test_negative_degree_is_usage_error():
+    sheaf = ["sheaf", "--weights", "1,2", "--anchor", "1/2,0", "--sections"]
+    for argv in (
+        ["derham", "--group", "u2", "--check-relations", "--degree", "-3"],
+        ["derham", "--group", "su2", "--basic", "--degree", "-1"],
+        ["derham", "--cohomology", "--weights", "1,1", "--degree", "-2"],
+        [*sheaf, "--degree", "-1"],
+        [*sheaf, "--degree", "-1", "--json"],
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == b"", argv
+        assert proc.stderr.startswith(b"error: --degree"), argv
+
+
 def test_sheaf_bad_anchor_is_usage_error():
     proc = run("sheaf", "--weights", "1,2", "--anchor", "1/x,0", "--sections")
     assert proc.returncode == 2
@@ -196,6 +214,35 @@ def test_emitters_match_golden_files_twice():
         assert first.returncode == 0, (argv, first.stderr)
         assert first.stdout == second.stdout
         assert first.stdout == _golden_bytes(name), argv
+
+
+TRACE_LINE = re.compile(
+    rb"rref caller=\S+ shape=\d+x\d+ nnz=\d+ rank=\d+ seconds=\d+\.\d{6}"
+)
+
+
+def test_elimination_trace_goes_to_stderr_only(monkeypatch, capsys):
+    calls = []
+    plain_rref = series.rref
+
+    def counted(*args):
+        calls.append(args)
+        return plain_rref(*args)
+
+    monkeypatch.setattr(series, "rref", counted)
+    traced_any = False
+    for argv, name in EMIT_CASES:
+        calls.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        proc = run(*argv, env_extra={"ELLFORGE_TRACE": "1"})
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout == _golden_bytes(name), argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(calls), argv
+        assert all(TRACE_LINE.fullmatch(line) for line in lines), argv
+        traced_any = traced_any or bool(lines)
+    assert traced_any
 
 
 def test_json_reingest_is_byte_identical(tmp_path):
