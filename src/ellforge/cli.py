@@ -212,9 +212,21 @@ def _qseries_grid(ms: MultiSeries, qorder):
 # emitters
 
 
+def _negative(args, *flags):
+    """Report the first negative size flag, whose result would be vacuous."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            print(f"error: --{flag} must be >= 0, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_modforms(args):
     if args.from_file:
         return _reemit(args)
+    if _negative(args, "qorder"):
+        return 2
     if args.delta:
         series, label, weight = delta_q(args.qorder), "Delta", 12
     else:
@@ -242,6 +254,8 @@ def _cmd_modforms(args):
 def _cmd_sigma(args):
     if args.from_file:
         return _reemit(args)
+    if _negative(args, "qorder", "zorder"):
+        return 2
     build = sigma_product if args.form == "product" else sigma_exponential
     ms = build(args.qorder, args.zorder)
     payload = {
@@ -262,6 +276,8 @@ def _cmd_sigma(args):
 def _cmd_fgl(args):
     if args.from_file:
         return _reemit(args)
+    if _negative(args, "degree", "qorder"):
+        return 2
     fgl = fgl_from_coordinate(args.coordinate, args.degree, args.qorder)
     payload = {"command": "fgl"}
     payload.update(fgl.to_json())
@@ -287,6 +303,8 @@ def fgl_table_as_xy(fgl) -> MultiSeries:
 def _cmd_fermion(args):
     if args.from_file:
         return _reemit(args)
+    if _negative(args, "rank", "qorder", "zorder"):
+        return 2
     ms = vacuum_character(args.rank, args.qorder, args.zorder)
     payload = {
         "command": "fermion",
@@ -306,6 +324,8 @@ def _cmd_fermion(args):
 def _cmd_euler(args):
     if args.from_file:
         return _reemit(args)
+    if _negative(args, "roots", "nilpotency", "qorder"):
+        return 2
     m, deg, qo = args.roots, args.nilpotency, args.qorder
     tw = twisted_euler(m, deg, qo)
     co = corrected_euler(m, deg, qo)
@@ -340,14 +360,6 @@ def _cmd_euler(args):
     return 0
 
 
-def _negative_degree(degree):
-    """Report a negative --degree, whose result would be vacuous."""
-    if degree is not None and degree < 0:
-        print(f"error: --degree must be >= 0, got {degree}", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_derham(args):
     if args.from_file:
         return _reemit(args)
@@ -358,7 +370,7 @@ def _cmd_derham(args):
             file=sys.stderr,
         )
         return 2
-    if _negative_degree(args.degree):
+    if _negative(args, "degree"):
         return 2
     if args.check_relations or args.basic:
         if args.group is None:
@@ -447,7 +459,7 @@ def _cmd_sheaf(args):
     if not args.sections:
         print("error: --sections is required", file=sys.stderr)
         return 2
-    if _negative_degree(args.degree):
+    if _negative(args, "degree"):
         return 2
     try:
         weights = tuple(int(w) for w in args.weights.split(","))

@@ -58,13 +58,36 @@ def eisenstein_q(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries("q", order, table)
 
 
-def qpochhammer(order: int, power: int = 1) -> TruncatedSeries:
-    """prod_{n>=1} (1 - q^n)^power as a q-expansion."""
-    out = TruncatedSeries.one("q", order)
-    for n in range(1, order + 1):
-        factor = TruncatedSeries("q", order, {0: 1, n: -1})
-        out = out * factor**power
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists, truncated to len(a)."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
     return out
+
+
+def qpochhammer(order: int, power: int = 1) -> TruncatedSeries:
+    """prod_{n>=1} (1 - q^n)^power as a q-expansion.
+
+    The product and its power are taken on integer coefficient lists and
+    converted to Fraction once; a negative power inverts the positive one.
+    """
+    base = [1] + [0] * order
+    for n in range(1, order + 1):
+        for e in range(order, n - 1, -1):
+            base[e] -= base[e - n]
+    out = [1] + [0] * order
+    k = abs(power)
+    while k:
+        if k & 1:
+            out = _int_mul(out, base)
+        k >>= 1
+        if k:
+            base = _int_mul(base, base)
+    series = TruncatedSeries("q", order, dict(enumerate(out)))
+    return series.inverse() if power < 0 else series
 
 
 def delta_q(order: int) -> TruncatedSeries:

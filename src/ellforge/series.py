@@ -109,6 +109,9 @@ class Gaussian:
             return hash(self.re)
         return hash((self.re, self.im))
 
+    def __bool__(self):
+        return bool(self.re or self.im)
+
     def __complex__(self):
         return complex(self.re, self.im)
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ellforge import cli, series
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,6 +179,26 @@ def test_negative_degree_is_usage_error():
         assert proc.returncode == 2, argv
         assert proc.stdout == b"", argv
         assert proc.stderr.startswith(b"error: --degree"), argv
+
+
+@pytest.mark.parametrize("prefix, flag", [
+    (["modforms"], "--qorder"),
+    (["modforms", "--delta"], "--qorder"),
+    (["sigma"], "--qorder"),
+    (["sigma"], "--zorder"),
+    (["fgl", "--coordinate", "sigma"], "--degree"),
+    (["fgl", "--coordinate", "additive", "--json"], "--qorder"),
+    (["fermion"], "--rank"),
+    (["fermion"], "--qorder"),
+    (["fermion"], "--zorder"),
+    (["euler", "--nilpotency", "2"], "--roots"),
+    (["euler", "--roots", "2"], "--nilpotency"),
+    (["euler", "--roots", "2", "--nilpotency", "2"], "--qorder"),
+])
+def test_negative_size_flag_is_usage_error(prefix, flag, capsys):
+    assert cli.main([*prefix, flag, "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag} must be >= 0, got -1\n")
 
 
 def test_sheaf_bad_anchor_is_usage_error():

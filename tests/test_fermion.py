@@ -24,6 +24,7 @@ from ellforge.fermion import (
 from ellforge.modforms import Lattice
 from ellforge.series import MultiSeries
 from ellforge.sigma import sigma_num
+from test_oracles import loop_pf_truncated_ratio
 
 LAT = Lattice(2j, 1.0)
 A = [SectorDatum(Fraction(1, 3))]
@@ -84,10 +85,49 @@ def test_dimension_mismatch_rejected():
         pf_truncated_ratio(A, A + B, LAT, 20)
 
 
+def _pole_message(sector_a, sector_b):
+    """The error both the window and its per-ratio oracle raise."""
+    messages = []
+    for fn in (pf_truncated_ratio, loop_pf_truncated_ratio):
+        with pytest.raises(ValueError) as info:
+            fn(sector_a, sector_b, LAT, 20)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 def test_pole_reported_with_mode_indices():
     # alpha1 integer puts an eigenvalue exactly at zero in the window
-    with pytest.raises(ValueError, match=r"component 0 .*n=0"):
-        pf_truncated_ratio([SectorDatum(Fraction(1))], B, LAT, 20)
+    assert _pole_message([SectorDatum(Fraction(1))], B) == (
+        "vanishing eigenvalue in component 0 at (n=0, m=-1)"
+    )
+
+
+def test_pole_in_shifted_row_of_second_component():
+    # (2 - 1/2) tau + 2 - 3i = 2 on tau = 2i: the row n = 2 vanishes at m = -2
+    dead = SectorDatum(Fraction(2), Fraction(1, 2), -3j)
+    assert _pole_message(A + [dead], A + B) == (
+        "vanishing eigenvalue in component 1 at (n=2, m=-2)"
+    )
+
+
+def test_pole_on_denominator_side():
+    assert _pole_message(B, [SectorDatum(Fraction(-4), Fraction(-1))]) == (
+        "vanishing eigenvalue in component 0 at (n=-1, m=4)"
+    )
+
+
+def test_pole_reports_the_strictly_smaller_side():
+    # the numerator misses zero by 1e-13, the denominator hits it exactly
+    near = [SectorDatum(Fraction(1), Fraction(0), 1e-13)]
+    dead = [SectorDatum(Fraction(3))]
+    assert _pole_message(near, dead) == (
+        "vanishing eigenvalue in component 0 at (n=0, m=-3)"
+    )
+    # on a tie the numerator's mode is reported
+    assert _pole_message([SectorDatum(Fraction(1))], dead) == (
+        "vanishing eigenvalue in component 0 at (n=0, m=-1)"
+    )
 
 
 def test_x_scale_regenerates_through_log_derivative():

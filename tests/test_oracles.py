@@ -1,10 +1,14 @@
-"""The sparse elimination, one-pass joint kernels and key-level derivations
-against the dense, object-building code they replaced, kept here as oracles.
+"""The sparse elimination, one-pass joint kernels, key-level derivations,
+block-product Pfaffian window and integer q-Pochhammer product against the
+dense, object-building, per-ratio and factor-by-factor code they replaced,
+kept here as oracles.
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ellforge.equivderham import (
@@ -26,7 +30,16 @@ from ellforge.equivderham import (
     weil_world,
 )
 from ellforge.equivderham import _splice
-from ellforge.series import Gaussian, matrix_rank, nullspace, rref, solve_exact
+from ellforge.fermion import SectorDatum, _row_shift, pf_truncated_ratio, sector_z
+from ellforge.modforms import Lattice, qpochhammer
+from ellforge.series import (
+    Gaussian,
+    TruncatedSeries,
+    matrix_rank,
+    nullspace,
+    rref,
+    solve_exact,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -131,6 +144,64 @@ def derive_by_products(d, x):
             pre = GradedElement(world, {(et, ot[:t]): c * sign})
             post = GradedElement(world, {((0,) * ne, ot[t + 1:]): Fraction(1)})
             out = out + pre * img * post
+    return out
+
+
+def loop_zeta_tail(s: int, x: float) -> float:
+    """sum_{m > x} m^-s by Euler-Maclaurin, one power of x per term."""
+    t = x ** (1 - s) / (s - 1) - 0.5 * x ** (-s) + s * x ** (-s - 1) / 12.0
+    t -= s * (s + 1) * (s + 2) * x ** (-s - 3) / 720.0
+    t += s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * x ** (-s - 5) / 30240.0
+    return t
+
+
+def loop_row_log_ratio(ca, cb, P, j, n):
+    """One complex log per ratio and a term-by-term tail (the replaced row)."""
+    P0 = int(3 * max(abs(ca), abs(cb))) + 48
+    if P0 >= P:
+        P0 = P
+    m = np.arange(-P0, P0 + 1)
+    num = ca + m
+    den = cb + m
+    small = min(np.abs(num).min(), np.abs(den).min())
+    if small < 1e-12:
+        which = int(np.abs(den).argmin() if np.abs(den).min() < np.abs(num).min() else np.abs(num).argmin())
+        raise ValueError(
+            f"vanishing eigenvalue in component {j} at (n={n}, m={int(m[which])})"
+        )
+    out = complex(np.sum(np.log(num / den)))
+    if P0 == P:
+        return out
+    a2, b2 = ca * ca, cb * cb
+    apow = bpow = complex(1)
+    for k in range(1, 25):
+        apow *= a2
+        bpow *= b2
+        sk = loop_zeta_tail(2 * k, float(P0)) - loop_zeta_tail(2 * k, float(P))
+        out -= (apow - bpow) / k * sk
+    return out
+
+
+def loop_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
+    if P is None:
+        P = 4 * M * M
+    total = complex(0)
+    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
+        for n in range(-M, M + 1):
+            ca = _row_shift(da, n, lat.tau, lat.lam2)
+            cb = _row_shift(db, n, lat.tau, lat.lam2)
+            total += loop_row_log_ratio(ca, cb, P, j, n)
+    s_a = sum(sector_z(d, lat) for d in sector_a)
+    s_b = sum(sector_z(d, lat) for d in sector_b)
+    return cmath.exp(total - (s_a - s_b) / 2)
+
+
+def factor_qpochhammer(order, power=1):
+    """One TruncatedSeries product per factor (1 - q^n)^power."""
+    out = TruncatedSeries.one("q", order)
+    for n in range(1, order + 1):
+        factor = TruncatedSeries("q", order, {0: 1, n: -1})
+        out = out * factor**power
     return out
 
 
@@ -310,3 +381,54 @@ def test_splice_sign_counts_inversions(rest, odd, data):
         (-1) ** inversions, tuple(sorted(seq))
     )
     assert _splice(tuple(rest), t, tuple(odd)) == want
+
+
+# ------------------------------------------------------- Pfaffian and q-products
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+sector_data = st.builds(
+    SectorDatum,
+    st.fractions(min_value=-2, max_value=2, max_denominator=7),
+    st.fractions(min_value=-2, max_value=2, max_denominator=7),
+    st.complex_numbers(max_magnitude=0.3),
+)
+
+
+@st.composite
+def pfaffian_cases(draw):
+    dim = draw(st.integers(1, 2))
+    sector_a = draw(st.lists(sector_data, min_size=dim, max_size=dim))
+    sector_b = draw(st.lists(sector_data, min_size=dim, max_size=dim))
+    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(1.0, 2.0)))
+    lam2 = complex(draw(st.floats(0.7, 1.3)), draw(st.floats(-0.3, 0.3)))
+    M = draw(st.integers(10, 120))
+    # up to 48 every row keeps its whole window (P0 == P) and has no tail
+    P = draw(st.one_of(st.none(), st.integers(1, 48), st.integers(49, 4 * M * M)))
+    return sector_a, sector_b, Lattice(tau * lam2, lam2), M, P
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pfaffian_cases())
+def test_pf_truncated_ratio_matches_loop(case):
+    value, error = _outcome(pf_truncated_ratio, *case)
+    want, want_error = _outcome(loop_pf_truncated_ratio, *case)
+    assert error == want_error
+    if want_error is None:
+        assert abs(value - want) <= 1e-11 * abs(want)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.integers(0, 40), st.integers(-3, 24))
+def test_qpochhammer_matches_factor_products(order, power):
+    got = qpochhammer(order, power)
+    want = factor_qpochhammer(order, power)
+    assert got == want
+    assert (got.trunc, got.minexp) == (want.trunc, want.minexp)
+    assert all(type(c) is Fraction for c in got.coeffs.values())

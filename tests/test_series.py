@@ -131,6 +131,15 @@ def test_gaussian_collapse_to_fraction():
     assert isinstance(z, Fraction) and z == 2
 
 
+def test_gaussian_truth_is_nonzero():
+    # `if c` filters must drop a zero Gaussian that was never normalised
+    assert not Gaussian(0, 0)
+    assert not -Gaussian(0, 0)
+    assert Gaussian(0, 1) and Gaussian(Fraction(1, 3), 0)
+    row = [Gaussian(0, 0), Gaussian(2, -1), Fraction(0)]
+    assert [c for c in row if c] == [Gaussian(2, -1)]
+
+
 def test_gaussian_in_series():
     s = ts("z", 3, {1: I})
     sq = s * s
