@@ -98,12 +98,15 @@ class GradedElement:
 
     def __init__(self, world, coeffs=None):
         self.world = world
+        # drop zeros and coerce the rest as Fraction(0) + c does (int ->
+        # Fraction), which the integral Derivation images rely on
         self.coeffs = {}
         if coeffs:
-            for k, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[k] = self.coeffs.get(k, Fraction(0)) + c
-            self.coeffs = {k: c for k, c in self.coeffs.items() if c != 0}
+            self.coeffs = {
+                k: c if type(c) is Fraction else Fraction(0) + c
+                for k, c in coeffs.items()
+                if c != 0
+            }
 
     @classmethod
     def zero(cls, world):

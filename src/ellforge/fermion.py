@@ -76,8 +76,14 @@ def pf_closed(sector, lat: Lattice) -> complex:
 # ------------------------------------------------------------ window ratio
 
 
-def _row_shift(datum: SectorDatum, n: int, tau: complex, lam2: complex) -> complex:
-    return (n - complex(datum.alpha2)) * tau + complex(datum.alpha1) + datum.X / lam2
+def _twists(datum: SectorDatum, lam2: complex) -> tuple[complex, complex, complex]:
+    """(alpha1, alpha2, X / lam2) as complex numbers, converted once per datum."""
+    return complex(datum.alpha1), complex(datum.alpha2), datum.X / lam2
+
+
+def _row_shift(twists, n: int, tau: complex) -> complex:
+    a1, a2, x = twists
+    return (n - a2) * tau + a1 + x
 
 
 def _zeta_tail(s, x: float):
@@ -146,9 +152,10 @@ def pf_truncated_ratio(
     tau = lat.tau
     total = complex(0)
     for j, (da, db) in enumerate(zip(sector_a, sector_b)):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
         for n in range(-M, M + 1):
-            ca = _row_shift(da, n, tau, lat.lam2)
-            cb = _row_shift(db, n, tau, lat.lam2)
+            ca = _row_shift(ta, n, tau)
+            cb = _row_shift(tb, n, tau)
             total += _row_log_ratio(ca, cb, P, k, zeta_P, j, n)
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
@@ -167,9 +174,10 @@ def pf_rowlimit_ratio(sector_a, sector_b, lat: Lattice, rows: int = 10) -> compl
     tau = lat.tau
     out = complex(1)
     for da, db in zip(sector_a, sector_b):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
         for n in range(-rows, rows + 1):
-            ca = _row_shift(da, n, tau, lat.lam2)
-            cb = _row_shift(db, n, tau, lat.lam2)
+            ca = _row_shift(ta, n, tau)
+            cb = _row_shift(tb, n, tau)
             out *= cmath.sin(math.pi * ca) / cmath.sin(math.pi * cb)
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)

@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from operator import add, le
 
 # Hard lower bound on Laurent exponents.  Nothing in the library needs
 # deeper poles, and the bound catches runaway inverse() loops early.
@@ -289,17 +290,20 @@ class TruncatedSeries:
         minexp = self.minexp + other.minexp
         if minexp < LAURENT_FLOOR:
             raise ValueError("product crosses the Laurent floor")
+        # the constructor drops the zeros; get() keeps first terms off
+        # Fraction's mixed int path
         table = {}
+        get = table.get
+        items = other.coeffs.items()
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e > trunc:
+            room = trunc - e1
+            for e2, c2 in items:
+                if e2 > room:
                     continue
-                s = table.get(e, 0) + c1 * c2
-                if s == 0:
-                    table.pop(e, None)
-                else:
-                    table[e] = s
+                e = e1 + e2
+                p = c1 * c2
+                s = get(e)
+                table[e] = p if s is None else s + p
         return TruncatedSeries(self.var, trunc, table, max(minexp, LAURENT_FLOOR))
 
     __rmul__ = __mul__
@@ -500,6 +504,40 @@ def _ring_inverse(c):
     return 1 / c if not isinstance(c, Gaussian) else Fraction(1) / c
 
 
+def _nonzero(table: dict) -> dict:
+    return {e: c for e, c in table.items() if not _is_zero_coeff(c)}
+
+
+def _layout(caps, total, tgroup):
+    """Bucket key function and its limits for one truncation.
+
+    A key is (counted degree, exponents at the live caps), the counted
+    degree being 0 without a total.  A cap is live unless the total
+    implies it: a counted variable whose cap is at least the total.  An
+    exponent survives the truncation exactly when its key is <= the
+    limits coordinate-wise, and keys add under multiplication.
+    """
+    live = [
+        i for i, c in enumerate(caps or ())
+        if total is None or i not in tgroup or c < total
+    ]
+    lim = (0 if total is None else total,) + tuple(caps[i] for i in live)
+    counted = () if total is None else tgroup
+
+    def key(e):
+        return (sum([e[i] for i in counted]), *[e[i] for i in live])
+
+    return key, lim
+
+
+def _buckets(coeffs: dict, key) -> list:
+    """The (exponent, coefficient) pairs grouped by key, in increasing key."""
+    out = {}
+    for e, c in coeffs.items():
+        out.setdefault(key(e), []).append((e, c))
+    return sorted(out.items())
+
+
 class MultiSeries:
     """Sparse exact series in several variables.
 
@@ -510,6 +548,17 @@ class MultiSeries:
     auxiliary variable, so the same class covers rational group-law
     tables, box-truncated (q, z) data, and nilpotent root algebras over
     the q-expansion ring.
+
+    Operands of one operation must count their totals over the same
+    ``tgroup``, and ``subs`` targets must share one truncation: otherwise
+    the result would hold terms some input leaves unknown.  ``__mul__``
+    and ``subs`` test the bounds once per pair of buckets, a bucket being
+    the terms with one counted degree and one exponent at each cap the
+    total does not imply (see ``_layout``); the terms of a bucket pair
+    that passes are all kept.  ``subs`` raises each mixed (multi-term)
+    target to a power once per group of terms with the same exponents at
+    the mixed targets.  Both accumulate cancelled coefficients and drop
+    the zeros once, at the end.
     """
 
     __slots__ = ("vars", "caps", "total", "tgroup", "coeffs")
@@ -588,6 +637,12 @@ class MultiSeries:
     def _compat(self, other: "MultiSeries"):
         if self.vars != other.vars:
             raise ValueError("variable tuple mismatch")
+        # a total counted over another group would leave terms of the result
+        # unknown to one operand
+        if self.tgroup != other.tgroup and (
+            self.total is not None or other.total is not None
+        ):
+            raise ValueError("total-degree groups differ")
 
     def _merged_bounds(self, other: "MultiSeries"):
         if self.caps is None or other.caps is None:
@@ -649,45 +704,24 @@ class MultiSeries:
         self._compat(other)
         caps, total = self._merged_bounds(other)
         res = MultiSeries(self.vars, None, caps, total, self.tgroup)
+        key, lim = _layout(caps, total, self.tgroup)
+        right = _buckets(other.coeffs, key)
         table = {}
-        if total is not None:
-            # bucket by counted degree so deep products are skipped wholesale
-            by_a: dict[int, list] = {}
-            for e, c in self.coeffs.items():
-                by_a.setdefault(self.tdeg(e), []).append((e, c))
-            by_b: dict[int, list] = {}
-            for e, c in other.coeffs.items():
-                by_b.setdefault(self.tdeg(e), []).append((e, c))
-            for da, items_a in by_a.items():
-                for db, items_b in by_b.items():
-                    if da + db > total:
-                        continue
-                    for e1, c1 in items_a:
-                        for e2, c2 in items_b:
-                            e = tuple(x + y for x, y in zip(e1, e2))
-                            if not res._keep(e):
-                                continue
-                            p = c1 * c2
-                            s = table.get(e)
-                            s = p if s is None else s + p
-                            if _is_zero_coeff(s):
-                                table.pop(e, None)
-                            else:
-                                table[e] = s
-        else:
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    if not res._keep(e):
-                        continue
-                    p = c1 * c2
-                    s = table.get(e)
-                    s = p if s is None else s + p
-                    if _is_zero_coeff(s):
-                        table.pop(e, None)
-                    else:
-                        table[e] = s
-        res.coeffs = table
+        get = table.get
+        for ka, items_a in _buckets(self.coeffs, key):
+            room = lim[0] - ka[0]
+            for kb, items_b in right:
+                if kb[0] > room:
+                    break
+                if not all(map(le, map(add, ka, kb), lim)):
+                    continue
+                for e1, c1 in items_a:
+                    for e2, c2 in items_b:
+                        e = tuple(map(add, e1, e2))
+                        p = c1 * c2
+                        s = get(e)
+                        table[e] = p if s is None else s + p
+        res.coeffs = _nonzero(table)
         return res
 
     __rmul__ = __mul__
@@ -777,6 +811,8 @@ class MultiSeries:
         for s in targets[1:]:
             if s.vars != proto.vars:
                 raise ValueError("substitution targets disagree on variables")
+            if (s.caps, s.total, s.tgroup) != (proto.caps, proto.total, proto.tgroup):
+                raise ValueError("substitution targets disagree on truncation")
         zero_key = (0,) * len(proto.vars)
         for s in targets:
             if not _is_zero_coeff(s.coeffs.get(zero_key, Fraction(0))):
@@ -785,62 +821,62 @@ class MultiSeries:
             if v not in args:
                 raise ValueError(f"no substitution given for {v!r}")
         res = MultiSeries.zero(proto.vars, proto.caps, proto.total, proto.tgroup)
+        key, lim = _layout(proto.caps, proto.total, proto.tgroup)
         nv = len(proto.vars)
         # single-monomial targets act by exponent shift, a big saving when
-        # substituting generators; only genuinely mixed targets get powered
-        mono = {}
-        pows = {}
-        for v in self.vars:
+        # substituting generators; only genuinely mixed targets get powered,
+        # once per group of terms that share their exponents there
+        mono = []
+        mixed = []
+        for j, v in enumerate(self.vars):
             s = args[v]
             if len(s.coeffs) == 1:
                 (me, mc), = s.coeffs.items()
-                mono[v] = (me, mc)
+                mono.append((j, me, mc))
             else:
-                pows[v] = [
-                    MultiSeries.one(proto.vars, proto.caps, proto.total, proto.tgroup),
-                    s,
-                ]
-        table = {}
+                mixed.append((j, [res._like({zero_key: Fraction(1)}), s]))
+        groups = {}
         for e, c in self.coeffs.items():
-            shift = [0] * nv
-            scal = c
+            groups.setdefault(tuple(e[j] for j, _ in mixed), []).append((e, c))
+        table = {}
+        get = table.get
+        for powers, terms in groups.items():
             prod = None
-            dead = False
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                if v in mono:
-                    me, mc = mono[v]
-                    for i, x in enumerate(me):
-                        shift[i] += k * x
-                    scal = scal * mc**k
-                else:
-                    plist = pows[v]
+            for (_, plist), k in zip(mixed, powers):
+                if k:
                     while len(plist) <= k:
                         plist.append(plist[-1] * plist[1])
-                    p = plist[k]
-                    if p.is_zero():
-                        dead = True
-                        break
-                    prod = p if prod is None else prod * p
-            if dead or _is_zero_coeff(scal):
-                continue
-            if prod is None:
-                key = tuple(shift)
-                if res._keep(key):
-                    s0 = table.get(key)
-                    s0 = scal if s0 is None else s0 + scal
-                    table[key] = s0
+                    prod = plist[k] if prod is None else prod * plist[k]
+            if prod is None:  # no mixed target: one pseudo-bucket, factor 1
+                buckets = [((0,) * len(lim), [(zero_key, None)])]
             else:
-                for pk, pv in prod.coeffs.items():
-                    key = tuple(a + b for a, b in zip(pk, shift))
-                    if not res._keep(key):
+                buckets = _buckets(prod.coeffs, key)
+                if not buckets:
+                    continue
+            for e, c in terms:
+                shift = [0] * nv
+                scal = c
+                for j, me, mc in mono:
+                    k = e[j]
+                    if k:
+                        for i, x in enumerate(me):
+                            shift[i] += k * x
+                        scal = scal * mc**k
+                if _is_zero_coeff(scal):
+                    continue
+                ks = key(shift)
+                room = lim[0] - ks[0]
+                for kb, items in buckets:
+                    if kb[0] > room:
+                        break
+                    if not all(map(le, map(add, kb, ks), lim)):
                         continue
-                    val = pv * scal
-                    s0 = table.get(key)
-                    s0 = val if s0 is None else s0 + val
-                    table[key] = s0
-        res.coeffs = {k: v for k, v in table.items() if not _is_zero_coeff(v)}
+                    for pk, pv in items:
+                        out_e = tuple(map(add, pk, shift))
+                        val = scal if pv is None else pv * scal
+                        s0 = get(out_e)
+                        table[out_e] = val if s0 is None else s0 + val
+        res.coeffs = _nonzero(table)
         return res
 
     def exp(self) -> "MultiSeries":

@@ -48,6 +48,16 @@ def test_odd_generators_anticommute():
     assert (dx1 * dx1).is_zero()
 
 
+def test_element_drops_zeros_and_makes_ints_fractions():
+    w = form_world(2)
+    one = w.gen("x1").coeffs
+    (key,) = one
+    el = GradedElement(w, {key: 3, ((0, 0), ()): 0, ((0, 1), ()): Fraction(0)})
+    assert el.coeffs == {key: 3}
+    assert type(el.coeffs[key]) is Fraction
+    assert GradedElement(w, {}).is_zero() and GradedElement(w).is_zero()
+
+
 def test_even_generators_commute():
     w = form_world(2)
     x1, x2 = w.gen("x1"), w.gen("x2")

@@ -208,3 +208,18 @@ def test_looijenga_labels_and_types():
     checks = looijenga_check(LAT, SectorDatum(Fraction(1, 3)))
     assert [c.label for c in checks] == ["alpha1+1", "alpha2+1", "alpha2-1", "shear"]
     assert all(isinstance(c, MultiplierCheck) for c in checks)
+
+
+def test_pf_truncated_ratio_is_pinned_bit_for_bit():
+    # the row shifts convert each datum's twists once; the float expression
+    # and so every bit of the result must stay as it was
+    a = [SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.1 + 0.05j), SectorDatum(Fraction(-2, 7))]
+    b = [
+        SectorDatum(Fraction(1, 4), Fraction(-2, 7), 0.02j),
+        SectorDatum(Fraction(3, 5), Fraction(1, 2)),
+    ]
+    lat = Lattice((0.3 + 1.2j) * (1.1 - 0.1j), 1.1 - 0.1j)
+    v = pf_truncated_ratio(a, b, lat, 60)
+    assert (v.real.hex(), v.imag.hex()) == ("0x1.495a5ef14f152p-6", "-0x1.77d7f1f05a9c7p-3")
+    w = pf_rowlimit_ratio(a, b, lat, 8)
+    assert (w.real.hex(), w.imag.hex()) == ("0x1.443b71d4bfa90p-6", "-0x1.76ca2ea4b817bp-3")

@@ -1,7 +1,7 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
-block-product Pfaffian window and integer q-Pochhammer product against the
-dense, object-building, per-ratio and factor-by-factor code they replaced,
-kept here as oracles.
+block-product Pfaffian window, integer q-Pochhammer product and bucketed
+series kernels against the dense, object-building, per-ratio,
+factor-by-factor and per-term code they replaced, kept here as oracles.
 """
 from __future__ import annotations
 
@@ -30,10 +30,12 @@ from ellforge.equivderham import (
     weil_world,
 )
 from ellforge.equivderham import _splice
-from ellforge.fermion import SectorDatum, _row_shift, pf_truncated_ratio, sector_z
+from ellforge.fermion import SectorDatum, pf_truncated_ratio, sector_z
 from ellforge.modforms import Lattice, qpochhammer
 from ellforge.series import (
     Gaussian,
+    I,
+    MultiSeries,
     TruncatedSeries,
     matrix_rank,
     nullspace,
@@ -182,14 +184,19 @@ def loop_row_log_ratio(ca, cb, P, j, n):
     return out
 
 
+def row_shift(datum, n, tau, lam2):
+    """The row shift with the twists converted on every call."""
+    return (n - complex(datum.alpha2)) * tau + complex(datum.alpha1) + datum.X / lam2
+
+
 def loop_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     if P is None:
         P = 4 * M * M
     total = complex(0)
     for j, (da, db) in enumerate(zip(sector_a, sector_b)):
         for n in range(-M, M + 1):
-            ca = _row_shift(da, n, lat.tau, lat.lam2)
-            cb = _row_shift(db, n, lat.tau, lat.lam2)
+            ca = row_shift(da, n, lat.tau, lat.lam2)
+            cb = row_shift(db, n, lat.tau, lat.lam2)
             total += loop_row_log_ratio(ca, cb, P, j, n)
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
@@ -203,6 +210,118 @@ def factor_qpochhammer(order, power=1):
         factor = TruncatedSeries("q", order, {0: 1, n: -1})
         out = out * factor**power
     return out
+
+
+def keep(s, e):
+    """The per-term truncation test of the replaced series loops."""
+    if s.caps is not None and any(x > c for x, c in zip(e, s.caps)):
+        return False
+    if s.total is not None and sum(e[i] for i in s.tgroup) > s.total:
+        return False
+    return True
+
+
+def is_zero_coeff(c):
+    return c.is_zero() if isinstance(c, TruncatedSeries) else c == 0
+
+
+def loop_truncated_mul(a, b):
+    """Every pair of terms, one zero test per product term."""
+    trunc = min(a.trunc, b.trunc)
+    table = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if e > trunc:
+                continue
+            s = table.get(e, 0) + c1 * c2
+            if s == 0:
+                table.pop(e, None)
+            else:
+                table[e] = s
+    return TruncatedSeries(a.var, trunc, table, a.minexp + b.minexp)
+
+
+def loop_multi_mul(a, b):
+    """Buckets by counted degree only, then one keep() per product term."""
+    caps, total = a._merged_bounds(b)
+    res = MultiSeries(a.vars, None, caps, total, a.tgroup)
+    pairs = []
+    if total is not None:
+        by_a, by_b = {}, {}
+        for e, c in a.coeffs.items():
+            by_a.setdefault(a.tdeg(e), []).append((e, c))
+        for e, c in b.coeffs.items():
+            by_b.setdefault(a.tdeg(e), []).append((e, c))
+        for da, items_a in by_a.items():
+            for db, items_b in by_b.items():
+                if da + db <= total:
+                    pairs += [(x, y) for x in items_a for y in items_b]
+    else:
+        pairs = [(x, y) for x in a.coeffs.items() for y in b.coeffs.items()]
+    table = {}
+    for (e1, c1), (e2, c2) in pairs:
+        e = tuple(x + y for x, y in zip(e1, e2))
+        if not keep(res, e):
+            continue
+        p = c1 * c2
+        s = table.get(e)
+        s = p if s is None else s + p
+        if is_zero_coeff(s):
+            table.pop(e, None)
+        else:
+            table[e] = s
+    res.coeffs = table
+    return res
+
+
+def loop_multi_subs(series, args):
+    """One power product and one keep() per term of ``series``."""
+    proto = next(iter(args.values()))
+    res = MultiSeries.zero(proto.vars, proto.caps, proto.total, proto.tgroup)
+    nv = len(proto.vars)
+    mono, pows = {}, {}
+    for v in series.vars:
+        s = args[v]
+        if len(s.coeffs) == 1:
+            ((me, mc),) = s.coeffs.items()
+            mono[v] = (me, mc)
+        else:
+            pows[v] = [MultiSeries.one(proto.vars, proto.caps, proto.total, proto.tgroup), s]
+    table = {}
+    for e, c in series.coeffs.items():
+        shift = [0] * nv
+        scal = c
+        prod = None
+        dead = False
+        for v, k in zip(series.vars, e):
+            if k == 0:
+                continue
+            if v in mono:
+                me, mc = mono[v]
+                for i, x in enumerate(me):
+                    shift[i] += k * x
+                scal = scal * mc**k
+            else:
+                plist = pows[v]
+                while len(plist) <= k:
+                    plist.append(plist[-1] * plist[1])
+                if plist[k].is_zero():
+                    dead = True
+                    break
+                prod = plist[k] if prod is None else prod * plist[k]
+        if dead or is_zero_coeff(scal):
+            continue
+        terms = [((0,) * nv, None)] if prod is None else prod.coeffs.items()
+        for pk, pv in terms:
+            key = tuple(a + b for a, b in zip(pk, shift))
+            if not keep(res, key):
+                continue
+            val = scal if pv is None else pv * scal
+            s0 = table.get(key)
+            table[key] = val if s0 is None else s0 + val
+    res.coeffs = {k: v for k, v in table.items() if not is_zero_coeff(v)}
+    return res
 
 
 # ---------------------------------------------------------------- strategies
@@ -432,3 +551,190 @@ def test_qpochhammer_matches_factor_products(order, power):
     assert got == want
     assert (got.trunc, got.minexp) == (want.trunc, want.minexp)
     assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+# ------------------------------------------------------------------- series
+
+ring_kinds = st.sampled_from(["fraction", "gaussian", "series"])
+
+
+def ring_element(kind, qtrunc):
+    """A nonzero-or-zero element of the coefficient ring named by ``kind``."""
+    unit = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    if kind == "fraction":
+        return st.one_of(unit, small_fracs)
+    if kind == "gaussian":
+        return st.one_of(
+            unit,
+            st.builds(
+                lambda re, im: Gaussian(re, im) if im else re, small_fracs, small_fracs
+            ),
+        )
+    return st.dictionaries(st.integers(0, qtrunc), unit, max_size=3).map(
+        lambda d: TruncatedSeries("q", qtrunc, d)
+    )
+
+
+def shape(series):
+    """Exponent -> (coefficient type, q-truncation of a series coefficient)."""
+    return {
+        e: (type(c), getattr(c, "trunc", None)) for e, c in series.coeffs.items()
+    }
+
+
+def assert_same(got, want):
+    assert got == want
+    assert (got.vars, got.caps, got.total, got.tgroup) == (
+        want.vars, want.caps, want.total, want.tgroup
+    )
+    assert shape(got) == shape(want)
+
+
+# named bound layouts on n variables; "tight" has counted caps below the
+# total (live), "subset" counts only some variables in the total and caps
+# the last one, which is not counted, above the total (live all the same)
+LAYOUTS = {
+    "caps": lambda n: dict(caps=(3, 2, 4)[:n]),
+    "total": lambda n: dict(total=4),
+    "both": lambda n: dict(caps=(4, 4, 4)[:n], total=4),
+    "subset": lambda n: dict(caps=(5, 4, 4)[:n], total=3, tgroup=(0, 1)[: max(n - 1, 1)]),
+    "tight": lambda n: dict(caps=(4, 1, 2)[:n], total=4),
+}
+
+
+@st.composite
+def layouts(draw, n):
+    name = draw(st.sampled_from(sorted(LAYOUTS) + ["random"]))
+    if name != "random":
+        return LAYOUTS[name](n)
+    caps = draw(st.one_of(st.none(), st.tuples(*[st.integers(0, 4)] * n)))
+    total = draw(st.integers(0, 5)) if caps is None else draw(
+        st.one_of(st.none(), st.integers(0, 5))
+    )
+    tgroup = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return dict(caps=caps, total=total, tgroup=tuple(sorted(tgroup)))
+
+
+@st.composite
+def multi_series(draw, vars, bounds, kind, qtrunc, max_terms=7, constant=True):
+    lo = 0 if constant else 1
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars)).filter(lambda e: sum(e) >= lo)
+    table = draw(
+        st.dictionaries(exps, ring_element(kind, qtrunc), max_size=max_terms)
+    )
+    return MultiSeries(vars, table, **bounds)
+
+
+@st.composite
+def products(draw):
+    n = draw(st.integers(2, 3))
+    vars = ("x", "y", "z")[:n]
+    kind, qtrunc = draw(ring_kinds), draw(st.integers(0, 3))
+    a_bounds = draw(layouts(n))
+    b_bounds = dict(a_bounds)
+    if draw(st.booleans()):  # a looser or tighter operand of the same layout
+        if a_bounds.get("caps") is not None:
+            b_bounds["caps"] = tuple(c + draw(st.integers(-1, 1)) for c in a_bounds["caps"])
+            b_bounds["caps"] = tuple(max(c, 0) for c in b_bounds["caps"])
+        if a_bounds.get("total") is not None:
+            b_bounds["total"] = max(a_bounds["total"] + draw(st.integers(-1, 1)), 0)
+    a = draw(multi_series(vars, a_bounds, kind, qtrunc))
+    b = draw(multi_series(vars, b_bounds, kind, qtrunc))
+    return a, b
+
+
+@settings(max_examples=300, derandomize=True)
+@given(products())
+def test_multi_mul_matches_per_term_loop(case):
+    a, b = case
+    assert_same(a * b, loop_multi_mul(a, b))
+    assert_same(b * a, loop_multi_mul(b, a))
+
+
+@st.composite
+def substitutions(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    src_vars = ("x", "y", "q")[:n]
+    dst_vars = ("u", "v", "w")[:m]
+    kind, qtrunc = draw(ring_kinds), draw(st.integers(0, 3))
+    series = draw(multi_series(src_vars, draw(layouts(n)), kind, qtrunc))
+    bounds = draw(layouts(m))
+    args = {}
+    for v in src_vars:
+        which = draw(st.sampled_from(["zero", "mono", "mixed", "mixed"]))
+        if which == "zero":
+            args[v] = MultiSeries.zero(dst_vars, **bounds)
+        else:
+            size = 1 if which == "mono" else draw(st.integers(2, 4))
+            target = draw(multi_series(dst_vars, bounds, kind, qtrunc, size, False))
+            args[v] = target
+    return series, args
+
+
+@settings(max_examples=300, derandomize=True)
+@given(substitutions())
+def test_multi_subs_matches_per_term_loop(case):
+    series, args = case
+    assert_same(series.subs(args), loop_multi_subs(series, args))
+
+
+def test_multi_subs_two_mixed_targets():
+    kw = dict(caps=(3, 3, 2), total=3, tgroup=(0, 1))
+    V = ("u", "v", "q")
+    u, v, q = (MultiSeries.gen(V, name, **kw) for name in V)
+    f = MultiSeries(("x", "y", "q"), {(a, b, c): Fraction(a + 1, b + 2) - c
+                                      for a in range(4) for b in range(4)
+                                      for c in range(3) if a + b <= 3}, **kw)
+    args = {"x": u + v * q + u * v, "y": u * u - v + q * u, "q": q}
+    got = f.subs(args)
+    assert_same(got, loop_multi_subs(f, args))
+    assert not got.is_zero()
+
+
+def test_multi_mul_cancels_to_zero():
+    kw = dict(caps=(2, 2), total=2)
+    x, y = (MultiSeries.gen(("x", "y"), v, **kw) for v in "xy")
+    a, b = x + y, x - y
+    assert_same(a * b, loop_multi_mul(a, b))
+    assert (a * b).coeffs == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
+    q2 = TruncatedSeries("q", 3, {2: 1})
+    c = MultiSeries(("x", "y"), {(1, 0): q2, (0, 1): q2 * I}, **kw)
+    assert (c * c).is_zero()  # every coefficient is a multiple of q^4
+    assert_same(c * c, loop_multi_mul(c, c))
+
+
+def test_gaussian_products_collapse_to_fractions():
+    kw = dict(total=3)
+    a = MultiSeries(("x", "y"), {(1, 0): I, (0, 1): Gaussian(1, 1)}, **kw)
+    b = MultiSeries(("x", "y"), {(1, 0): I, (0, 1): Gaussian(1, -1)}, **kw)
+    got = a * b
+    assert_same(got, loop_multi_mul(a, b))
+    assert type(got.coeffs[(2, 0)]) is Fraction and got.coeffs[(2, 0)] == -1
+    assert type(got.coeffs[(0, 2)]) is Fraction and got.coeffs[(0, 2)] == 2
+
+
+@st.composite
+def laurent_pairs(draw):
+    def one():
+        minexp = draw(st.integers(-3, 0))
+        trunc = draw(st.integers(minexp, 8))
+        table = draw(st.dictionaries(
+            st.integers(minexp, trunc), ring_element(draw(ring_kinds.filter(
+                lambda k: k != "series")), 0), max_size=6,
+        ))
+        return TruncatedSeries("q", trunc, table, minexp)
+
+    return one(), one()
+
+
+@settings(max_examples=300, derandomize=True)
+@given(laurent_pairs())
+def test_truncated_mul_matches_pair_loop(case):
+    a, b = case
+    got, want = a * b, loop_truncated_mul(a, b)
+    assert got == want
+    assert (got.trunc, got.minexp) == (want.trunc, want.minexp)
+    assert {e: type(c) for e, c in got.coeffs.items()} == {
+        e: type(c) for e, c in want.coeffs.items()
+    }

@@ -299,3 +299,35 @@ def test_coeff_in_extraction():
     slice1 = p.coeff_in("z", 1)
     assert slice1.coeff((0,)) == 1 and slice1.coeff((1,)) == 1
     assert p.coeff_in("z", 2).coeff((2,)) == 1
+
+
+def test_mul_rejects_different_total_groups():
+    # counted over x only, a's y-exponents are known to any power, but b's
+    # stop at y^2: a * b would hold y^3 that b's truncation leaves unknown
+    a = MultiSeries(("x", "y"), {(0, 3): 1, (1, 0): 1}, total=2, tgroup=(0,))
+    b = MultiSeries(("x", "y"), {(0, 0): 1, (0, 1): 1}, total=2)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="total-degree groups differ"):
+            left * right
+        with pytest.raises(ValueError, match="total-degree groups differ"):
+            left + right
+
+
+def test_different_groups_without_a_total_still_multiply():
+    a = MultiSeries(("x", "y"), {(1, 0): 1}, caps=(2, 2), tgroup=(0,))
+    b = MultiSeries(("x", "y"), {(0, 1): 1}, caps=(2, 2))
+    assert (a * b).coeffs == {(1, 1): 1} == (b * a).coeffs
+
+
+def test_subs_rejects_targets_with_different_truncations():
+    f = MultiSeries(("x", "y"), {(1, 1): 1}, total=4)
+    V = ("u", "v")
+    u = MultiSeries.gen(V, "u", total=4)
+    for other in (
+        MultiSeries.gen(V, "v", total=3),
+        MultiSeries.gen(V, "v", caps=(4, 4), total=4),
+        MultiSeries.gen(V, "v", total=4, tgroup=(1,)),
+    ):
+        with pytest.raises(ValueError, match="disagree on truncation"):
+            f.subs({"x": u, "y": other})
+    assert f.subs({"x": u, "y": MultiSeries.gen(V, "v", total=4)}).coeffs == {(1, 1): 1}
