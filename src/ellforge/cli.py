@@ -40,10 +40,10 @@ from .fermion import (
     pf_truncated_ratio,
     vacuum_character,
     vacuum_character_product,
-    weyl_invariant,
+    weyl_defect,
 )
 from .modforms import Lattice, check_weight, delta_q, eisenstein_lattice, eisenstein_q
-from .series import Gaussian, MultiSeries, TruncatedSeries
+from .series import Gaussian, MultiSeries, TruncatedSeries, differing_terms
 from .sheafmodel import (
     CircleActionSpace,
     FiniteGroupTable,
@@ -581,9 +581,9 @@ def _report(name, ok, residuals, parameters, started) -> CheckReport:
 
 def _suite_sigma_identity(seed, tol):
     t0 = time.perf_counter()
-    ok = sigma_product(6, 8) == sigma_exponential(6, 8)
+    bad = differing_terms(sigma_product(6, 8).coeffs, sigma_exponential(6, 8).coeffs)
     return _report(
-        "sigma-identity", ok, [0.0 if ok else 1.0],
+        "sigma-identity", bad == 0, [float(bad)],
         {"qorder": 6, "zorder": 8, "seed": seed}, t0,
     )
 
@@ -639,9 +639,10 @@ def _suite_pfaffian(seed, tol):
 def _suite_vacuum_character(seed, tol):
     t0 = time.perf_counter()
     ch = vacuum_character(2, 4, 4)
-    ok = ch == vacuum_character_product(2, 4, 4) and weyl_invariant(ch)
+    bad = differing_terms(ch.coeffs, vacuum_character_product(2, 4, 4).coeffs)
+    asym = weyl_defect(ch)
     return _report(
-        "vacuum-character", ok, [0.0 if ok else 1.0],
+        "vacuum-character", bad == 0 and asym == 0, [float(bad), float(asym)],
         {"rank": 2, "qorder": 4, "zorder": 4, "seed": seed}, t0,
     )
 

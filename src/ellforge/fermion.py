@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .modforms import TWO_PI_I, Lattice, act
-from .series import MultiSeries
+from .series import MultiSeries, differing_terms
 from .sigma import sigma_exponential, sigma_num, sigma_product
 
 _EM_JMAX = 24
@@ -208,18 +208,24 @@ def vacuum_character_product(n: int, qorder: int, zorder: int) -> MultiSeries:
     return _multi_z(sigma_product(qorder, zorder), n, qorder, zorder)
 
 
-def weyl_invariant(char: MultiSeries) -> bool:
-    """Symmetry under permuting the z block (adjacent swaps suffice)."""
+def weyl_defect(char: MultiSeries) -> int:
+    """Coefficients moved by the adjacent swaps of the z block, summed over
+    the swaps; 0 exactly when the character is symmetric."""
     nz = len(char.vars) - 1
+    moved = 0
     for i in range(1, nz):
         swapped = {}
         for e, c in char.coeffs.items():
             key = list(e)
             key[i], key[i + 1] = key[i + 1], key[i]
             swapped[tuple(key)] = c
-        if swapped != char.coeffs:
-            return False
-    return True
+        moved += differing_terms(swapped, char.coeffs)
+    return moved
+
+
+def weyl_invariant(char: MultiSeries) -> bool:
+    """Symmetry under permuting the z block (adjacent swaps suffice)."""
+    return weyl_defect(char) == 0
 
 
 # ---------------------------------------------------------- loop multipliers

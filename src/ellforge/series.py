@@ -501,7 +501,25 @@ def _is_zero_coeff(c) -> bool:
 def _ring_inverse(c):
     if isinstance(c, TruncatedSeries):
         return c.inverse()
-    return 1 / c if not isinstance(c, Gaussian) else Fraction(1) / c
+    if isinstance(c, int):
+        # the units of Z stay integers; any other integer inverts exactly
+        return c if c in (1, -1) else Fraction(1, c)
+    return Fraction(1) / c
+
+
+def _exact_div(c, n: int):
+    """c / n, kept an integer for integers and raising if that is inexact."""
+    if isinstance(c, int):
+        quo, rem = divmod(c, n)
+        if rem:
+            raise ArithmeticError(f"{c} is not divisible by {n}")
+        return quo
+    return c / n
+
+
+def differing_terms(a: dict, b: dict) -> int:
+    """How many exponents carry different coefficients in two tables."""
+    return sum(1 for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
 
 
 def _nonzero(table: dict) -> dict:
@@ -544,10 +562,11 @@ class MultiSeries:
     Truncation policy: an optional per-variable cap vector and an optional
     total-degree bound, the latter counted over a chosen subset of the
     variables (``tgroup``, default all).  At least one bound must be set.
-    Coefficients may be Fraction, Gaussian, or TruncatedSeries in an
-    auxiliary variable, so the same class covers rational group-law
-    tables, box-truncated (q, z) data, and nilpotent root algebras over
-    the q-expansion ring.
+    Coefficients may be int, Fraction, Gaussian, or TruncatedSeries in an
+    auxiliary variable, so the same class covers integral and rational
+    group-law tables, box-truncated (q, z) data, and nilpotent root
+    algebras over the q-expansion ring.  Integer coefficients are kept as
+    ints, so integral series stay integral through every ring operation.
 
     Operands of one operation must count their totals over the same
     ``tgroup``, and ``subs`` targets must share one truncation: otherwise
@@ -557,8 +576,8 @@ class MultiSeries:
     total does not imply (see ``_layout``); the terms of a bucket pair
     that passes are all kept.  ``subs`` raises each mixed (multi-term)
     target to a power once per group of terms with the same exponents at
-    the mixed targets.  Both accumulate cancelled coefficients and drop
-    the zeros once, at the end.
+    the mixed targets.  Both accumulate all contributions first and drop
+    the coefficients that cancelled to zero once, at the end.
     """
 
     __slots__ = ("vars", "caps", "total", "tgroup", "coeffs")
@@ -584,8 +603,6 @@ class MultiSeries:
                     raise ValueError("negative exponent in MultiSeries")
                 if not self._keep(e):
                     continue
-                if isinstance(c, int):
-                    c = Fraction(c)
                 if not _is_zero_coeff(c):
                     table[e] = c
         self.coeffs = table
@@ -609,14 +626,14 @@ class MultiSeries:
     @classmethod
     def one(cls, vars, caps=None, total=None, tgroup=None) -> "MultiSeries":
         n = len(tuple(vars))
-        return cls(vars, {(0,) * n: Fraction(1)}, caps, total, tgroup)
+        return cls(vars, {(0,) * n: 1}, caps, total, tgroup)
 
     @classmethod
     def gen(cls, vars, name, caps=None, total=None, tgroup=None) -> "MultiSeries":
         vars = tuple(vars)
         i = vars.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {e: Fraction(1)}, caps, total, tgroup)
+        return cls(vars, {e: 1}, caps, total, tgroup)
 
     # ---- accessors ----
 
@@ -681,15 +698,16 @@ class MultiSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, MultiSeries):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self.coeffs.items()})
+        # negation keeps every exponent and nonzero coefficient: no re-check
+        res = MultiSeries(self.vars, None, self.caps, self.total, self.tgroup)
+        res.coeffs = {e: -c for e, c in self.coeffs.items()}
+        return res
 
     def scale(self, c) -> "MultiSeries":
         if _is_zero_coeff(c):
@@ -834,7 +852,7 @@ class MultiSeries:
                 (me, mc), = s.coeffs.items()
                 mono.append((j, me, mc))
             else:
-                mixed.append((j, [res._like({zero_key: Fraction(1)}), s]))
+                mixed.append((j, [res._like({zero_key: 1}), s]))
         groups = {}
         for e, c in self.coeffs.items():
             groups.setdefault(tuple(e[j] for j, _ in mixed), []).append((e, c))
@@ -918,23 +936,52 @@ class MultiSeries:
         return self.total + 1
 
     def reversion(self) -> "MultiSeries":
-        """Compositional inverse for one-variable series over the coefficient ring."""
-        if len(self.vars) != 1:
-            raise ValueError("reversion is defined for one-variable series")
-        c1 = self.coeffs.get((1,))
+        """Compositional inverse in the first variable; any others are parameters.
+
+        Lagrange inversion: for f = x*u with u's constant term a unit,
+        [x^n] f^-1 = (1/n) [x^(n-1)] u^-n.  u^-1 comes from Newton steps
+        r -> r + r*(1 - u*r), each of which squares the error 1 - u*r, and
+        the n-th coefficient is read off the n-th power of r.  An integer
+        series with linear coefficient +-1 stays integral throughout; the
+        division by n is then exact, and checked.
+        """
+        unit = (1,) + (0,) * (len(self.vars) - 1)
+        c1 = self.coeffs.get(unit)
         if c1 is None or _is_zero_coeff(c1):
             raise ValueError("reversion requires an invertible linear coefficient")
-        zero_key = (0,)
-        if not _is_zero_coeff(self.coeffs.get(zero_key, Fraction(0))):
+        if any(e[0] == 0 for e in self.coeffs):
             raise ValueError("reversion requires zero constant term")
-        n = self.caps[0] if self.caps is not None else self.total
-        inv1 = _ring_inverse(c1)
-        g = self._like({(1,): inv1})
-        for k in range(2, n + 1):
-            err = self.subs({self.vars[0]: g}).coeffs.get((k,))
-            if err is not None and not _is_zero_coeff(err):
-                g = g + self._like({(k,): -(err * inv1)})
-        return g
+        bounds = []
+        caps, total = self.caps, self.total
+        if caps is not None:
+            bounds.append(caps[0])
+            caps = (caps[0] - 1,) + caps[1:]
+        if total is not None and 0 in self.tgroup:
+            bounds.append(total)
+            total -= 1
+        if not bounds:
+            raise ValueError(f"reversion needs a bound on {self.vars[0]!r}")
+        # u = f / x, known one degree less far in x
+        u = MultiSeries(self.vars, None, caps, total, self.tgroup)
+        u.coeffs = {(e[0] - 1,) + e[1:]: c for e, c in self.coeffs.items()}
+        zero_key = (0,) * len(self.vars)
+        one = u._like({zero_key: 1})
+        r = u._like({zero_key: _ring_inverse(c1)})
+        while True:
+            err = one - u * r
+            if err.is_zero():
+                break
+            r = r + r * err
+        n = min(bounds)
+        table = {}
+        power = r
+        for k in range(1, n + 1):
+            for e, c in power.coeffs.items():
+                if e[0] == k - 1:
+                    table[(k,) + e[1:]] = _exact_div(c, k)
+            if k < n:
+                power = power * r
+        return self._like(table)
 
     def as_univariate(self) -> "TruncatedSeries":
         if len(self.vars) != 1:

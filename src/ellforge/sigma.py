@@ -10,6 +10,11 @@ Two independent constructions of the same object are kept side by side:
 a convergent product over q-shells and an exponential of Eisenstein
 series.  Their exact agreement is one of the headline checks, so neither
 is ever derived from the other.
+
+The formal group law is computed over Z[[q]] in the coordinate
+w = e^z - 1, where the product form is an integral series g(w): the law
+is g(G(g^-1(x), g^-1(y))) with G the multiplicative law x + y + xy and
+g^-1 found by Lagrange reversion, all on Python ints.
 """
 from __future__ import annotations
 
@@ -151,38 +156,47 @@ def quasi_period_measured(direction: int, lat: Lattice, z: complex) -> complex:
 # ---------------------------------------------------------------- group law
 
 XYQ = ("x", "y", "q")
+WQ = ("w", "q")
 
 
-def coordinate_series(kind: str, degree: int, qorder: int) -> MultiSeries:
-    """The chosen coordinate as a one-variable series over the q-expansion ring."""
-    one = TruncatedSeries.one("q", qorder)
-    if kind == "additive":
-        table = {(1,): one}
-    elif kind == "multiplicative":
-        table = {(k,): one * Fraction(1, math.factorial(k)) for k in range(1, degree + 1)}
-    elif kind == "sigma":
-        coeffs = z_coefficients(qorder, degree)
-        table = {(k,): c for k, c in enumerate(coeffs) if k and not c.is_zero()}
-    else:
+def _additive(a: MultiSeries, b: MultiSeries) -> MultiSeries:
+    return a + b
+
+
+def _multiplicative(a: MultiSeries, b: MultiSeries) -> MultiSeries:
+    return a + b + a * b
+
+
+# coordinate kind -> the law G its coordinate g conjugates: the additive law
+# in z for the additive kind, the multiplicative law in w = e^z - 1 otherwise
+BASE_LAWS = {"additive": _additive, "multiplicative": _multiplicative, "sigma": _multiplicative}
+
+
+def coordinate_w(kind: str, degree: int, qorder: int) -> MultiSeries:
+    """The coordinate as an integral series g(w) in w = e^z - 1, q a parameter.
+
+    The additive and multiplicative kinds take g = w: their laws are G
+    itself (with w standing for z in the additive case).  For sigma,
+    1 - e^-z = w/(1+w) and e^z + e^-z - 2 = t with t = w^2/(1+w), so each
+    factor of ``sigma_product`` is
+        (1 - q^n e^-z)(1 - q^n e^z) / (1 - q^n)^2 = 1 - t * sum_k k q^(nk)
+    and g = w/(1+w) * prod_n (1 - t * sum_k k q^(nk)) lies in
+    w + w^2 Z[[q]][[w]].
+    """
+    if kind not in BASE_LAWS:
         raise ValueError(f"unknown coordinate kind {kind!r}")
-    return MultiSeries(("z",), table, caps=(degree,))
-
-
-def _flatten(ring_series: MultiSeries, gen: str, degree: int, qorder: int) -> MultiSeries:
-    """One-variable series over the q-ring -> rational series in (x, y, q)."""
-    i = XYQ.index(gen)
-    table = {}
-    for (k,), c in ring_series.coeffs.items():
-        if isinstance(c, TruncatedSeries):
-            for e, f in c.coeffs.items():
-                key = [0, 0, e]
-                key[i] = k
-                table[tuple(key)] = f
-        else:
-            key = [0, 0, 0]
-            key[i] = k
-            table[tuple(key)] = c
-    return MultiSeries(XYQ, table, caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
+    caps = (degree, qorder)
+    if kind != "sigma":
+        return MultiSeries.gen(WQ, "w", caps=caps)
+    t = {j: (-1) ** j for j in range(2, degree + 1)}
+    out = MultiSeries(WQ, {(j, 0): -((-1) ** j) for j in range(1, degree + 1)}, caps=caps)
+    for n in range(1, qorder + 1):
+        factor = {(0, 0): 1}
+        for k in range(1, qorder // n + 1):
+            for j, c in t.items():
+                factor[(j, n * k)] = -k * c
+        out = out * MultiSeries(WQ, factor, caps=caps)
+    return out
 
 
 @dataclass
@@ -255,31 +269,20 @@ class FormalGroupLaw:
 
 
 def fgl_from_coordinate(kind: str, degree: int, qorder: int) -> FormalGroupLaw:
-    """F(x, y) = c(c^-1(x) + c^-1(y)) for the chosen coordinate c."""
-    c = coordinate_series(kind, degree, qorder)
-    cinv = c.reversion()
-    A = _flatten(cinv, "x", degree, qorder)
-    B = _flatten(cinv.rename({"z": "y"}), "y", degree, qorder)
-    s = A + B
-    acc = MultiSeries.zero(XYQ, caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
-    p = MultiSeries.one(XYQ, caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
-    for k in range(1, degree + 1):
-        p = p * s
-        ck = c.coeffs.get((k,))
-        if ck is None:
-            continue
-        if isinstance(ck, TruncatedSeries):
-            ck_flat = MultiSeries(
-                XYQ, {(0, 0, e): f for e, f in ck.coeffs.items()},
-                caps=(degree, degree, qorder), total=degree, tgroup=(0, 1),
-            )
-        else:
-            ck_flat = MultiSeries(
-                XYQ, {(0, 0, 0): ck},
-                caps=(degree, degree, qorder), total=degree, tgroup=(0, 1),
-            )
-        acc = acc + p * ck_flat
-    return FormalGroupLaw(kind, degree, qorder, acc)
+    """F(x, y) = g(G(g^-1(x), g^-1(y))) for the coordinate g of ``coordinate_w``.
+
+    G is the kind's base law in ``BASE_LAWS``.  g is integral with linear
+    coefficient 1, so its Lagrange reversion and the law are integral
+    too: every coefficient of the table is an int.
+    """
+    g = coordinate_w(kind, degree, qorder)
+    ginv = g.reversion()
+    kw = dict(caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
+    a = ginv.rename({"w": "x"}).lift(XYQ, **kw)
+    b = ginv.rename({"w": "y"}).lift(XYQ, **kw)
+    q = MultiSeries.gen(XYQ, "q", **kw)
+    table = g.subs({"w": BASE_LAWS[kind](a, b), "q": q})
+    return FormalGroupLaw(kind, degree, qorder, table)
 
 
 # ------------------------------------------------------- numeric group law

@@ -36,6 +36,32 @@ def test_sigma_identity_suite_passes():
     assert b"sigma-identity: PASS" in proc.stdout
 
 
+def _perturbed(ms, count):
+    """ms with its first ``count`` coefficients (in exponent order) changed."""
+    table = dict(ms.coeffs)
+    for e in sorted(table)[:count]:
+        table[e] = table[e] + 1
+    return ms._like(table)
+
+
+def test_sigma_identity_residual_counts_differing_coefficients(monkeypatch):
+    assert cli._suite_sigma_identity(0, None).residuals == [0.0]
+    exact = cli.sigma_exponential
+    monkeypatch.setattr(cli, "sigma_exponential", lambda q, z: _perturbed(exact(q, z), 3))
+    report = cli._suite_sigma_identity(0, None)
+    assert (report.status, report.residuals) == ("fail", [3.0])
+
+
+def test_vacuum_character_residuals_count_differing_coefficients(monkeypatch):
+    assert cli._suite_vacuum_character(0, None).residuals == [0.0, 0.0]
+    exact = cli.vacuum_character_product
+    monkeypatch.setattr(
+        cli, "vacuum_character_product", lambda n, q, z: _perturbed(exact(n, q, z), 5)
+    )
+    report = cli._suite_vacuum_character(0, None)
+    assert (report.status, report.residuals) == ("fail", [5.0, 0.0])
+
+
 def test_check_list_names_every_suite():
     proc = run("check", "--list")
     assert proc.returncode == 0
@@ -86,6 +112,14 @@ def test_additive_law_is_x_plus_y():
     assert entries == {(0, 1), (1, 0)}
     for e in payload["coefficients"]:
         assert e["series"]["coeffs"] == [[0, "1"]]
+
+
+@pytest.mark.parametrize("coordinate", ["additive", "multiplicative", "sigma"])
+def test_zero_fgl_degree_is_usage_error(coordinate, capsys):
+    assert cli.main(["fgl", "--coordinate", coordinate, "--degree", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_coordinate_is_usage_error():

@@ -19,6 +19,7 @@ from ellforge.fermion import (
     vacuum_character,
     vacuum_character_product,
     weight_eigenvalue,
+    weyl_defect,
     weyl_invariant,
 )
 from ellforge.modforms import Lattice
@@ -170,6 +171,14 @@ def test_character_weyl_invariance():
     assert weyl_invariant(ch)
     broken = ch * MultiSeries.gen(ch.vars, "z1", caps=ch.caps)
     assert not weyl_invariant(broken)
+
+
+def test_weyl_defect_counts_moved_coefficients():
+    ch = vacuum_character(2, 3, 4)
+    assert weyl_defect(ch) == 0
+    # z1^3 alone: the swap moves it to z2^3, so both exponents differ
+    odd = ch + MultiSeries(ch.vars, {(0, 3, 0): 1}, caps=ch.caps)
+    assert weyl_defect(odd) == 2
 
 
 def test_character_q0_slice_single_variable():

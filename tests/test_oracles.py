@@ -1,11 +1,14 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
-block-product Pfaffian window, integer q-Pochhammer product and bucketed
-series kernels against the dense, object-building, per-ratio,
-factor-by-factor and per-term code they replaced, kept here as oracles.
+block-product Pfaffian window, integer q-Pochhammer product, bucketed
+series kernels, Lagrange reversion and integral formal-group-law engine
+against the dense, object-building, per-ratio, factor-by-factor,
+per-term, per-degree and z-reversion code they replaced, kept here as
+oracles.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +35,7 @@ from ellforge.equivderham import (
 from ellforge.equivderham import _splice
 from ellforge.fermion import SectorDatum, pf_truncated_ratio, sector_z
 from ellforge.modforms import Lattice, qpochhammer
+from ellforge.sigma import XYQ, fgl_from_coordinate, z_coefficients
 from ellforge.series import (
     Gaussian,
     I,
@@ -322,6 +326,60 @@ def loop_multi_subs(series, args):
             table[key] = val if s0 is None else s0 + val
     res.coeffs = {k: v for k, v in table.items() if not is_zero_coeff(v)}
     return res
+
+
+def loop_reversion(series):
+    """One full substitution per degree, correcting one coefficient each."""
+    c1 = series.coeffs[(1,)]
+    inv1 = c1.inverse() if isinstance(c1, TruncatedSeries) else Fraction(1) / c1
+    n = series.caps[0] if series.caps is not None else series.total
+    g = series._like({(1,): inv1})
+    for k in range(2, n + 1):
+        err = series.subs({series.vars[0]: g}).coeffs.get((k,))
+        if err is not None and not is_zero_coeff(err):
+            g = g + series._like({(k,): -(err * inv1)})
+    return g
+
+
+def z_coordinate_series(kind, degree, qorder):
+    """The coordinate as a z-series with q-expansion coefficients."""
+    one = TruncatedSeries.one("q", qorder)
+    if kind == "additive":
+        table = {(1,): one}
+    elif kind == "multiplicative":
+        table = {(k,): one * Fraction(1, math.factorial(k)) for k in range(1, degree + 1)}
+    else:
+        coeffs = z_coefficients(qorder, degree)
+        table = {(k,): c for k, c in enumerate(coeffs) if k and not c.is_zero()}
+    return MultiSeries(("z",), table, caps=(degree,))
+
+
+def flatten(ring_series, gen, degree, qorder):
+    """One-variable series over the q-ring -> rational series in (x, y, q)."""
+    i = XYQ.index(gen)
+    table = {}
+    for (k,), c in ring_series.coeffs.items():
+        for e, f in c.coeffs.items():
+            key = [0, 0, e]
+            key[i] = k
+            table[tuple(key)] = f
+    return MultiSeries(XYQ, table, caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
+
+
+def zreversion_fgl(kind, degree, qorder):
+    """c(c^-1(x) + c^-1(y)) by Fraction reversion in z and a z-power loop."""
+    kw = dict(caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
+    c = z_coordinate_series(kind, degree, qorder)
+    cinv = loop_reversion(c)
+    s = flatten(cinv, "x", degree, qorder) + flatten(cinv.rename({"z": "y"}), "y", degree, qorder)
+    acc = MultiSeries.zero(XYQ, **kw)
+    p = MultiSeries.one(XYQ, **kw)
+    for k in range(1, degree + 1):
+        p = p * s
+        ck = c.coeffs.get((k,))
+        if ck is not None:
+            acc = acc + p * MultiSeries(XYQ, {(0, 0, e): f for e, f in ck.coeffs.items()}, **kw)
+    return acc
 
 
 # ---------------------------------------------------------------- strategies
@@ -738,3 +796,76 @@ def test_truncated_mul_matches_pair_loop(case):
     assert {e: type(c) for e, c in got.coeffs.items()} == {
         e: type(c) for e, c in want.coeffs.items()
     }
+
+
+# ------------------------------------------------------ reversion and laws
+
+
+@st.composite
+def revertible(draw):
+    """A one-variable series whose linear coefficient is a unit of its ring."""
+    kind, qtrunc = draw(ring_kinds), draw(st.integers(0, 3))
+    n = draw(st.integers(1, 6))
+    bounds = draw(st.sampled_from([dict(caps=(n,)), dict(total=n)]))
+    table = draw(st.dictionaries(st.integers(2, 6), ring_element(kind, qtrunc), max_size=4))
+    unit = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]))
+    if kind == "series":
+        unit = TruncatedSeries("q", qtrunc, {0: unit, 1: draw(small_fracs)})
+    elif kind == "gaussian" and draw(st.booleans()):
+        unit = Gaussian(unit, 1)
+    table[1] = unit
+    return MultiSeries(("z",), {(e,): c for e, c in table.items()}, **bounds)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(revertible())
+def test_lagrange_reversion_matches_per_degree_loop(f):
+    got = f.reversion()
+    assert_same(got, loop_reversion(f))
+    z = MultiSeries.gen(f.vars, "z", caps=f.caps, total=f.total)
+    assert f.subs({"z": got}) == z
+
+
+@st.composite
+def integral_coordinates(draw):
+    """g(w, q) = +-w + higher terms, integral, q a parameter."""
+    n, qcap = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    exps = st.tuples(st.integers(1, n), st.integers(0, qcap)).filter(lambda e: e != (1, 0))
+    table = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=8))
+    table[(1, 0)] = draw(st.sampled_from([1, -1]))
+    return MultiSeries(("w", "q"), table, caps=(n, qcap))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(integral_coordinates())
+def test_reversion_with_a_parameter_stays_integral(g):
+    h = g.reversion()
+    assert all(type(c) is int for c in h.coeffs.values())
+    w, q = (MultiSeries.gen(g.vars, v, caps=g.caps) for v in g.vars)
+    assert g.subs({"w": h, "q": q}) == w
+    assert h.subs({"w": g, "q": q}) == w
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["additive", "multiplicative", "sigma"]),
+    st.integers(1, 9),
+    st.integers(0, 5),
+)
+def test_integral_fgl_matches_zreversion(kind, degree, qorder):
+    law = fgl_from_coordinate(kind, degree, qorder)
+    want = zreversion_fgl(kind, degree, qorder)
+    assert law.table == want
+    assert (law.table.caps, law.table.total, law.table.tgroup) == (want.caps, want.total, want.tgroup)
+    assert all(type(c) is int for c in law.table.coeffs.values())
+
+
+def test_integral_fgl_matches_zreversion_at_12_8():
+    assert fgl_from_coordinate("sigma", 12, 8).table == zreversion_fgl("sigma", 12, 8)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(products())
+def test_sub_is_add_of_scaled_negative(case):
+    a, b = case
+    assert_same(a - b, a + (-1) * b)

@@ -284,6 +284,26 @@ def test_ring_coefficients_from_q_series():
     assert all(e == (1,) for e in rt.coeffs)
 
 
+def test_reversion_of_integer_series_stays_exact():
+    got = MultiSeries(("z",), {(1,): 2, (2,): 1}, caps=(5,)).reversion()
+    want = MultiSeries(("z",), {(1,): Fraction(2), (2,): Fraction(1)}, caps=(5,)).reversion()
+    assert not any(isinstance(c, float) for c in got.coeffs.values())
+    assert got == want
+    assert got.coeff((2,)) == Fraction(-1, 8)
+
+
+def test_integer_coefficients_stay_integers():
+    x = MultiSeries.gen(("x", "y"), "x", total=4)
+    y = MultiSeries.gen(("x", "y"), "y", total=4)
+    p = (1 + x - 2 * y) ** 3 - x * y
+    assert p.coeffs and all(type(c) is int for c in p.coeffs.values())
+    assert type(MultiSeries.one(("x",), caps=(2,)).coeff((0,))) is int
+    # the Lagrange reversion of x - x^2 is x + x^2 + 2x^3 + 5x^4 (Catalan)
+    inv = (x - x * x).coeff_in("y", 0).reversion()
+    assert inv.coeffs == {(1,): 1, (2,): 1, (3,): 2, (4,): 5}
+    assert all(type(c) is int for c in inv.coeffs.values())
+
+
 def test_lift_and_rename():
     f = MultiSeries(("x", "y"), {(1, 1): Fraction(2)}, total=4)
     g = f.lift(("x", "y", "w"), total=4)

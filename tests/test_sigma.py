@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ellforge.sigma import (
     EXP_LINEAR,
     QUASI_PERIODS,
     coordinate_num,
+    coordinate_w,
     exp_weight,
     fgl_from_coordinate,
     group_law_check,
@@ -120,6 +122,30 @@ def test_sigma_num_vanishes_at_lattice_origin():
 
 
 # ---------------------------------------------------------------- group law
+
+
+def test_integral_coordinate_is_sigma_at_w_equals_exp_z_minus_one():
+    qorder, zorder = 4, 7
+    g = coordinate_w("sigma", zorder, qorder)
+    assert all(type(c) is int for c in g.coeffs.values())
+    caps = (qorder, zorder)
+    w = MultiSeries(
+        ("q", "z"),
+        {(0, j): Fraction(1, math.factorial(j)) for j in range(1, zorder + 1)},
+        caps=caps,
+    )
+    q = MultiSeries.gen(("q", "z"), "q", caps=caps)
+    assert g.subs({"w": w, "q": q}) == sigma_product(qorder, zorder)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "sigma"])
+def test_zero_degree_law_is_rejected(kind):
+    with pytest.raises(ValueError):
+        fgl_from_coordinate(kind, 0, 3)
+
+
+def test_sigma_law_is_integral(sigma_law):
+    assert all(type(c) is int for c in sigma_law.table.coeffs.values())
 
 
 def test_additive_law_is_plain_sum():
