@@ -13,7 +13,9 @@ generator world so they can never mix:
 * the Weil algebra of a small Lie algebra (generators eps^a of degree 1
   and e^a of degree 2),
 * the Cartan model for a linear action on R^d (polynomial variables u_a
-  of degree 2 adjoined to the forms).
+  of degree 2 adjoined to the forms), and for circle actions the same
+  model in the weight basis z, zb, dz, dzb, where the invariants are the
+  charge-0 monomials.
 
 All linear algebra is exact over the rationals; cohomology and
 invariants are computed on finite blocks that the operators preserve.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -795,6 +797,91 @@ def _truncated_cohomology(d, lie, world, ambient, degree_bound, wmax, basis):
     return dims
 
 
+# ---------------------------------------------------------------------------
+# circle actions in the weight basis
+
+# In z_j = x_j + i y_j, zb_j = x_j - i y_j, dz_j, dzb_j, with u rescaled to
+# -i u, the circle Cartan differential has integer coefficients and the
+# rotation multiplies a monomial by its charge sum_j w_j (n_j - m_j), where
+# n_j counts z_j and dz_j and m_j counts zb_j and dzb_j.  So the invariant
+# cochains are exactly the charge-0 monomials (Guillemin-Sternberg 1999).
+# d preserves the multidegree (n, m); the invariant complex is the direct
+# sum of the charge-0 blocks, each with at most 4^k monomials per degree,
+# and W = sum(n + m) is the real x-degree plus form degree.
+
+
+def circle_world(k: int) -> GradedWorld:
+    """u, z_j, zb_j (evens), dz_j, dzb_j (odds) for j = 1..k."""
+    evens = [("u", 2)] + [(f"{z}{j}", 0) for z in ("z", "zb") for j in range(1, k + 1)]
+    odds = [(f"{z}{j}", 1) for z in ("dz", "dzb") for j in range(1, k + 1)]
+    return GradedWorld(evens, odds)
+
+
+def circle_d(weights, world: GradedWorld) -> Derivation:
+    """z -> dz, dz -> w u z, zb -> dzb, dzb -> -w u zb."""
+    u = world.gen("u")
+    images = {}
+    for j, w in enumerate(weights, 1):
+        for z, sign in (("z", 1), ("zb", -1)):
+            images[f"{z}{j}"] = world.gen(f"d{z}{j}")
+            images[f"d{z}{j}"] = u * world.gen(f"{z}{j}") * (sign * w)
+    return Derivation(world, 1, images)
+
+
+@dataclass
+class CircleBlock:
+    """One charge-0 block: its monomials keys[deg] for deg 0..degree_bound + 1,
+    and for deg <= degree_bound the matrix rows d[deg] of d from keys[deg] to
+    keys[deg + 1] and the canonical basis cocycles[deg] of its kernel."""
+
+    w: int
+    n: tuple
+    m: tuple
+    keys: list
+    d: list
+    cocycles: list
+
+    def rank(self, deg):
+        """Rank of d from degree deg (0 below degree 0)."""
+        return len(self.keys[deg]) - len(self.cocycles[deg]) if deg >= 0 else 0
+
+    def cohomology(self, deg):
+        return len(self.cocycles[deg]) - self.rank(deg - 1)
+
+
+def circle_complex(weights, degree_bound: int, wmax: int):
+    """World and charge-0 blocks with W <= wmax, by increasing W."""
+    k = len(weights)
+    world = circle_world(k)
+    d = circle_d(weights, world)
+    blocks = []
+    for w in range(wmax + 1):
+        for nm in _compositions(w, 2 * k):
+            n, m = nm[:k], nm[k:]
+            if sum(wt * (a - b) for wt, a, b in zip(weights, n, m)):
+                continue
+            forms = []
+            for eps in itertools.product((0, 1), repeat=2 * k):
+                e = tuple(map(int.__sub__, nm, eps))
+                if min(e, default=0) >= 0:
+                    forms.append((sum(eps), e, tuple(i for i, x in enumerate(eps) if x)))
+            keys = [
+                [(((deg - f) // 2,) + e, o) for f, e, o in forms
+                 if f <= deg and (deg - f) % 2 == 0]
+                for deg in range(degree_bound + 2)
+            ]
+            rows, cocycles = [], []
+            for deg in range(degree_bound + 1):
+                if deg > max(2 * k, 1):  # u times degree deg - 2: same keys and matrix
+                    rows.append(rows[deg - 2])
+                    cocycles.append(cocycles[deg - 2])
+                    continue
+                rows.append(_operator_rows(d, world, keys[deg], keys[deg + 1]))
+                cocycles.append(nullspace(rows[deg], len(keys[deg])))
+            blocks.append(CircleBlock(w, n, m, keys, rows, cocycles))
+    return world, blocks
+
+
 @dataclass
 class CohomologyReport:
     weights: tuple
@@ -807,28 +894,16 @@ class CohomologyReport:
 def cartan_cohomology(weights, degree_bound: int, wmax: int = None) -> CohomologyReport:
     """Circle-equivariant cohomology of C^k, weight by weight exact.
 
-    Works block by block in W = (x-degree + form degree), which the
-    differential preserves, and in the total degree raised by one.  Only
-    blocks with W <= wmax are inspected; for nonzero weights everything
-    above W = 0 is exact, which the report summarizes as freeness over
-    the u-polynomials.
+    Sums the cohomology of the charge-0 blocks of the weight-basis
+    complex (see circle_complex) with W <= wmax; for nonzero weights
+    everything above W = 0 is exact, which the report summarizes as
+    freeness over the u-polynomials.
     """
     weights = tuple(int(w) for w in weights)
     if wmax is None:
         wmax = degree_bound
-    lie = u1()
-    mats = circle_rep(weights) if weights else None
-    ambient = 2 * len(weights)
-    world = cartan_world(lie, ambient)
-    d = cartan_d(lie, world, mats) if weights else Derivation(world, 1, {})
-
-    def basis(xdeg, fdeg, udeg):
-        keys = cartan_block(lie, world, ambient, xdeg, fdeg, udeg)
-        if weights:
-            return keys, invariant_vectors(lie, world, ambient, keys, mats)
-        return keys, nullspace([], len(keys))
-
-    dims = _truncated_cohomology(d, lie, world, ambient, degree_bound, wmax, basis)
+    blocks = circle_complex(weights, degree_bound, wmax)[1]
+    dims = [sum(b.cohomology(deg) for b in blocks) for deg in range(degree_bound + 1)]
     expected = [1 if n % 2 == 0 else 0 for n in range(degree_bound + 1)]
     return CohomologyReport(
         weights,

@@ -18,15 +18,14 @@ from fractions import Fraction
 
 from .equivderham import (
     GradedElement,
-    cartan_block,
     cartan_d,
     cartan_world,
+    circle_complex,
     circle_rep,
-    invariant_vectors,
     substitute,
     u1,
 )
-from .series import MultiSeries, TruncatedSeries, matrix_rank, nullspace
+from .series import Gaussian, I, MultiSeries, TruncatedSeries, matrix_rank, nullspace
 from .sigma import sigma_product
 
 _U1 = u1()
@@ -81,99 +80,39 @@ def _active_weights(space, h):
 # ---------------------------------------------------------------------------
 # cocycle bases on a fixed locus
 
-# The differential and all restrictions preserve W = x-degree + form
-# degree, so the complex splits into W-blocks, each finite-dimensional in
-# every total degree; truncating in W keeps every inspected block a
-# complete subcomplex and exact rational linear algebra suffices.
+# The cocycles come from the weight-basis circle complex (see
+# equivderham.circle_complex), block by charge-0 multidegree.  Real
+# coordinates appear only in the basis: each cocycle is substituted into
+# the shared real world (z = x + i y, zb = x - i y, u = i u0), and the real
+# and imaginary parts of one W-block and degree span its real cocycles,
+# given in the canonical reduced basis (series.nullspace) of that span.
 
 
-def _block_keys(ws, w, deg):
-    world = _world(len(ws))
-    ambient = 2 * len(ws)
-    keys = []
-    for fdeg in range(min(w, ambient, deg) + 1):
-        if (deg - fdeg) % 2:
-            continue
-        keys.extend(cartan_block(_U1, world, ambient, w - fdeg, fdeg, (deg - fdeg) // 2))
-    return keys
+def _real_images(k):
+    """Images of the weight-basis generators in the shared real world."""
+    world = _world(k)
+    key = {name: next(iter(world.gen(name).coeffs)) for name in world.index}
+    images = {"u": GradedElement(world, {key["u0"]: I})}
+    for j in range(1, k + 1):
+        for z, x in (("z", "x"), ("dz", "dx")):
+            re, im = key[f"{x}{2 * j - 1}"], key[f"{x}{2 * j}"]
+            images[f"{z}{j}"] = GradedElement(world, {re: 1, im: I})
+            images[f"{z}b{j}"] = GradedElement(world, {re: 1, im: -I})
+    return images
 
 
-def _w_complex(ws, w, degree_bound):
-    """Keys, cocycle vectors, and boundary vectors per degree in one W-block."""
-    world = _world(len(ws))
-    mats = circle_rep(ws)
-    ambient = 2 * len(ws)
-    d = cartan_d(_U1, world, mats)
-    keys = {deg: _block_keys(ws, w, deg) for deg in range(degree_bound + 2)}
-    inv = {
-        deg: invariant_vectors(_U1, world, ambient, keys[deg], mats)
-        for deg in range(degree_bound + 1)
-    }
-    cocycles = {deg: [] for deg in range(degree_bound + 1)}
-    boundaries = {deg: [] for deg in range(degree_bound + 1)}
-    for deg in range(degree_bound + 1):
-        vecs = inv[deg]
-        if not vecs:
-            continue
-        dst = {k: i for i, k in enumerate(keys[deg + 1])}
-        cols = []
-        for v in vecs:
-            el = GradedElement(world, {k: c for k, c in zip(keys[deg], v) if c})
-            img = d(el)
-            col = [Fraction(0)] * len(keys[deg + 1])
-            for k, c in img.coeffs.items():
-                col[dst[k]] = c
-            cols.append(col)
-            if deg + 1 <= degree_bound and any(col):
-                boundaries[deg + 1].append(col)
-        rows = [
-            [cols[j][i] for j in range(len(vecs))]
-            for i in range(len(keys[deg + 1]))
-        ]
-        for combo in nullspace(rows, len(vecs)):
-            vec = [
-                sum(combo[j] * vecs[j][i] for j in range(len(vecs)))
-                for i in range(len(keys[deg]))
-            ]
-            cocycles[deg].append(vec)
-    return keys, cocycles, boundaries
-
-
-def _chain_data(ws, degree_bound, wmax):
-    """Assembled per-degree keys, cocycle vectors, and boundary vectors."""
-    keys = {deg: [] for deg in range(degree_bound + 1)}
-    coc = {deg: [] for deg in range(degree_bound + 1)}
-    bnd = {deg: [] for deg in range(degree_bound + 1)}
-    for w in range(wmax + 1):
-        wkeys, wcoc, wbnd = _w_complex(ws, w, degree_bound)
-        for deg in range(degree_bound + 1):
-            off = len(keys[deg])
-            if not wkeys[deg]:
-                continue
-            keys[deg].extend(wkeys[deg])
-            for store, src in ((coc, wcoc), (bnd, wbnd)):
-                for v in src[deg]:
-                    store[deg].append((off, v))
-    out_keys, out_coc, out_bnd = {}, {}, {}
-    for deg in range(degree_bound + 1):
-        total = len(keys[deg])
-        out_keys[deg] = keys[deg]
-        out_coc[deg] = [_pad(off, v, total) for off, v in coc[deg]]
-        out_bnd[deg] = [_pad(off, v, total) for off, v in bnd[deg]]
-    return _world(len(ws)), out_keys, out_coc, out_bnd
-
-
-def _pad(off, v, total):
-    out = [Fraction(0)] * total
-    out[off : off + len(v)] = v
-    return out
-
-
-def _rank_of(vectors, width):
-    if not vectors:
-        return 0
-    rows = [[v[i] for v in vectors] for i in range(width)]
-    return matrix_rank(rows, len(vectors))
+def _real_basis(els, world, images):
+    """Canonical real basis of the real and imaginary parts of els."""
+    reals = [substitute(el, world, images).coeffs for el in els]
+    # the real block's key order: form degree, then exponents, then forms
+    keys = sorted({k for r in reals for k in r}, key=lambda k: (len(k[1]), k))
+    rows = []
+    for r in reals:
+        parts = [r.get(k, 0) for k in keys]
+        rows.append([c.re if isinstance(c, Gaussian) else c for c in parts])
+        rows.append([c.im if isinstance(c, Gaussian) else 0 for c in parts])
+    span = nullspace(nullspace(rows, len(keys)), len(keys))
+    return [GradedElement(world, {k: c for k, c in zip(keys, v) if c}) for v in span]
 
 
 @dataclass
@@ -199,17 +138,17 @@ def local_sections(space, h, degree_bound, wmax=None):
         wmax = degree_bound
     h = _angle_pair(h)
     ws = _active_weights(space, h)
-    world, keys, coc, bnd = _chain_data(ws, degree_bound, wmax)
-    cdims = []
-    hdims = []
-    basis = {}
-    for deg in range(degree_bound + 1):
-        cdims.append(len(coc[deg]))
-        hdims.append(len(coc[deg]) - _rank_of(bnd[deg], len(keys[deg])))
-        basis[deg] = [
-            GradedElement(world, {k: c for k, c in zip(keys[deg], v) if c})
-            for v in coc[deg]
-        ]
+    cworld, blocks = circle_complex(ws, degree_bound, wmax)
+    world, images = _world(len(ws)), _real_images(len(ws))
+    basis = {deg: [] for deg in range(degree_bound + 1)}
+    for deg in basis:
+        for _, group in itertools.groupby(blocks, key=lambda b: b.w):
+            els = [GradedElement(cworld, dict(zip(b.keys[deg], v)))
+                   for b in group for v in b.cocycles[deg]]
+            if els:
+                basis[deg] += _real_basis(els, world, images)
+    cdims = [sum(len(b.cocycles[deg]) for b in blocks) for deg in basis]
+    hdims = [sum(b.cohomology(deg) for b in blocks) for deg in basis]
     return SectionsReport(h, fixed_locus(space, h), degree_bound, wmax, cdims, hdims, basis)
 
 
@@ -407,7 +346,10 @@ def localized_transition_rank(space, h, hp, degree_bound=8, wmax=None):
 
     The transition is a bijection on the inverted-parameter modules, so
     on each truncated degree the induced map must hit all of the target
-    cohomology; the report records both sides' dimensions and the rank.
+    cohomology; the report records both sides' dimensions and the rank
+    of the restricted cocycles modulo the target boundaries.  Restriction
+    kills every block with a dropped coordinate and maps the others onto
+    the target block with the same multidegree on the kept coordinates.
     """
     if wmax is None:
         wmax = degree_bound
@@ -417,34 +359,33 @@ def localized_transition_rank(space, h, hp, degree_bound=8, wmax=None):
     fxp = fixed_locus(space, hp)
     if not set(fxp) <= set(fx):
         raise ValueError("target fixed locus is not contained in the source one")
-    ws = tuple(space.weights[j] for j in fx)
-    wsp = tuple(space.weights[j] for j in fxp)
-    _, ukeys, ucoc, ubnd = _chain_data(ws, degree_bound, wmax)
-    worldp, dkeys, dcoc, dbnd = _chain_data(wsp, degree_bound, wmax)
-    world = _world(len(ws))
-    pos = {j: i for i, j in enumerate(fx)}
-    images = {"u0": worldp.gen("u0")}
-    for newi, j in enumerate(fxp):
-        oldi = pos[j]
-        for r in (1, 2):
-            images[f"x{2 * oldi + r}"] = worldp.gen(f"x{2 * newi + r}")
-            images[f"dx{2 * oldi + r}"] = worldp.gen(f"dx{2 * newi + r}")
+    k, keep = len(fx), [fx.index(j) for j in fxp]
+    odd = {i: new for new, i in enumerate(keep)}
+    odd.update({k + i: len(keep) + new for new, i in enumerate(keep)})
+
+    def restrict(key):
+        e, o = key
+        return (e[:1] + tuple(e[1 + i] for i in keep) + tuple(e[1 + k + i] for i in keep),
+                tuple(odd[i] for i in o))
+
+    up = circle_complex(tuple(space.weights[j] for j in fx), degree_bound, wmax)[1]
+    down = circle_complex(tuple(space.weights[j] for j in fxp), degree_bound, wmax)[1]
+    targets = {(b.n, b.m): b for b in down}
     up_dims, down_dims, ranks = [], [], []
     for deg in range(degree_bound + 1):
-        up_dims.append(len(ucoc[deg]) - _rank_of(ubnd[deg], len(ukeys[deg])))
-        down_dims.append(len(dcoc[deg]) - _rank_of(dbnd[deg], len(dkeys[deg])))
-        dst = {k: i for i, k in enumerate(dkeys[deg])}
-        restricted = []
-        for v in ucoc[deg]:
-            el = GradedElement(world, {k: c for k, c in zip(ukeys[deg], v) if c})
-            img = substitute(el, worldp, images)
-            col = [Fraction(0)] * len(dkeys[deg])
-            for k, c in img.coeffs.items():
-                col[dst[k]] = c
-            restricted.append(col)
-        b_rank = _rank_of(dbnd[deg], len(dkeys[deg]))
-        joint = _rank_of(restricted + dbnd[deg], len(dkeys[deg]))
-        ranks.append(joint - b_rank)
+        up_dims.append(sum(b.cohomology(deg) for b in up))
+        down_dims.append(sum(b.cohomology(deg) for b in down))
+        rank = 0
+        for b in up:
+            if any(b.n[i] or b.m[i] for i in range(k) if i not in keep):
+                continue
+            t = targets[tuple(b.n[i] for i in keep), tuple(b.m[i] for i in keep)]
+            rows = [dict(zip(map(restrict, b.keys[deg]), v)) for v in b.cocycles[deg]]
+            rows = [[r.get(key, 0) for key in t.keys[deg]] for r in rows]
+            if deg:  # the target boundaries, as the images of its basis
+                rows += map(list, zip(*t.d[deg - 1]))
+            rank += matrix_rank(rows, len(t.keys[deg])) - t.rank(deg - 1)
+        ranks.append(rank)
     return LocalizationReport(degree_bound, up_dims, down_dims, ranks)
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,6 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run(*argv, env_extra=None):
     env = dict(os.environ)
-    env.pop("ELLFORGE_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -62,6 +62,28 @@ def test_vacuum_character_residuals_count_differing_coefficients(monkeypatch):
     assert (report.status, report.residuals) == ("fail", [5.0, 0.0])
 
 
+def test_derham_residual_counts_wrong_degrees(monkeypatch):
+    assert cli._suite_derham(0, None).residuals == [0.0]
+    wrong = SimpleNamespace(dims=[0, 0, 2, 0, 1])
+    monkeypatch.setattr(cli, "cartan_cohomology", lambda weights, degree: wrong)
+    report = cli._suite_derham(0, None)
+    assert (report.status, report.residuals) == ("fail", [2.0])
+
+
+def test_sheaf_residual_counts_disagreeing_degrees(monkeypatch):
+    assert cli._suite_sheaf(0, None).residuals == [0.0]
+    exact = cli.localized_transition_rank
+
+    def short(*args, **kwargs):
+        rep = exact(*args, **kwargs)
+        rep.ranks = [0] * len(rep.ranks)
+        return rep
+
+    monkeypatch.setattr(cli, "localized_transition_rank", short)
+    report = cli._suite_sheaf(0, None)
+    assert (report.status, report.residuals) == ("fail", [3.0])
+
+
 def test_check_list_names_every_suite():
     proc = run("check", "--list")
     assert proc.returncode == 0
@@ -80,16 +102,6 @@ def test_impossible_tolerance_fails_with_exit_one():
     proc = run("check", "group-law", "--tol", "1e-30")
     assert proc.returncode == 1
     assert b"FAIL" in proc.stdout
-
-
-def test_thread_cap_env_keeps_results():
-    serial = run("check", "sectors")
-    threaded = run("check", "sectors", env_extra={"ELLFORGE_THREADS": "4"})
-    assert serial.returncode == threaded.returncode == 0
-    # first line is deterministic up to the trailing runtime
-    first = serial.stdout.decode().splitlines()[0]
-    other = threaded.stdout.decode().splitlines()[0]
-    assert first.split("(")[0] == other.split("(")[0]
 
 
 def test_seed_is_printed_and_respected():
@@ -259,6 +271,11 @@ EMIT_CASES = [
     (
         ["sectors", "--group-table", str(GOLDEN / "z2_table.json"), "--json"],
         "sectors_z2.json",
+    ),
+    (
+        ["sheaf", "--weights", "1,2", "--anchor", "0,0", "--sections", "--degree", "4",
+         "--json"],
+        "sheaf_w12_origin_sections.json",
     ),
 ]
 

@@ -15,7 +15,10 @@ from ellforge.equivderham import (
     cartan_d,
     cartan_world,
     chern_weil,
+    circle_complex,
+    circle_d,
     circle_rep,
+    circle_world,
     curvature,
     form_d,
     form_world,
@@ -336,6 +339,41 @@ def test_zero_weight_flags_positive_fixed_locus():
     rep = cartan_cohomology((0, 1), 4)
     assert rep.dims == [1, 0, 1, 0, 1]
     assert rep.fixed_locus_positive
+
+
+def test_two_weight_cohomology_at_degree_twelve():
+    assert cartan_cohomology((1, 1), 12).dims == [1, 0] * 6 + [1]
+
+
+def test_three_weight_cohomology_at_degree_eight():
+    assert cartan_cohomology((1, 1, 1), 8).dims == [1, 0] * 4 + [1]
+
+
+def test_circle_blocks_are_charge_zero_subcomplexes():
+    weights = (1, 2, -1)
+    world, blocks = circle_complex(weights, 3, 3)
+    d = circle_d(weights, world)
+    assert {b.w for b in blocks} == {0, 2, 3}  # no charge-0 block at W = 1
+    for b in blocks:
+        assert sum(w * (n - m) for w, n, m in zip(weights, b.n, b.m)) == 0
+        for deg in range(4):
+            assert len(b.keys[deg]) <= 4 ** len(weights)
+            for key in b.keys[deg]:
+                el = GradedElement(world, {key: Fraction(1)})
+                assert world.monomial_degree(key) == deg
+                assert set(d(el).coeffs) <= set(b.keys[deg + 1])
+                assert d(d(el)).is_zero()
+            for v in b.cocycles[deg]:
+                assert d(GradedElement(world, dict(zip(b.keys[deg], v)))).is_zero()
+
+
+def test_circle_differential_has_integer_coefficients():
+    world = circle_world(1)
+    d = circle_d((3,), world)
+    assert d(world.gen("dz1")) == world.gen("u") * world.gen("z1") * 3
+    assert d(world.gen("dzb1")) == world.gen("u") * world.gen("zb1") * -3
+    # d^2 = -u L is nonzero off charge 0
+    assert not d(d(world.gen("z1"))).is_zero()
 
 
 def test_cohomology_stable_under_deeper_polynomial_truncation():

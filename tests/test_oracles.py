@@ -1,40 +1,53 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
 block-product Pfaffian window, integer q-Pochhammer product, bucketed
-series kernels, Lagrange reversion and integral formal-group-law engine
-against the dense, object-building, per-ratio, factor-by-factor,
-per-term, per-degree and z-reversion code they replaced, kept here as
-oracles.
+series kernels, Lagrange reversion, integral formal-group-law engine and
+weight-basis circle complex against the dense, object-building,
+per-ratio, factor-by-factor, per-term, per-degree, z-reversion and
+real-coordinate code they replaced, kept here as oracles.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellforge.equivderham import (
     Derivation,
     GradedElement,
+    cartan_block,
+    cartan_cohomology,
     cartan_d,
     cartan_lie,
     cartan_world,
     circle_rep,
     form_d,
     form_world,
+    invariant_vectors,
     joint_nullspace,
     linear_field_contraction,
     linear_field_lie,
+    substitute,
     su2,
     u1,
     weil_contraction,
     weil_d,
     weil_world,
 )
-from ellforge.equivderham import _splice
+from ellforge.equivderham import _splice, _truncated_cohomology
 from ellforge.fermion import SectorDatum, pf_truncated_ratio, sector_z
 from ellforge.modforms import Lattice, qpochhammer
+from ellforge.sheafmodel import (
+    CircleActionSpace,
+    _world,
+    fixed_locus,
+    local_sections,
+    localized_transition_rank,
+)
 from ellforge.sigma import XYQ, fgl_from_coordinate, z_coefficients
 from ellforge.series import (
     Gaussian,
@@ -380,6 +393,172 @@ def zreversion_fgl(kind, degree, qorder):
         if ck is not None:
             acc = acc + p * MultiSeries(XYQ, {(0, 0, e): f for e, f in ck.coeffs.items()}, **kw)
     return acc
+
+
+# ------------------------------------------------ real-coordinate circle complex
+
+# The real-coordinate Cartan complex the weight basis replaced: per block
+# an exact invariant solve, then cocycles and boundaries per W-block.
+
+_U1 = u1()
+
+
+def _block_keys(ws, w, deg):
+    world = _world(len(ws))
+    ambient = 2 * len(ws)
+    keys = []
+    for fdeg in range(min(w, ambient, deg) + 1):
+        if (deg - fdeg) % 2:
+            continue
+        keys.extend(cartan_block(_U1, world, ambient, w - fdeg, fdeg, (deg - fdeg) // 2))
+    return keys
+
+
+def _w_complex(ws, w, degree_bound):
+    """Keys, cocycle vectors, and boundary vectors per degree in one W-block."""
+    world = _world(len(ws))
+    mats = circle_rep(ws)
+    ambient = 2 * len(ws)
+    d = cartan_d(_U1, world, mats)
+    keys = {deg: _block_keys(ws, w, deg) for deg in range(degree_bound + 2)}
+    inv = {
+        deg: invariant_vectors(_U1, world, ambient, keys[deg], mats)
+        for deg in range(degree_bound + 1)
+    }
+    cocycles = {deg: [] for deg in range(degree_bound + 1)}
+    boundaries = {deg: [] for deg in range(degree_bound + 1)}
+    for deg in range(degree_bound + 1):
+        vecs = inv[deg]
+        if not vecs:
+            continue
+        dst = {k: i for i, k in enumerate(keys[deg + 1])}
+        cols = []
+        for v in vecs:
+            el = GradedElement(world, {k: c for k, c in zip(keys[deg], v) if c})
+            img = d(el)
+            col = [Fraction(0)] * len(keys[deg + 1])
+            for k, c in img.coeffs.items():
+                col[dst[k]] = c
+            cols.append(col)
+            if deg + 1 <= degree_bound and any(col):
+                boundaries[deg + 1].append(col)
+        rows = [
+            [cols[j][i] for j in range(len(vecs))]
+            for i in range(len(keys[deg + 1]))
+        ]
+        for combo in nullspace(rows, len(vecs)):
+            vec = [
+                sum(combo[j] * vecs[j][i] for j in range(len(vecs)))
+                for i in range(len(keys[deg]))
+            ]
+            cocycles[deg].append(vec)
+    return keys, cocycles, boundaries
+
+
+def _chain_data(ws, degree_bound, wmax):
+    """Assembled per-degree keys, cocycle vectors, and boundary vectors."""
+    keys = {deg: [] for deg in range(degree_bound + 1)}
+    coc = {deg: [] for deg in range(degree_bound + 1)}
+    bnd = {deg: [] for deg in range(degree_bound + 1)}
+    for w in range(wmax + 1):
+        wkeys, wcoc, wbnd = _w_complex(ws, w, degree_bound)
+        for deg in range(degree_bound + 1):
+            off = len(keys[deg])
+            if not wkeys[deg]:
+                continue
+            keys[deg].extend(wkeys[deg])
+            for store, src in ((coc, wcoc), (bnd, wbnd)):
+                for v in src[deg]:
+                    store[deg].append((off, v))
+    out_keys, out_coc, out_bnd = {}, {}, {}
+    for deg in range(degree_bound + 1):
+        total = len(keys[deg])
+        out_keys[deg] = keys[deg]
+        out_coc[deg] = [_pad(off, v, total) for off, v in coc[deg]]
+        out_bnd[deg] = [_pad(off, v, total) for off, v in bnd[deg]]
+    return _world(len(ws)), out_keys, out_coc, out_bnd
+
+
+def _pad(off, v, total):
+    out = [Fraction(0)] * total
+    out[off : off + len(v)] = v
+    return out
+
+
+def _rank_of(vectors, width):
+    if not vectors:
+        return 0
+    rows = [[v[i] for v in vectors] for i in range(width)]
+    return matrix_rank(rows, len(vectors))
+
+
+def real_cartan_dims(weights, degree_bound, wmax):
+    """cartan_cohomology's dims from invariant bases of the real blocks."""
+    lie = u1()
+    mats = circle_rep(weights) if weights else None
+    ambient = 2 * len(weights)
+    world = cartan_world(lie, ambient)
+    d = cartan_d(lie, world, mats) if weights else Derivation(world, 1, {})
+
+    def basis(xdeg, fdeg, udeg):
+        keys = cartan_block(lie, world, ambient, xdeg, fdeg, udeg)
+        if weights:
+            return keys, invariant_vectors(lie, world, ambient, keys, mats)
+        return keys, nullspace([], len(keys))
+
+    return _truncated_cohomology(d, lie, world, ambient, degree_bound, wmax, basis)
+
+
+def real_local_sections(space, h, degree_bound, wmax):
+    """(cocycle_dims, cohomology_dims, basis) of local_sections."""
+    ws = tuple(space.weights[j] for j in fixed_locus(space, h))
+    world, keys, coc, bnd = _chain_data(ws, degree_bound, wmax)
+    cdims, hdims, basis = [], [], {}
+    for deg in range(degree_bound + 1):
+        cdims.append(len(coc[deg]))
+        hdims.append(len(coc[deg]) - _rank_of(bnd[deg], len(keys[deg])))
+        basis[deg] = [
+            GradedElement(world, {k: c for k, c in zip(keys[deg], v) if c})
+            for v in coc[deg]
+        ]
+    return cdims, hdims, basis
+
+
+def real_localized_rank(space, h, hp, degree_bound, wmax):
+    """(upstairs, downstairs, ranks) of localized_transition_rank."""
+    fx = fixed_locus(space, h)
+    fxp = fixed_locus(space, hp)
+    if not set(fxp) <= set(fx):
+        raise ValueError("target fixed locus is not contained in the source one")
+    ws = tuple(space.weights[j] for j in fx)
+    wsp = tuple(space.weights[j] for j in fxp)
+    _, ukeys, ucoc, ubnd = _chain_data(ws, degree_bound, wmax)
+    worldp, dkeys, dcoc, dbnd = _chain_data(wsp, degree_bound, wmax)
+    world = _world(len(ws))
+    pos = {j: i for i, j in enumerate(fx)}
+    images = {"u0": worldp.gen("u0")}
+    for newi, j in enumerate(fxp):
+        oldi = pos[j]
+        for r in (1, 2):
+            images[f"x{2 * oldi + r}"] = worldp.gen(f"x{2 * newi + r}")
+            images[f"dx{2 * oldi + r}"] = worldp.gen(f"dx{2 * newi + r}")
+    up_dims, down_dims, ranks = [], [], []
+    for deg in range(degree_bound + 1):
+        up_dims.append(len(ucoc[deg]) - _rank_of(ubnd[deg], len(ukeys[deg])))
+        down_dims.append(len(dcoc[deg]) - _rank_of(dbnd[deg], len(dkeys[deg])))
+        dst = {k: i for i, k in enumerate(dkeys[deg])}
+        restricted = []
+        for v in ucoc[deg]:
+            el = GradedElement(world, {k: c for k, c in zip(ukeys[deg], v) if c})
+            img = substitute(el, worldp, images)
+            col = [Fraction(0)] * len(dkeys[deg])
+            for k, c in img.coeffs.items():
+                col[dst[k]] = c
+            restricted.append(col)
+        b_rank = _rank_of(dbnd[deg], len(dkeys[deg]))
+        joint = _rank_of(restricted + dbnd[deg], len(dkeys[deg]))
+        ranks.append(joint - b_rank)
+    return up_dims, down_dims, ranks
 
 
 # ---------------------------------------------------------------- strategies
@@ -869,3 +1048,61 @@ def test_integral_fgl_matches_zreversion_at_12_8():
 def test_sub_is_add_of_scaled_negative(case):
     a, b = case
     assert_same(a - b, a + (-1) * b)
+
+
+# ------------------------------------------------------ weight-basis circle complex
+
+# wmax is capped by the number of coordinates: the oracle's invariant
+# solves on three all-zero weights take over 20 s at W = 3
+_WMAX_CAP = (5, 5, 3, 2)
+# zeros often, so that the fixed loci are often not empty
+anchor_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(1, 2)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+)
+anchors = st.tuples(anchor_parts, anchor_parts)
+
+
+@st.composite
+def circle_cases(draw):
+    # largest first: hypothesis leans towards the first choice
+    k = draw(st.sampled_from(range(3, -1, -1)))
+    ws = tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+    degree = draw(st.sampled_from(range(5, -1, -1)))
+    wmax = draw(st.sampled_from(range(min(degree, _WMAX_CAP[k]), -1, -1)))
+    return ws, degree, wmax
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(circle_cases())
+def test_cartan_cohomology_matches_invariant_solves(case):
+    ws, degree, wmax = case
+    assert cartan_cohomology(ws, degree, wmax).dims == real_cartan_dims(ws, degree, wmax)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(circle_cases(), anchors)
+def test_local_sections_match_real_complex(case, h):
+    ws, degree, wmax = case
+    space = CircleActionSpace(ws)
+    rep = local_sections(space, h, degree, wmax)
+    assert (rep.cocycle_dims, rep.cohomology_dims, rep.basis) == real_local_sections(
+        space, h, degree, wmax
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(circle_cases(), anchors, anchors)
+def test_localized_rank_matches_real_complex(case, h, hp):
+    ws, degree, wmax = case
+    space = CircleActionSpace(ws)
+    try:
+        want = real_localized_rank(space, h, hp, degree, wmax)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            localized_transition_rank(space, h, hp, degree, wmax)
+        return
+    rep = localized_transition_rank(space, h, hp, degree, wmax)
+    assert rep.degree_bound == degree
+    assert (rep.upstairs, rep.downstairs, rep.ranks) == want

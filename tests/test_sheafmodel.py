@@ -5,10 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from ellforge.equivderham import cartan_cohomology
+from ellforge.equivderham import (
+    GradedElement,
+    cartan_cohomology,
+    cartan_d,
+    circle_complex,
+    circle_d,
+    circle_rep,
+    substitute,
+    u1,
+)
+from ellforge import sheafmodel
 from ellforge.series import MultiSeries, TruncatedSeries
 from ellforge.sheafmodel import (
     CircleActionSpace,
+    _real_images,
+    _world,
     CurveFunction,
     FiniteGroupTable,
     LocalSection,
@@ -104,6 +116,31 @@ def test_basis_elements_pass_cocycle_validation():
     rep = local_sections(w1, (0, 0), 4)
     for el in rep.basis[2]:
         make_section(w1, (0, 0), cocycle=el, truncation=4)
+
+
+def test_weight_basis_differential_is_the_real_one():
+    """Substituting z = x + i y, zb = x - i y, u = i u0 intertwines the
+    weight-basis differential with the real Cartan differential."""
+    ws = (1, -2)
+    world, blocks = circle_complex(ws, 3, 3)
+    d = circle_d(ws, world)
+    real_d = cartan_d(u1(), _world(2), circle_rep(ws))
+    images = _real_images(2)
+    for b in blocks:
+        for deg in range(4):
+            for key in b.keys[deg]:
+                el = GradedElement(world, {key: Fraction(1)})
+                lhs = substitute(d(el), _world(2), images)
+                assert lhs == real_d(substitute(el, _world(2), images))
+
+
+def test_basis_is_rational_with_the_complex_dimension():
+    # the real and imaginary parts of the weight-basis cocycles span a
+    # rational space of the same dimension as the cocycles themselves
+    rep = local_sections(CircleActionSpace((1, 1)), (0, 0), 2)
+    assert rep.cocycle_dims[2] == len(rep.basis[2]) == 5
+    for el in rep.basis[2]:
+        assert all(isinstance(c, Fraction) for c in el.coeffs.values())
 
 
 def test_noncocycle_rejected():
@@ -379,6 +416,23 @@ def test_localized_rank_from_origin_pair():
     rep = localized_transition_rank(sp, (0, 0), (HALF, 0), degree_bound=4)
     assert rep.upstairs == [1, 0, 1, 0, 1]
     assert rep.ok
+
+
+def test_localized_rank_is_measured_on_restricted_cocycles(monkeypatch):
+    """Losing the source's degree-2 cocycles shows up in the rank."""
+    exact = sheafmodel.circle_complex
+
+    def lossy(weights, degree_bound, wmax):
+        world, blocks = exact(weights, degree_bound, wmax)
+        if len(weights) == 2:  # the source locus at the origin
+            for b in blocks:
+                b.cocycles[2] = []
+        return world, blocks
+
+    monkeypatch.setattr(sheafmodel, "circle_complex", lossy)
+    rep = localized_transition_rank(CircleActionSpace((1, 2)), (0, 0), (HALF, 0), 4)
+    assert (rep.ranks[2], rep.downstairs[2]) == (0, 1)
+    assert not rep.ok
 
 
 # ---------------------------------------------------------------------------
