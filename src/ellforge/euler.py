@@ -37,10 +37,8 @@ def _unit_exp(v, name, k, m):
 def twisted_euler(m: int, degree: int, qorder: int) -> MultiSeries:
     """prod_j sigma(2 i F_j), assembled from the product-form z-slices."""
     v = root_vars(m)
-    slices = [
-        sigma_product(qorder, degree).coeff_in("z", k).as_univariate()
-        for k in range(degree + 1)
-    ]
+    sigma = sigma_product(qorder, degree)
+    slices = [sigma.coeff_in("z", k).as_univariate() for k in range(degree + 1)]
     out = MultiSeries.one(v, total=degree)
     for name in v:
         table = {}

@@ -13,17 +13,22 @@ overall Fock normalization ((pi / vol) prod (1 - q^n)^2)^dim cancels in
 every ratio this module computes, and only ratios are exposed.
 
 Ratios of infinite eigenvalue products are regularized by a rectangle
-window: |n| <= M rows, each row cut at |m| <= P with P = 4 M^2, far rows
-finished with an analytic Euler-Maclaurin tail.  Within a row the ratios
-are multiplied in blocks of _BLOCK and one complex log is taken per block
-product, so the summed log is known only modulo 2 pi i; the ratio is its
-exponential and does not see the difference.  Rows are evaluated one at a
-time and never batched: at M = 800 the window holds about 7.8 million
-ratios, some 125 MB as one complex array, which would raise peak memory.
-The raw window limit
-differs from the closed form by exp((S_a - S_b)/2) with S the sum of the
-component coordinates; pf_truncated_ratio removes that factor internally
-so its M -> infinity limit is exactly pf_closed(a) / pf_closed(b).
+window: |n| <= M rows, each row cut at |m| <= P with P = 4 M^2.  A row's
+head, |m| <= P0 with P0 about 3 |c| + 48 for its shift c, is multiplied
+out; the rest of the row up to P is an analytic Euler-Maclaurin tail.
+Within a head the ratios are multiplied in blocks of _BLOCK and one
+complex log is taken per block product, so the summed log is known only
+modulo 2 pi i; the ratio is its exponential and does not see the
+difference.  Heads are evaluated one row at a time: at M = 800 the whole
+window holds about 7.8 million ratios, some 125 MB as one complex array,
+which would raise peak memory.  Tails are cheap to batch: all rows' tails
+are one (rows x _EM_JMAX) complex array, about 0.6 MB at M = 800, and the
+whole tail step stays under 2 MB there.
+
+The raw window limit differs from the closed form by exp((S_a - S_b)/2)
+with S the sum of the component coordinates; pf_truncated_ratio removes
+that factor internally so its M -> infinity limit is exactly
+pf_closed(a) / pf_closed(b).
 """
 from __future__ import annotations
 
@@ -86,9 +91,9 @@ def _row_shift(twists, n: int, tau: complex) -> complex:
     return (n - a2) * tau + a1 + x
 
 
-def _zeta_tail(s, x: float):
+def _zeta_tail(s, x):
     """sum_{m > x} m^-s by Euler-Maclaurin, x a large integer; s an integer
-    or an array of them."""
+    or an array of them, x a float or a column of them."""
     y2 = x ** -2
     t = 1 - (s + 3) * (s + 4) * y2 / 42.0
     t = 1 - (s + 1) * (s + 2) * y2 / 60.0 * t
@@ -101,34 +106,65 @@ def _nearest_mode(c: complex, P0: int) -> tuple[int, float]:
     return m, abs(c + m)
 
 
-def _row_log_ratio(ca: complex, cb: complex, P: int, k, zeta_P, j: int, n: int) -> complex:
-    """log prod_{|m|<=P} (ca + m)/(cb + m) modulo 2 pi i, analytic tail beyond P0.
+def _window_rows(sector_a, sector_b, lat: Lattice, M: int, P: int):
+    """(ca, cb, P0) for every row in (component, n) order.
 
-    ``k`` is 1.._EM_JMAX as floats and ``zeta_P`` is _zeta_tail(2k, P).
+    P0 is the row's head cut; beyond it, up to P, the row's tail is
+    analytic.  Raises on the first row, in that order, with a vanishing
+    eigenvalue inside its head.
     """
-    P0 = int(3 * max(abs(ca), abs(cb))) + 48
-    if P0 >= P:
-        P0 = P
-    ma, small_a = _nearest_mode(ca, P0)
-    mb, small_b = _nearest_mode(cb, P0)
-    if min(small_a, small_b) < 1e-12:
-        raise ValueError(
-            f"vanishing eigenvalue in component {j} at "
-            f"(n={n}, m={mb if small_b < small_a else ma})"
-        )
-    m = np.arange(-P0, P0 + 1, dtype=float)
+    tau = lat.tau
+    rows = []
+    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
+        for n in range(-M, M + 1):
+            ca = _row_shift(ta, n, tau)
+            cb = _row_shift(tb, n, tau)
+            P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
+            ma, small_a = _nearest_mode(ca, P0)
+            mb, small_b = _nearest_mode(cb, P0)
+            if min(small_a, small_b) < 1e-12:
+                raise ValueError(
+                    f"vanishing eigenvalue in component {j} at "
+                    f"(n={n}, m={mb if small_b < small_a else ma})"
+                )
+            rows.append((ca, cb, P0))
+    return rows
+
+
+def _head_log_ratio(ca: complex, cb: complex, m) -> complex:
+    """log prod (ca + m)/(cb + m) over the modes ``m``, modulo 2 pi i."""
     ratios = (ca + m) / (cb + m)
     cut = ratios.size - ratios.size % _BLOCK
     # a block takes every (cut / _BLOCK)-th ratio; only the total product matters
     blocks = ratios[:cut].reshape(_BLOCK, -1).prod(axis=0)
-    out = complex(np.log(blocks).sum()) + cmath.log(complex(ratios[cut:].prod()))
-    if P0 == P:
-        return out
-    # paired tail: sum log((ca^2 - m^2)/(cb^2 - m^2)) over P0 < m <= P
-    apow = np.cumprod(np.full(_EM_JMAX, ca * ca))
-    bpow = np.cumprod(np.full(_EM_JMAX, cb * cb))
-    sk = _zeta_tail(2 * k, float(P0)) - zeta_P
-    return out - complex(np.sum((apow - bpow) / k * sk))
+    return complex(np.log(blocks).sum()) + cmath.log(complex(ratios[cut:].prod()))
+
+
+def _tail_log_ratios(rows, P: int) -> list[complex]:
+    """Per row, sum log((ca^2 - m^2)/(cb^2 - m^2)) over P0 < m <= P.
+
+    The log is expanded in powers of ca^2/m^2 and cb^2/m^2 up to _EM_JMAX,
+    with each power sum over m taken from _zeta_tail; all rows are one
+    (rows x _EM_JMAX) array.
+    """
+    k = np.arange(1, _EM_JMAX + 1, dtype=float)
+    # numpy's vector pow rounds x ** -2 differently from Python's scalar pow
+    # for about one integer in twenty, but for every integer x from 2 to
+    # 10^6 the difference reaches no bit of _zeta_tail's result
+    x = np.array([float(P0) for _, _, P0 in rows])[:, None]
+    sk = _zeta_tail(2 * k, x) - _zeta_tail(2 * k, float(P))
+    shape = (len(rows), _EM_JMAX)
+    # squares in Python complex: numpy's vector complex multiply rounds about
+    # a third of them differently
+    a2 = np.array([ca * ca for ca, _, _ in rows])[:, None]
+    b2 = np.array([cb * cb for _, cb, _ in rows])[:, None]
+    # in place, so at most two (rows x _EM_JMAX) complex arrays are alive
+    terms = np.cumprod(np.broadcast_to(a2, shape), axis=1)
+    terms -= np.cumprod(np.broadcast_to(b2, shape), axis=1)
+    terms /= k
+    terms *= sk
+    return terms.sum(axis=1).tolist()
 
 
 def pf_truncated_ratio(
@@ -138,25 +174,27 @@ def pf_truncated_ratio(
 
     The error decays like 1/M; with the default P = 4 M^2 the relative
     deviation from the closed form drops below 1e-4 by M = 800 on
-    lattices with Im tau >= 1.  Each row takes one complex log per block
-    product of _BLOCK ratios, so the summed log is exact only modulo
-    2 pi i, which the returned exponential removes.  Rows run one at a
-    time, so memory stays at one row's ratios (see the module docstring).
+    lattices with Im tau >= 1.  Each row's head takes one complex log per
+    block product of _BLOCK ratios, so the summed log is exact only
+    modulo 2 pi i, which the returned exponential removes.  Heads run one
+    row at a time, so memory stays at one row's ratios; the tails of all
+    rows are one (rows x _EM_JMAX) array (see the module docstring).
+    Empty sectors give exactly 1.
     """
     if len(sector_a) != len(sector_b):
         raise ValueError("sectors must have equal dimension for a finite ratio")
     if P is None:
         P = 4 * M * M
-    k = np.arange(1, _EM_JMAX + 1, dtype=float)
-    zeta_P = _zeta_tail(2 * k, float(P))
-    tau = lat.tau
+    if M < 1 or P < 1:
+        raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
+    rows = _window_rows(sector_a, sector_b, lat, M, P)
+    tails = iter(_tail_log_ratios([r for r in rows if r[2] < P], P))
+    pmax = max((P0 for _, _, P0 in rows), default=0)
+    modes = np.arange(-pmax, pmax + 1, dtype=float)
     total = complex(0)
-    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
-        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
-        for n in range(-M, M + 1):
-            ca = _row_shift(ta, n, tau)
-            cb = _row_shift(tb, n, tau)
-            total += _row_log_ratio(ca, cb, P, k, zeta_P, j, n)
+    for ca, cb, P0 in rows:
+        head = _head_log_ratio(ca, cb, modes[pmax - P0 : pmax + P0 + 1])
+        total += head - next(tails) if P0 < P else head
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
     return cmath.exp(total - (s_a - s_b) / 2)

@@ -9,12 +9,17 @@ C/Lambda sits at z = 2*pi*i*w/lam2, so stepping by lam2 shifts z by
 Two independent constructions of the same object are kept side by side:
 a convergent product over q-shells and an exponential of Eisenstein
 series.  Their exact agreement is one of the headline checks, so neither
-is ever derived from the other.
+is ever derived from the other.  The product form is multiplied out on
+Python ints through the per-factor identity
+    (1 - q^n e^-z)(1 - q^n e^z) / (1 - q^n)^2 = 1 - t * sum_k k q^(nk),
+t = e^z + e^-z - 2: the factors make one polynomial in t over Z[q]
+(``_t_product``), and only then is t expanded in z.
 
 The formal group law is computed over Z[[q]] in the coordinate
 w = e^z - 1, where the product form is an integral series g(w): the law
 is g(G(g^-1(x), g^-1(y))) with G the multiplicative law x + y + xy and
-g^-1 found by Lagrange reversion, all on Python ints.
+g^-1 found by Lagrange reversion, all on Python ints.  g comes from the
+same t-polynomial, with t = w^2/(1+w).
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modforms import TWO_PI_I, Lattice, eisenstein_q, homogeneous_fit, qpochhammer
+from .modforms import TWO_PI_I, Lattice, eisenstein_q, homogeneous_fit
 from .series import MultiSeries, TruncatedSeries
 
 QZ = ("q", "z")
@@ -38,29 +43,56 @@ def exp_weight(k: int) -> Fraction:
     return Fraction(-2, math.factorial(2 * k))
 
 
-def _exp_z(sign: int, qorder: int, zorder: int) -> MultiSeries:
-    table = {(0, j): Fraction(sign**j, math.factorial(j)) for j in range(zorder + 1)}
-    return MultiSeries(QZ, table, caps=(qorder, zorder))
-
-
 def _lift_q(series: TruncatedSeries, qorder: int, zorder: int) -> MultiSeries:
     return MultiSeries(
         QZ, {(e, 0): c for e, c in series.coeffs.items()}, caps=(qorder, zorder)
     )
 
 
-def sigma_product(qorder: int, zorder: int) -> MultiSeries:
-    """(1 - e^-z) prod_n (1 - q^n e^-z)(1 - q^n e^z) / (1 - q^n)^2."""
-    caps = (qorder, zorder)
-    one = MultiSeries.one(QZ, caps=caps)
-    em = _exp_z(-1, qorder, zorder)
-    ep = _exp_z(+1, qorder, zorder)
-    out = (one - em) * _lift_q(qpochhammer(qorder, 2).inverse(), qorder, zorder)
+def _t_product(qorder: int, jmax: int) -> list[list[int]]:
+    """prod_{n=1..qorder} (1 - t * sum_k k q^(nk)) multiplied out in Z[q][t].
+
+    Row j holds the q-coefficients 0..qorder of t^j, for j <= jmax.  With
+    t = e^z + e^-z - 2 the n-th factor is the n-th factor of the product
+    form, (1 - q^n e^-z)(1 - q^n e^z) / (1 - q^n)^2.
+    """
+    rows = [[1] + [0] * qorder] + [[0] * (qorder + 1) for _ in range(jmax)]
     for n in range(1, qorder + 1):
-        qn_em = MultiSeries(QZ, {(n, 0): 1}, caps=caps) * em
-        qn_ep = MultiSeries(QZ, {(n, 0): 1}, caps=caps) * ep
-        out = out * (one - qn_em) * (one - qn_ep)
-    return out
+        # descending j, so rows[j - 1] still holds the product before n
+        for j in range(jmax, 0, -1):
+            src, dst = rows[j - 1], rows[j]
+            for k in range(1, qorder // n + 1):
+                shift = n * k
+                for e in range(qorder + 1 - shift):
+                    if src[e]:
+                        dst[e + shift] -= k * src[e]
+    return rows
+
+
+def sigma_product(qorder: int, zorder: int) -> MultiSeries:
+    """(1 - e^-z) prod_n (1 - q^n e^-z)(1 - q^n e^z) / (1 - q^n)^2.
+
+    The product is sum_j row_j(q) t^j from ``_t_product``, and
+    (1 - e^-z) t^j = (y - 1)^(2j+1) / y^(j+1) at y = e^z, that is
+    sum_i C(2j+1, i) (-1)^(i+1) e^((i-j-1) z); its z^d coefficient is an
+    integer over d!.
+    """
+    jmax = zorder // 2
+    rows = _t_product(qorder, jmax)
+    table = {}
+    for d in range(zorder + 1):
+        num = [
+            sum(
+                math.comb(2 * j + 1, i) * (-1) ** (i + 1) * (i - j - 1) ** d
+                for i in range(2 * j + 2)
+            )
+            for j in range(jmax + 1)
+        ]
+        for e in range(qorder + 1):
+            c = sum(row[e] * nj for row, nj in zip(rows, num))
+            if c:
+                table[(e, d)] = Fraction(c, math.factorial(d))
+    return MultiSeries(QZ, table, caps=(qorder, zorder))
 
 
 def sigma_exponential(qorder: int, zorder: int) -> MultiSeries:
@@ -181,22 +213,27 @@ def coordinate_w(kind: str, degree: int, qorder: int) -> MultiSeries:
     factor of ``sigma_product`` is
         (1 - q^n e^-z)(1 - q^n e^z) / (1 - q^n)^2 = 1 - t * sum_k k q^(nk)
     and g = w/(1+w) * prod_n (1 - t * sum_k k q^(nk)) lies in
-    w + w^2 Z[[q]][[w]].
+    w + w^2 Z[[q]][[w]].  The product is the t-polynomial of ``_t_product``,
+    shared with ``sigma_product``, so g = sum_j row_j(q) w^(2j+1)/(1+w)^(j+1).
     """
     if kind not in BASE_LAWS:
         raise ValueError(f"unknown coordinate kind {kind!r}")
     caps = (degree, qorder)
     if kind != "sigma":
         return MultiSeries.gen(WQ, "w", caps=caps)
-    t = {j: (-1) ** j for j in range(2, degree + 1)}
-    out = MultiSeries(WQ, {(j, 0): -((-1) ** j) for j in range(1, degree + 1)}, caps=caps)
-    for n in range(1, qorder + 1):
-        factor = {(0, 0): 1}
-        for k in range(1, qorder // n + 1):
-            for j, c in t.items():
-                factor[(j, n * k)] = -k * c
-        out = out * MultiSeries(WQ, factor, caps=caps)
-    return out
+    jmax = (degree - 1) // 2
+    rows = _t_product(qorder, jmax)
+    # w/(1+w) t^j = w^(2j+1) (1+w)^-(j+1): sum_i (-1)^i C(j+i, j) w^(2j+1+i)
+    table = {}
+    for d in range(1, degree + 1):
+        for e in range(qorder + 1):
+            c = sum(
+                (-1) ** (d - 2 * j - 1) * math.comb(d - j - 1, j) * rows[j][e]
+                for j in range((d - 1) // 2 + 1)
+            )
+            if c:
+                table[(d, e)] = c
+    return MultiSeries(WQ, table, caps=caps)
 
 
 @dataclass

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellforge import euler
 from ellforge.euler import (
     CertificateReport,
     anomaly_factorization_ok,
@@ -17,6 +18,7 @@ from ellforge.euler import (
 )
 from ellforge.modforms import eisenstein_q, homogeneous_fit
 from ellforge.series import Gaussian, MultiSeries, TruncatedSeries
+from test_oracles import factor_sigma_product
 
 
 def test_twisted_leading_term_is_product_of_roots():
@@ -30,6 +32,19 @@ def test_twisted_cubic_cross_term():
     tw = twisted_euler(2, 4, 3)
     assert tw.coeffs[(1, 2)] == TruncatedSeries.const("q", 3, Gaussian(0, 4))
     assert tw.coeffs[(1, 2)] == tw.coeffs[(2, 1)]
+
+
+def test_twisted_builds_the_product_form_once(monkeypatch):
+    want = twisted_euler(2, 6, 4)
+    calls = []
+
+    def counted(qorder, zorder):
+        calls.append((qorder, zorder))
+        return factor_sigma_product(qorder, zorder)
+
+    monkeypatch.setattr(euler, "sigma_product", counted)
+    assert twisted_euler(2, 6, 4) == want
+    assert calls == [(4, 6)]
 
 
 def test_corrected_rank_one_support():

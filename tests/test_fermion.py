@@ -25,7 +25,7 @@ from ellforge.fermion import (
 from ellforge.modforms import Lattice
 from ellforge.series import MultiSeries
 from ellforge.sigma import sigma_num
-from test_oracles import loop_pf_truncated_ratio
+from test_oracles import loop_pf_truncated_ratio, row_pf_truncated_ratio
 
 LAT = Lattice(2j, 1.0)
 A = [SectorDatum(Fraction(1, 3))]
@@ -86,14 +86,25 @@ def test_dimension_mismatch_rejected():
         pf_truncated_ratio(A, A + B, LAT, 20)
 
 
+@pytest.mark.parametrize("M, P", [(0, None), (-3, None), (0, 10), (5, 0), (5, -1)])
+def test_window_rejects_empty_or_negative_sizes(M, P):
+    with pytest.raises(ValueError, match="M >= 1 and P >= 1"):
+        pf_truncated_ratio(A, B, LAT, M, P)
+
+
+@pytest.mark.parametrize("M, P", [(1, None), (5, 3), (20, None)])
+def test_empty_sector_ratio_is_exactly_one(M, P):
+    assert pf_truncated_ratio([], [], LAT, M, P) == 1
+
+
 def _pole_message(sector_a, sector_b):
-    """The error both the window and its per-ratio oracle raise."""
+    """The error the window and its per-ratio and per-row oracles raise."""
     messages = []
-    for fn in (pf_truncated_ratio, loop_pf_truncated_ratio):
+    for fn in (pf_truncated_ratio, loop_pf_truncated_ratio, row_pf_truncated_ratio):
         with pytest.raises(ValueError) as info:
             fn(sector_a, sector_b, LAT, 20)
         messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
     return messages[0]
 
 

@@ -1,9 +1,10 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
-block-product Pfaffian window, integer q-Pochhammer product, bucketed
-series kernels, Lagrange reversion, integral formal-group-law engine and
-weight-basis circle complex against the dense, object-building,
-per-ratio, factor-by-factor, per-term, per-degree, z-reversion and
-real-coordinate code they replaced, kept here as oracles.
+block-product and row-batched Pfaffian windows, integer q-Pochhammer
+product, bucketed series kernels, Lagrange reversion, integral
+formal-group-law engine, weight-basis circle complex and integer
+t-product of the sigma product form against the dense, object-building,
+per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion
+and real-coordinate code they replaced, kept here as oracles.
 """
 from __future__ import annotations
 
@@ -39,7 +40,17 @@ from ellforge.equivderham import (
     weil_world,
 )
 from ellforge.equivderham import _splice, _truncated_cohomology
-from ellforge.fermion import SectorDatum, pf_truncated_ratio, sector_z
+from ellforge.fermion import (
+    _BLOCK,
+    _EM_JMAX,
+    SectorDatum,
+    _nearest_mode,
+    _row_shift,
+    _twists,
+    _zeta_tail,
+    pf_truncated_ratio,
+    sector_z,
+)
 from ellforge.modforms import Lattice, qpochhammer
 from ellforge.sheafmodel import (
     CircleActionSpace,
@@ -48,7 +59,15 @@ from ellforge.sheafmodel import (
     local_sections,
     localized_transition_rank,
 )
-from ellforge.sigma import XYQ, fgl_from_coordinate, z_coefficients
+from ellforge.sigma import (
+    QZ,
+    WQ,
+    XYQ,
+    coordinate_w,
+    fgl_from_coordinate,
+    sigma_product,
+    z_coefficients,
+)
 from ellforge.series import (
     Gaussian,
     I,
@@ -220,12 +239,92 @@ def loop_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     return cmath.exp(total - (s_a - s_b) / 2)
 
 
+def _row_log_ratio(ca, cb, P, k, zeta_P, j, n):
+    """One row: its own mode range, block-product head and tail."""
+    P0 = int(3 * max(abs(ca), abs(cb))) + 48
+    if P0 >= P:
+        P0 = P
+    ma, small_a = _nearest_mode(ca, P0)
+    mb, small_b = _nearest_mode(cb, P0)
+    if min(small_a, small_b) < 1e-12:
+        raise ValueError(
+            f"vanishing eigenvalue in component {j} at "
+            f"(n={n}, m={mb if small_b < small_a else ma})"
+        )
+    m = np.arange(-P0, P0 + 1, dtype=float)
+    ratios = (ca + m) / (cb + m)
+    cut = ratios.size - ratios.size % _BLOCK
+    blocks = ratios[:cut].reshape(_BLOCK, -1).prod(axis=0)
+    out = complex(np.log(blocks).sum()) + cmath.log(complex(ratios[cut:].prod()))
+    if P0 == P:
+        return out
+    apow = np.cumprod(np.full(_EM_JMAX, ca * ca))
+    bpow = np.cumprod(np.full(_EM_JMAX, cb * cb))
+    sk = _zeta_tail(2 * k, float(P0)) - zeta_P
+    return out - complex(np.sum((apow - bpow) / k * sk))
+
+
+def row_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
+    """The block-product window one row at a time, tail included (the
+    replaced kernel)."""
+    if len(sector_a) != len(sector_b):
+        raise ValueError("sectors must have equal dimension for a finite ratio")
+    if P is None:
+        P = 4 * M * M
+    k = np.arange(1, _EM_JMAX + 1, dtype=float)
+    zeta_P = _zeta_tail(2 * k, float(P))
+    total = complex(0)
+    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
+        for n in range(-M, M + 1):
+            ca = _row_shift(ta, n, lat.tau)
+            cb = _row_shift(tb, n, lat.tau)
+            total += _row_log_ratio(ca, cb, P, k, zeta_P, j, n)
+    s_a = sum(sector_z(d, lat) for d in sector_a)
+    s_b = sum(sector_z(d, lat) for d in sector_b)
+    return cmath.exp(total - (s_a - s_b) / 2)
+
+
 def factor_qpochhammer(order, power=1):
     """One TruncatedSeries product per factor (1 - q^n)^power."""
     out = TruncatedSeries.one("q", order)
     for n in range(1, order + 1):
         factor = TruncatedSeries("q", order, {0: 1, n: -1})
         out = out * factor**power
+    return out
+
+
+def _exp_z(sign, qorder, zorder):
+    table = {(0, j): Fraction(sign**j, math.factorial(j)) for j in range(zorder + 1)}
+    return MultiSeries(QZ, table, caps=(qorder, zorder))
+
+
+def factor_sigma_product(qorder, zorder):
+    """One MultiSeries product per factor of the product form."""
+    caps = (qorder, zorder)
+    one = MultiSeries.one(QZ, caps=caps)
+    em = _exp_z(-1, qorder, zorder)
+    ep = _exp_z(+1, qorder, zorder)
+    inv = qpochhammer(qorder, 2).inverse()
+    out = (one - em) * MultiSeries(QZ, {(e, 0): c for e, c in inv.coeffs.items()}, caps=caps)
+    for n in range(1, qorder + 1):
+        qn_em = MultiSeries(QZ, {(n, 0): 1}, caps=caps) * em
+        qn_ep = MultiSeries(QZ, {(n, 0): 1}, caps=caps) * ep
+        out = out * (one - qn_em) * (one - qn_ep)
+    return out
+
+
+def factor_coordinate_w(degree, qorder):
+    """g(w) for sigma as w/(1+w) times one MultiSeries factor per n."""
+    caps = (degree, qorder)
+    t = {j: (-1) ** j for j in range(2, degree + 1)}
+    out = MultiSeries(WQ, {(j, 0): -((-1) ** j) for j in range(1, degree + 1)}, caps=caps)
+    for n in range(1, qorder + 1):
+        factor = {(0, 0): 1}
+        for k in range(1, qorder // n + 1):
+            for j, c in t.items():
+                factor[(j, n * k)] = -k * c
+        out = out * MultiSeries(WQ, factor, caps=caps)
     return out
 
 
@@ -780,6 +879,16 @@ def test_pf_truncated_ratio_matches_loop(case):
         assert abs(value - want) <= 1e-11 * abs(want)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pfaffian_cases())
+def test_pf_truncated_ratio_matches_row_window_bit_for_bit(case):
+    value, error = _outcome(pf_truncated_ratio, *case)
+    want, want_error = _outcome(row_pf_truncated_ratio, *case)
+    assert error == want_error
+    if want_error is None:
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 @settings(max_examples=150, derandomize=True)
 @given(st.integers(0, 40), st.integers(-3, 24))
 def test_qpochhammer_matches_factor_products(order, power):
@@ -788,6 +897,25 @@ def test_qpochhammer_matches_factor_products(order, power):
     assert got == want
     assert (got.trunc, got.minexp) == (want.trunc, want.minexp)
     assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 14))
+def test_sigma_product_matches_factor_products(qorder, zorder):
+    got = sigma_product(qorder, zorder)
+    want = factor_sigma_product(qorder, zorder)
+    assert got == want
+    assert got.caps == want.caps
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 10))
+def test_coordinate_w_matches_factor_products(degree, qorder):
+    got = coordinate_w("sigma", degree, qorder)
+    assert got == factor_coordinate_w(degree, qorder)
+    assert got.caps == (degree, qorder)
+    assert all(type(c) is int for c in got.coeffs.values())
 
 
 # ------------------------------------------------------------------- series
