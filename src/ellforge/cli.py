@@ -221,8 +221,6 @@ def _negative(args, *flags):
 
 
 def _cmd_modforms(args):
-    if args.from_file:
-        return _reemit(args)
     if _negative(args, "qorder"):
         return 2
     if args.delta:
@@ -250,8 +248,6 @@ def _cmd_modforms(args):
 
 
 def _cmd_sigma(args):
-    if args.from_file:
-        return _reemit(args)
     if _negative(args, "qorder", "zorder"):
         return 2
     build = sigma_product if args.form == "product" else sigma_exponential
@@ -272,8 +268,6 @@ def _cmd_sigma(args):
 
 
 def _cmd_fgl(args):
-    if args.from_file:
-        return _reemit(args)
     if _negative(args, "degree", "qorder"):
         return 2
     fgl = fgl_from_coordinate(args.coordinate, args.degree, args.qorder)
@@ -299,8 +293,6 @@ def fgl_table_as_xy(fgl) -> MultiSeries:
 
 
 def _cmd_fermion(args):
-    if args.from_file:
-        return _reemit(args)
     if _negative(args, "rank", "qorder", "zorder"):
         return 2
     ms = vacuum_character(args.rank, args.qorder, args.zorder)
@@ -320,8 +312,6 @@ def _cmd_fermion(args):
 
 
 def _cmd_euler(args):
-    if args.from_file:
-        return _reemit(args)
     if _negative(args, "roots", "nilpotency", "qorder"):
         return 2
     m, deg, qo = args.roots, args.nilpotency, args.qorder
@@ -359,8 +349,6 @@ def _cmd_euler(args):
 
 
 def _cmd_derham(args):
-    if args.from_file:
-        return _reemit(args)
     modes = [args.check_relations, args.cohomology, args.basic]
     if sum(1 for m in modes if m) != 1:
         print(
@@ -452,8 +440,6 @@ def _cmd_derham(args):
 
 
 def _cmd_sheaf(args):
-    if args.from_file:
-        return _reemit(args)
     if not args.sections:
         print("error: --sections is required", file=sys.stderr)
         return 2
@@ -495,8 +481,6 @@ def _cmd_sheaf(args):
 
 
 def _cmd_sectors(args):
-    if args.from_file:
-        return _reemit(args)
     try:
         with open(args.group_table) as fh:
             data = json.load(fh)
@@ -881,6 +865,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.from_file:
+        return _reemit(args)
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

@@ -334,3 +334,21 @@ def test_reingest_requires_json_mode(tmp_path):
     saved.write_bytes(run("sigma", "--qorder", "2", "--zorder", "2", "--json").stdout)
     proc = run("sigma", "--from", str(saved))
     assert proc.returncode == 2
+
+
+def test_check_reingest_is_byte_identical(tmp_path):
+    # re-emitted from the file alone: no suite runs, so neither the suite
+    # list, the seed nor the measured runtimes can change
+    saved = tmp_path / "check.json"
+    saved.write_bytes(run("check", "sectors", "--json", "--seed", "7").stdout)
+    again = run("check", "--json", "--from", str(saved))
+    assert again.returncode == 0
+    assert again.stdout == saved.read_bytes()
+
+
+def test_check_reingest_requires_json_mode(tmp_path):
+    saved = tmp_path / "check.json"
+    saved.write_bytes(run("check", "sectors", "--json").stdout)
+    proc = run("check", "--from", str(saved))
+    assert proc.returncode == 2
+    assert proc.stdout == b""

@@ -1,14 +1,16 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
 block-product and row-batched Pfaffian windows, integer q-Pochhammer
 product, bucketed series kernels, Lagrange reversion, integral
-formal-group-law engine, weight-basis circle complex and integer
-t-product of the sigma product form against the dense, object-building,
-per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion
-and real-coordinate code they replaced, kept here as oracles.
+formal-group-law engine, weight-basis circle complex and U(2) torus
+reduction, and integer t-product of the sigma product form against the
+dense, object-building, per-ratio, per-row, factor-by-factor, per-term,
+per-degree, z-reversion and real-coordinate code they replaced, kept here
+as oracles.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -20,26 +22,28 @@ from hypothesis import given, settings, strategies as st
 from ellforge.equivderham import (
     Derivation,
     GradedElement,
-    cartan_block,
+    GradedWorld,
+    LieAlgebra,
+    ReductionReport,
     cartan_cohomology,
     cartan_d,
-    cartan_lie,
     cartan_world,
     circle_rep,
     form_d,
     form_world,
-    invariant_vectors,
     joint_nullspace,
     linear_field_contraction,
     linear_field_lie,
     substitute,
     su2,
+    torus_reduction_check,
     u1,
+    u2,
     weil_contraction,
     weil_d,
     weil_world,
 )
-from ellforge.equivderham import _splice, _truncated_cohomology
+from ellforge.equivderham import _compositions, _operator_rows, _splice, _zeros
 from ellforge.fermion import (
     _BLOCK,
     _EM_JMAX,
@@ -494,6 +498,123 @@ def zreversion_fgl(kind, degree, qorder):
     return acc
 
 
+# ---------------------------------------------------- real-coordinate Cartan model
+
+# The real-coordinate invariant solver the weight basis replaced: the
+# blocks of a real Cartan world, their invariants as the joint kernel of
+# the L_a, and the cohomology of a complex of invariants, W by W.
+
+
+def cartan_lie(lie: LieAlgebra, world: GradedWorld, a: int, matrices=None) -> Derivation:
+    """Action of T_a: rotates forms by the rep, u-variables by the coadjoint."""
+    mats = matrices if matrices is not None else lie.matrices
+    ambient = len(mats[0])
+    images = {}
+    for b in range(lie.dim):
+        # coadjoint piece: L_a u_b = -f^b_ac u_c
+        img = GradedElement.zero(world)
+        for c in range(lie.dim):
+            coef = lie.f[b][a][c]
+            if coef:
+                img = img - world.gen(f"u{c}") * coef
+        images[f"u{b}"] = img
+    for i in range(ambient):
+        fx = GradedElement.zero(world)
+        fdx = GradedElement.zero(world)
+        for j in range(ambient):
+            coef = mats[a][i][j]
+            if coef:
+                fx = fx - world.gen(f"x{j + 1}") * coef
+                fdx = fdx - world.gen(f"dx{j + 1}") * coef
+        images[f"x{i + 1}"] = fx
+        images[f"dx{i + 1}"] = fdx
+    return Derivation(world, 0, images)
+
+
+def cartan_block(lie: LieAlgebra, world: GradedWorld, ambient, xdeg, fdeg, udeg):
+    """Monomial keys with the given x-degree, form degree, and u-degree."""
+    nu = lie.dim
+    keys = []
+    for ualpha in _compositions(udeg, nu):
+        for xalpha in _compositions(xdeg, ambient):
+            for subset in itertools.combinations(range(ambient), fdeg):
+                keys.append((ualpha + xalpha, subset))
+    return keys
+
+
+def invariant_vectors(lie, world, ambient, keys, matrices=None):
+    """Basis of the joint kernel of all L_a on the span of the given monomials."""
+    if not keys:
+        return []
+    row_blocks = []
+    for a in range(lie.dim):
+        la = cartan_lie(lie, world, a, matrices)
+        row_blocks.append(_operator_rows(la, world, keys, keys))
+    return joint_nullspace(row_blocks, len(keys))
+
+
+def _w_blocks(w, deg, ambient):
+    """(x-degree, form degree, u-degree) of the blocks with W = w in total degree deg.
+
+    W = x-degree + form degree is preserved by d - sum_a u_a iota_a: d
+    trades an x for a dx, and each contraction trades a dx for an x and
+    a u.
+    """
+    for fdeg in range(min(w, deg, ambient) + 1):
+        if (deg - fdeg) % 2 == 0:
+            yield w - fdeg, fdeg, (deg - fdeg) // 2
+
+
+def _image_rank(d, world, elems, dst_keys):
+    """Rank of d on the span of elems, read off in the monomials dst_keys."""
+    if not elems or not dst_keys:
+        return 0
+    dst_index = {k: i for i, k in enumerate(dst_keys)}
+    rows = []
+    for elem in elems:
+        row = [0] * len(dst_keys)
+        for k, c in d(elem).coeffs.items():
+            row[dst_index[k]] = c
+        rows.append(row)
+    return matrix_rank(rows, len(dst_keys))
+
+
+def _truncated_cohomology(d, lie, world, ambient, degree_bound, wmax, basis):
+    """Cohomology of a Cartan complex in degrees 0..degree_bound over W <= wmax.
+
+    basis(xdeg, fdeg, udeg) gives a block's monomial keys and coefficient
+    vectors spanning its cochains (the invariants, say).  Each W is a
+    subcomplex; the ranks of d are read in monomial coordinates, so the
+    degree above degree_bound needs its keys but no cochain basis.
+    """
+    dims = [0] * (degree_bound + 1)
+    for w in range(wmax + 1):
+        keys = []
+        elems = []
+        for deg in range(degree_bound + 1):
+            keys.append([])
+            elems.append([])
+            for block in _w_blocks(w, deg, ambient):
+                bkeys, vecs = basis(*block)
+                keys[deg] += bkeys
+                elems[deg] += [
+                    GradedElement(world, {k: c for k, c in zip(bkeys, v) if c})
+                    for v in vecs
+                ]
+        keys.append([
+            k
+            for block in _w_blocks(w, degree_bound + 1, ambient)
+            for k in cartan_block(lie, world, ambient, *block)
+        ])
+        ranks = [
+            _image_rank(d, world, elems[deg], keys[deg + 1])
+            for deg in range(degree_bound + 1)
+        ]
+        for deg in range(degree_bound + 1):
+            dims[deg] += len(elems[deg]) - ranks[deg] - (ranks[deg - 1] if deg else 0)
+    return dims
+
+
 # ------------------------------------------------ real-coordinate circle complex
 
 # The real-coordinate Cartan complex the weight basis replaced: per block
@@ -658,6 +779,124 @@ def real_localized_rank(space, h, hp, degree_bound, wmax):
         joint = _rank_of(restricted + dbnd[deg], len(dkeys[deg]))
         ranks.append(joint - b_rank)
     return up_dims, down_dims, ranks
+
+
+# ---------------------------------------------- real-coordinate torus reduction
+
+
+def real_torus_reduction_check(degree_bound, poly_bound):
+    """torus_reduction_check's report from real-coordinate invariant solves.
+
+    Per block (x-degree <= poly_bound, form degree, u-degree) the u(2)
+    invariants and the swap-fixed invariants of the torus generated by
+    the center and T_3 are solved in the real Cartan world; restriction
+    is u_1 = u_2 = 0 and the witness is the T_3 variable u1.
+    """
+    lie = u2()
+    ambient = 4
+    gworld = cartan_world(lie, ambient)
+
+    # the torus inside u(2): the central generator and T_3
+    torus = LieAlgebra("t2", 2, _zeros(2), (lie.matrices[0], lie.matrices[3]))
+    tworld = cartan_world(torus, ambient)
+    tls = [cartan_lie(torus, tworld, a) for a in range(torus.dim)]
+
+    # Weyl swap: exchanges the two complex coordinates and flips u1 (T_3)
+    swap_images = {
+        "u0": tworld.gen("u0"),
+        "u1": -tworld.gen("u1"),
+        "x1": tworld.gen("x3"), "x2": tworld.gen("x4"),
+        "x3": tworld.gen("x1"), "x4": tworld.gen("x2"),
+        "dx1": tworld.gen("dx3"), "dx2": tworld.gen("dx4"),
+        "dx3": tworld.gen("dx1"), "dx4": tworld.gen("dx2"),
+    }
+
+    def restrict_key(key):
+        e, o = key
+        if e[1] != 0 or e[2] != 0:
+            return None
+        return ((e[0], e[3]) + e[4:], o)
+
+    def restricted(gkeys, gvecs, tkeys):
+        """Each group invariant restricted to the torus, as a row over tkeys."""
+        tindex = {k: i for i, k in enumerate(tkeys)}
+        rows = []
+        for v in gvecs:
+            row = [0] * len(tkeys)
+            for k, c in zip(gkeys, v):
+                rk = restrict_key(k)
+                if c and rk is not None:
+                    row[tindex[rk]] += c
+            rows.append(row)
+        return rows
+
+    group_dims = {}
+    torus_dims = {}
+    gsolved = {}
+    tsolved = {}
+    injective = True
+
+    for deg in range(degree_bound + 1):
+        gd = 0
+        td = 0
+        for xdeg in range(poly_bound + 1):
+            for fdeg in range(min(deg, ambient) + 1):
+                if (deg - fdeg) % 2:
+                    continue
+                udeg = (deg - fdeg) // 2
+                gkeys = cartan_block(lie, gworld, ambient, xdeg, fdeg, udeg)
+                gvecs = invariant_vectors(lie, gworld, ambient, gkeys)
+                gd += len(gvecs)
+
+                tkeys = cartan_block(torus, tworld, ambient, xdeg, fdeg, udeg)
+                row_blocks = [_operator_rows(la, tworld, tkeys, tkeys) for la in tls]
+                row_blocks.append(_operator_rows(
+                    lambda x: substitute(x, tworld, swap_images) - x,
+                    tworld, tkeys, tkeys,
+                ))
+                tvecs = joint_nullspace(row_blocks, len(tkeys))
+                td += len(tvecs)
+                gsolved[xdeg, fdeg, udeg] = (gkeys, gvecs)
+                tsolved[xdeg, fdeg, udeg] = (tkeys, tvecs)
+
+                # injectivity of restriction on the invariants
+                if gvecs:
+                    rows = restricted(gkeys, gvecs, tkeys)
+                    if matrix_rank(rows, len(tkeys)) != len(gvecs):
+                        injective = False
+        group_dims[deg] = gd
+        torus_dims[deg] = td
+
+    # every block with W <= poly_bound was solved above
+    group_cohomology = dict(enumerate(_truncated_cohomology(
+        cartan_d(lie, gworld), lie, gworld, ambient, degree_bound, poly_bound,
+        lambda *block: gsolved[block],
+    )))
+    torus_cohomology = dict(enumerate(_truncated_cohomology(
+        cartan_d(torus, tworld), torus, tworld, ambient, degree_bound, poly_bound,
+        lambda *block: tsolved[block],
+    )))
+
+    # t3 restricted from nothing invariant: solve in the degree-2 u-block
+    gkeys = cartan_block(lie, gworld, ambient, 0, 0, 1)
+    gvecs = invariant_vectors(lie, gworld, ambient, gkeys)
+    tkeys = cartan_block(torus, tworld, ambient, 0, 0, 1)
+    cols = restricted(gkeys, gvecs, tkeys)
+    t3_vec = [0] * len(tkeys)
+    t3_vec[tkeys.index(((0, 1, 0, 0, 0, 0), ()))] = 1
+    rows = [[col[i] for col in cols] for i in range(len(tkeys))]
+    witness_excluded = solve_exact(rows, t3_vec) is None
+
+    return ReductionReport(
+        degree_bound,
+        poly_bound,
+        group_dims,
+        torus_dims,
+        injective,
+        witness_excluded,
+        group_cohomology,
+        torus_cohomology,
+    )
 
 
 # ---------------------------------------------------------------- strategies
@@ -1234,3 +1473,19 @@ def test_localized_rank_matches_real_complex(case, h, hp):
     rep = localized_transition_rank(space, h, hp, degree, wmax)
     assert rep.degree_bound == degree
     assert (rep.upstairs, rep.downstairs, rep.ranks) == want
+
+
+# ------------------------------------------------------ weight-basis torus reduction
+
+# a fixed grid, not hypothesis: the oracle takes up to 2 s per case, and a
+# failing example would shrink through it for minutes
+
+
+@pytest.mark.parametrize("degree_bound, poly_bound", [
+    (0, 0), (0, 2), (1, 4), (2, 1), (3, 2), (4, 2), (4, 3), (7, 1),
+])
+def test_torus_reduction_matches_real_invariant_solves(degree_bound, poly_bound):
+    want = real_torus_reduction_check(degree_bound, poly_bound)
+    rep = torus_reduction_check(degree_bound, poly_bound)
+    assert rep == want  # dataclass equality: every field
+    assert rep.ok == want.ok

@@ -14,6 +14,7 @@ from ellforge.equivderham import (
     circle_rep,
     substitute,
     u1,
+    weight_action,
 )
 from ellforge import sheafmodel
 from ellforge.series import MultiSeries, TruncatedSeries
@@ -123,7 +124,7 @@ def test_weight_basis_differential_is_the_real_one():
     weight-basis differential with the real Cartan differential."""
     ws = (1, -2)
     world, blocks = circle_complex(ws, 3, 3)
-    d = circle_d(ws, world)
+    d = circle_d(weight_action(ws), world)
     real_d = cartan_d(u1(), _world(2), circle_rep(ws))
     images = _real_images(2)
     for b in blocks:
