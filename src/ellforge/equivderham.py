@@ -12,13 +12,16 @@ generator world so they can never mix:
 * differential forms on R^d with polynomial coefficients,
 * the Weil algebra of a small Lie algebra (generators eps^a of degree 1
   and e^a of degree 2),
-* the Cartan model for a linear action on R^d (polynomial variables u_a
-  of degree 2 adjoined to the forms), and the same model for linear
-  actions on C^k in the weight basis z, zb, dz, dzb, where each u_a
-  stands for an integer matrix in gl(k).  There one world and one
-  differential serve both the circle, whose invariants are the charge-0
-  monomials, and U(2) on C^2, whose invariants are the charge-0 cochains
-  killed by L_12 and L_21.
+* the Cartan model for linear actions on C^k in the weight basis z, zb,
+  dz, dzb, with polynomial variables u_a of degree 2 each standing for
+  an integer matrix in gl(k).  There one world and one differential
+  serve both the circle, whose invariants are the charge-0 monomials,
+  and U(2) on C^2, whose invariants are the charge-0 cochains killed by
+  L_12 and L_21.
+
+A ring map given by generator images (substitute) carries elements
+between worlds, such as the change to real coordinates that the sheaf
+model makes at its edge.
 
 All linear algebra is exact over the rationals; cohomology and
 invariants are computed on finite blocks that the operators preserve.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .series import Gaussian, matrix_rank, nullspace
+from .series import matrix_rank, nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +99,19 @@ def _element(world, coeffs):
     el.world = world
     el.coeffs = coeffs
     return el
+
+
+def _product(a, b):
+    """Coefficient dict of the product of two coefficient dicts, zeros dropped."""
+    out = {}
+    for (e1, o1), c1 in a.items():
+        for (e2, o2), c2 in b.items():
+            sign, om = _splice(o2, 0, o1)
+            if sign:
+                key = (tuple(map(add, e1, e2)), om)
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                out[key] = out[key] + c if key in out else c
+    return {k: c for k, c in out.items() if c != 0}
 
 
 class GradedElement:
@@ -163,15 +179,7 @@ class GradedElement:
                 self.world, {k: c * other for k, c in self.coeffs.items()}
             )
         self._check(other)
-        out = {}
-        for (e1, o1), c1 in self.coeffs.items():
-            for (e2, o2), c2 in other.coeffs.items():
-                sign, om = _splice(o2, 0, o1)
-                if sign == 0:
-                    continue
-                key = (tuple(a + b for a, b in zip(e1, e2)), om)
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-        return GradedElement(self.world, out)
+        return GradedElement(self.world, _product(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -251,31 +259,37 @@ class Derivation:
 
 
 def substitute(x, target_world, images):
-    """Ring map sending each generator to its image; unmapped generators must die."""
-    out = GradedElement.const(target_world, 0)
+    """Ring map sending each generator to its image; unmapped generators must die.
+
+    Each generator power and each even and odd part of a monomial of x is
+    expanded once per call, as a coefficient dict, and every term of the
+    image is added into one output dict.
+    """
+    ne = len(target_world.evens)
+    gens = [images.get(n) for n, _ in x.world.evens + x.world.odds]
+    gens = [None if g is None or g.is_zero() else g.coeffs for g in gens]
+    parts = {}
+
+    def part(factors):
+        """Product of the images of the generator indices, or None if one dies."""
+        if factors not in parts:
+            if not factors:
+                parts[factors] = {((0,) * ne, ()): 1}
+            elif gens[factors[-1]] is None:
+                parts[factors] = None
+            else:
+                head = part(factors[:-1])
+                parts[factors] = head and _product(head, gens[factors[-1]])
+        return parts[factors]
+
+    out = {}
     for (et, ot), c in x.coeffs.items():
-        term = GradedElement.const(target_world, c)
-        dead = False
-        for i, k in enumerate(et):
-            if k == 0:
-                continue
-            img = images.get(x.world.evens[i][0])
-            if img is None or img.is_zero():
-                dead = True
-                break
-            for _ in range(k):
-                term = term * img
-        if dead:
-            continue
-        for oi in ot:
-            img = images.get(x.world.odds[oi][0])
-            if img is None or img.is_zero():
-                dead = True
-                break
-            term = term * img
-        if not dead:
-            out = out + term
-    return out
+        even = part(tuple(i for i, k in enumerate(et) for _ in range(k)))
+        odd = even and part(tuple(len(et) + o for o in ot))
+        if odd:
+            for key, v in _product(even, odd).items():
+                out[key] = out.get(key, 0) + c * v
+    return GradedElement(target_world, out)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +301,6 @@ class LieAlgebra:
     label: str
     dim: int
     f: tuple  # f[a][b][c] = coefficient of T_a in [T_b, T_c]
-    matrices: tuple = None  # defining rep on R^n, realified, rows of Fractions
 
     def __post_init__(self):
         n = self.dim
@@ -318,27 +331,8 @@ def _zeros(n):
     return tuple(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)) for _ in range(n))
 
 
-def realify(mat):
-    """Complex n x n (Gaussian entries) to real 2n x 2n acting on (re, im) pairs."""
-    n = len(mat)
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            z = mat[i][j]
-            if isinstance(z, Gaussian):
-                a, b = z.re, z.im
-            else:
-                a, b = Fraction(z), Fraction(0)
-            out[2 * i][2 * j] = a
-            out[2 * i][2 * j + 1] = -b
-            out[2 * i + 1][2 * j] = b
-            out[2 * i + 1][2 * j + 1] = a
-    return tuple(tuple(r) for r in out)
-
-
-def u1(weight: int = 1) -> LieAlgebra:
-    m = ((Fraction(0), Fraction(-weight)), (Fraction(weight), Fraction(0)))
-    return LieAlgebra("u1", 1, _zeros(1), (m,))
+def u1() -> LieAlgebra:
+    return LieAlgebra("u1", 1, _zeros(1))
 
 
 _EPS = {
@@ -354,18 +348,9 @@ def _su2_f():
     return tuple(tuple(tuple(r) for r in m) for m in f)
 
 
-def _su2_matrices():
-    i2 = Fraction(1, 2)
-    half_i = Gaussian(0, i2)
-    t1 = ((0, -half_i), (-half_i, 0))
-    t2 = ((0, Fraction(-1, 2)), (i2, 0))
-    t3 = ((-half_i, 0), (0, half_i))
-    return tuple(realify(m) for m in (t1, t2, t3))
-
-
 def su2() -> LieAlgebra:
     """su(2) with T_k = -i sigma_k / 2, so [T_a, T_b] = eps_abc T_c."""
-    return LieAlgebra("su2", 3, _su2_f(), _su2_matrices())
+    return LieAlgebra("su2", 3, _su2_f())
 
 
 def u2() -> LieAlgebra:
@@ -373,20 +358,7 @@ def u2() -> LieAlgebra:
     f = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
     for (a, b, c), s in _EPS.items():
         f[a + 1][b + 1][c + 1] = Fraction(s)
-    half_i = Gaussian(0, Fraction(1, 2))
-    t0 = realify(((half_i, 0), (0, half_i)))
-    mats = (t0,) + _su2_matrices()
-    return LieAlgebra("u2", 4, tuple(tuple(tuple(r) for r in m) for m in f), mats)
-
-
-def circle_rep(weights):
-    """Single rotation generator on C^k with the given integer weights, realified."""
-    k = len(weights)
-    m = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
-    for j, w in enumerate(weights):
-        m[2 * j][2 * j + 1] = Fraction(-w)
-        m[2 * j + 1][2 * j] = Fraction(w)
-    return (tuple(tuple(r) for r in m),)
+    return LieAlgebra("u2", 4, tuple(tuple(tuple(r) for r in m) for m in f))
 
 
 # ---------------------------------------------------------------------------
@@ -625,69 +597,6 @@ def form_d(world: GradedWorld) -> Derivation:
     return Derivation(
         world, 1, {f"x{i}": world.gen(f"dx{i}") for i in range(1, dim + 1)}
     )
-
-
-def linear_field_contraction(world: GradedWorld, matrix) -> Derivation:
-    """iota along the linear vector field x -> M x: sends dx_i to (M x)_i."""
-    dim = len(matrix)
-    images = {}
-    for i in range(dim):
-        img = GradedElement.zero(world)
-        for j in range(dim):
-            if matrix[i][j]:
-                img = img + world.gen(f"x{j + 1}") * matrix[i][j]
-        images[f"dx{i + 1}"] = img
-    return Derivation(world, 1, images)
-
-
-def linear_field_lie(world: GradedWorld, matrix) -> Derivation:
-    dim = len(matrix)
-    images = {}
-    for i in range(dim):
-        fx = GradedElement.zero(world)
-        fdx = GradedElement.zero(world)
-        for j in range(dim):
-            if matrix[i][j]:
-                fx = fx + world.gen(f"x{j + 1}") * matrix[i][j]
-                fdx = fdx + world.gen(f"dx{j + 1}") * matrix[i][j]
-        images[f"x{i + 1}"] = fx
-        images[f"dx{i + 1}"] = fdx
-    return Derivation(world, 0, images)
-
-
-# ---------------------------------------------------------------------------
-# Cartan model
-
-
-def cartan_world(lie: LieAlgebra, ambient: int) -> GradedWorld:
-    evens = [(f"u{a}", 2) for a in range(lie.dim)]
-    evens += [(f"x{i}", 0) for i in range(1, ambient + 1)]
-    odds = [(f"dx{i}", 1) for i in range(1, ambient + 1)]
-    return GradedWorld(evens, odds)
-
-
-def cartan_d(lie: LieAlgebra, world: GradedWorld, matrices=None) -> Derivation:
-    """d - sum_a u_a iota_a along the fundamental fields of the linear action.
-
-    The fundamental field of T_a is x -> -M_a x (the generator of the
-    pullback action on functions); the opposite sign breaks the pairing
-    between the coadjoint motion of the u-variables and the rotation of
-    the forms, visibly so on the moment-map invariants of u(2).
-    """
-    mats = matrices if matrices is not None else lie.matrices
-    ambient = len(mats[0])
-    images = {}
-    for i in range(1, ambient + 1):
-        images[f"x{i}"] = world.gen(f"dx{i}")
-    for i in range(ambient):
-        img = GradedElement.zero(world)
-        for a in range(lie.dim):
-            for j in range(ambient):
-                coef = mats[a][i][j]
-                if coef:
-                    img = img + world.gen(f"u{a}") * world.gen(f"x{j + 1}") * coef
-        images[f"dx{i + 1}"] = img
-    return Derivation(world, 1, images)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,21 +1022,23 @@ def curvature(lie: LieAlgebra, conn):
     return out
 
 
-def chern_weil(lie: LieAlgebra, poly: dict, conn):
-    """Evaluate an invariant polynomial on minus the curvature of the connection."""
-    if not is_invariant_poly(lie, poly):
-        raise ValueError("polynomial is not invariant under the coadjoint action")
-    world = conn[0].world
-    curv = curvature(lie, conn)
-    neg = [-f for f in curv]
+def _evaluate(poly: dict, values, world):
+    """The polynomial at the given elements, term by term."""
     out = GradedElement.zero(world)
     for e, c in poly.items():
         term = GradedElement.const(world, c)
         for a, k in enumerate(e):
             for _ in range(k):
-                term = term * neg[a]
+                term = term * values[a]
         out = out + term
     return out
+
+
+def chern_weil(lie: LieAlgebra, poly: dict, conn):
+    """Evaluate an invariant polynomial on minus the curvature of the connection."""
+    if not is_invariant_poly(lie, poly):
+        raise ValueError("polynomial is not invariant under the coadjoint action")
+    return _evaluate(poly, [-f for f in curvature(lie, conn)], conn[0].world)
 
 
 def gauge_defect(lie: LieAlgebra, poly: dict, conn, direction):
@@ -1145,13 +1056,7 @@ def gauge_defect(lie: LieAlgebra, poly: dict, conn, direction):
         dp = poly_partial(poly, a, n)
         if not dp:
             continue
-        dp_at = GradedElement.zero(world)
-        for e, c in dp.items():
-            term = GradedElement.const(world, c)
-            for b, k in enumerate(e):
-                for _ in range(k):
-                    term = term * neg[b]
-            dp_at = dp_at + term
+        dp_at = _evaluate(dp, neg, world)
         bracket = GradedElement.zero(world)
         for b in range(n):
             for c in range(n):

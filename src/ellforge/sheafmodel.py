@@ -17,26 +17,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equivderham import (
+    Derivation,
     GradedElement,
-    cartan_d,
-    cartan_world,
+    GradedWorld,
     circle_complex,
-    circle_rep,
+    circle_d,
+    circle_world,
     substitute,
-    u1,
+    weight_action,
 )
 from .series import Gaussian, I, MultiSeries, TruncatedSeries, matrix_rank, nullspace
 from .sigma import sigma_product
 
-_U1 = u1()
 _WORLDS = {}
+_DIFFERENTIALS = {}
 
 
-def _world(nfix):
-    """Shared per-arity world so sections from different chains compare equal."""
-    if nfix not in _WORLDS:
-        _WORLDS[nfix] = cartan_world(_U1, 2 * nfix)
-    return _WORLDS[nfix]
+def _world(k):
+    """Shared per-arity real world so sections from different chains compare equal.
+
+    Its generators are u0 (even, degree 2), x_1..x_2k (even, degree 0) and
+    dx_1..dx_2k (odd), where x_2j-1 and x_2j are the real and imaginary
+    parts of the j-th fixed coordinate.
+    """
+    if k not in _WORLDS:
+        xs = range(1, 2 * k + 1)
+        _WORLDS[k] = GradedWorld(
+            [("u0", 2)] + [(f"x{i}", 0) for i in xs], [(f"dx{i}", 1) for i in xs]
+        )
+    return _WORLDS[k]
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +90,25 @@ def _active_weights(space, h):
 # cocycle bases on a fixed locus
 
 # The cocycles come from the weight-basis circle complex (see
-# equivderham.circle_complex), block by charge-0 multidegree.  Real
-# coordinates appear only in the basis: each cocycle is substituted into
-# the shared real world (z = x + i y, zb = x - i y, u = i u0), and the real
+# equivderham.circle_complex), block by charge-0 multidegree, and
+# circle_d is the only Cartan differential.  Real coordinates appear only
+# as a change of coordinates at the edge, given as generator images:
+# z = x + i y, zb = x - i y (forms alike) and u = i u0, and the inverse.
+# Each cocycle is substituted into the shared real world, and the real
 # and imaginary parts of one W-block and degree span its real cocycles,
 # given in the canonical reduced basis (series.nullspace) of that span.
+# Real cochains are checked with circle_d carried to the real world
+# generator by generator (_real_d).
+
+
+def _keys(world):
+    return {name: next(iter(world.gen(name).coeffs)) for name in world.index}
 
 
 def _real_images(k):
     """Images of the weight-basis generators in the shared real world."""
     world = _world(k)
-    key = {name: next(iter(world.gen(name).coeffs)) for name in world.index}
+    key = _keys(world)
     images = {"u": GradedElement(world, {key["u0"]: I})}
     for j in range(1, k + 1):
         for z, x in (("z", "x"), ("dz", "dx")):
@@ -99,6 +116,39 @@ def _real_images(k):
             images[f"{z}{j}"] = GradedElement(world, {re: 1, im: I})
             images[f"{z}b{j}"] = GradedElement(world, {re: 1, im: -I})
     return images
+
+
+def _weight_images(world, k):
+    """Images of the real generators in the weight-basis world of circle_world(k)."""
+    key = _keys(world)
+    half, half_i = Fraction(1, 2), Gaussian(0, Fraction(1, 2))
+    images = {"u0": GradedElement(world, {key["u"]: -I})}
+    for j in range(1, k + 1):
+        for z, x in (("z", "x"), ("dz", "dx")):
+            zj, zbj = key[f"{z}{j}"], key[f"{z}b{j}"]
+            images[f"{x}{2 * j - 1}"] = GradedElement(world, {zj: half, zbj: half})
+            images[f"{x}{2 * j}"] = GradedElement(world, {zj: -half_i, zbj: half_i})
+    return images
+
+
+def _real_d(ws):
+    """circle_d(weight_action(ws)) carried to the real world, once per weight tuple.
+
+    A real generator g goes to the real image of d applied to g written in
+    the weight basis.  That is linear in the weight-basis generators h, so
+    the ring map h -> (real image of d h) computes it, and building the
+    differential applies no derivation.
+    """
+    if ws not in _DIFFERENTIALS:
+        k = len(ws)
+        cworld, world = circle_world(k), _world(k)
+        forward = _real_images(k)
+        dh = {h: substitute(img, world, forward)
+              for h, img in circle_d(weight_action(ws), cworld).images.items()}
+        _DIFFERENTIALS[ws] = Derivation(world, 1, {
+            g: substitute(img, world, dh) for g, img in _weight_images(cworld, k).items()
+        })
+    return _DIFFERENTIALS[ws]
 
 
 def _real_basis(els, world, images):
@@ -202,8 +252,7 @@ def make_section(space, h, cocycle=None, factor="O(Lat)", truncation=8, weight=N
         cocycle = GradedElement.const(world, Fraction(1))
     if cocycle.world is not world:
         raise ValueError("cocycle lives in the wrong generator world")
-    d = cartan_d(_U1, world, circle_rep(ws))
-    if not d(cocycle).is_zero():
+    if not _real_d(ws)(cocycle).is_zero():
         raise ValueError("not a cocycle: the equivariant differential does not vanish")
     if weight is None:
         degs = {world.monomial_degree(k) for k in cocycle.coeffs}
@@ -282,8 +331,7 @@ def transition(space, h, hp, s):
             images[f"x{2 * oldi + r}"] = worldp.gen(f"x{2 * newi + r}")
             images[f"dx{2 * oldi + r}"] = worldp.gen(f"dx{2 * newi + r}")
     coc = substitute(s.cocycle, worldp, images)
-    d = cartan_d(_U1, worldp, circle_rep(_active_weights(space, hp)))
-    if not d(coc).is_zero():
+    if not _real_d(_active_weights(space, hp))(coc).is_zero():
         raise ValueError("restriction failed to preserve the cocycle condition")
     tw = (s.twist[0] + (h[0] - hp[0]), s.twist[1] + (h[1] - hp[1]))
     return LocalSection(

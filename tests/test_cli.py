@@ -346,6 +346,19 @@ def test_check_reingest_is_byte_identical(tmp_path):
     assert again.stdout == saved.read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["sectors", "derham"])
+def test_check_json_repeats_apart_from_runtimes(suite):
+    # each report embeds its measured runtime; everything else repeats
+    outs = []
+    for _ in range(2):
+        proc = run("check", suite, "--json")
+        assert proc.returncode == 0
+        stripped, count = re.subn(rb'"runtime":"[0-9]+\.[0-9]{3}",', b"", proc.stdout)
+        assert count == len(json.loads(proc.stdout)["reports"]) == 1
+        outs.append(stripped)
+    assert outs[0] == outs[1]
+
+
 def test_check_reingest_requires_json_mode(tmp_path):
     saved = tmp_path / "check.json"
     saved.write_bytes(run("check", "sectors", "--json").stdout)

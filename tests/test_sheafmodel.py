@@ -8,10 +8,8 @@ import pytest
 from ellforge.equivderham import (
     GradedElement,
     cartan_cohomology,
-    cartan_d,
     circle_complex,
     circle_d,
-    circle_rep,
     substitute,
     u1,
     weight_action,
@@ -36,6 +34,7 @@ from ellforge.sheafmodel import (
     transition,
 )
 from ellforge.sigma import taylor_completion
+from test_oracles import cartan_d, circle_rep
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -145,10 +144,16 @@ def test_basis_is_rational_with_the_complex_dimension():
 
 
 def test_noncocycle_rejected():
-    w1 = CircleActionSpace((1,))
-    world = local_sections(w1, (0, 0), 2).basis[0][0].world
-    with pytest.raises(ValueError):
-        make_section(w1, (0, 0), cocycle=world.gen("x1"), truncation=4)
+    for ws in ((1,), (1, 2), (0, 3)):
+        sp = CircleActionSpace(ws)
+        world = local_sections(sp, (0, 0), 2).basis[0][0].world
+        k = len(ws)
+        # the last coordinate has a nonzero weight, so its area form is
+        # de Rham closed but not equivariantly closed
+        area = world.gen(f"dx{2 * k - 1}") * world.gen(f"dx{2 * k}")
+        for el in (world.gen("x1"), area):
+            with pytest.raises(ValueError, match="not a cocycle"):
+                make_section(sp, (0, 0), cocycle=el, truncation=4)
 
 
 # ---------------------------------------------------------------------------
