@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .equivderham import (
     basic_subspace,
@@ -47,6 +48,7 @@ from .sheafmodel import (
     FiniteGroupTable,
     completion_map,
     finite_sectors,
+    fixed_locus,
     local_sections,
     localized_transition_rank,
     make_section,
@@ -439,6 +441,27 @@ def _cmd_derham(args):
     return 0
 
 
+# The most cochains (as _sheaf_cochains counts them) that sheaf --sections
+# builds.  Two fixed coordinates pass up to degree 8 (16,341): about a minute
+# when both weights are zero, where the count is exact, and about 5 s for
+# weights (1, 2), which keep 1,209 of them.  Degree 99 would need 3.3e9.
+SHEAF_COCHAIN_LIMIT = 20_000
+
+
+def _sheaf_cochains(k, degree):
+    """Cochains of the circle complex on k fixed coordinates up to the degree.
+
+    Counts every monomial u^j z^a zb^b dz^e dzb^f with
+    W = |a| + |b| + |e| + |f| <= degree and total degree <= degree + 1,
+    as circle_complex keeps them: exact when every weight is zero and an
+    upper bound otherwise, since only the charge-0 monomials are kept.
+    """
+    return sum(
+        comb(2 * k, f) * comb(degree - f + 2 * k, 2 * k) * ((degree + 1 - f) // 2 + 1)
+        for f in range(min(2 * k, degree) + 1)
+    )
+
+
 def _cmd_sheaf(args):
     if not args.sections:
         print("error: --sections is required", file=sys.stderr)
@@ -452,6 +475,15 @@ def _cmd_sheaf(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     space = CircleActionSpace(weights)
+    k = len(fixed_locus(space, (ax, ay)))
+    estimate = _sheaf_cochains(k, args.degree)
+    if estimate > SHEAF_COCHAIN_LIMIT:
+        print(
+            f"error: --degree {args.degree} on {k} fixed coordinates needs up to "
+            f"{estimate} cochains, over the limit of {SHEAF_COCHAIN_LIMIT}",
+            file=sys.stderr,
+        )
+        return 2
     rep = local_sections(space, (ax, ay), args.degree)
     payload = {
         "command": "sheaf",

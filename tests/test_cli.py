@@ -11,11 +11,12 @@ from types import SimpleNamespace
 import pytest
 
 from ellforge import cli, series
+from ellforge.equivderham import circle_complex
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run(*argv, env_extra=None):
+def run(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -23,6 +24,7 @@ def run(*argv, env_extra=None):
         [sys.executable, "-m", "ellforge.cli", *argv],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -178,6 +180,19 @@ def test_derham_relations_pass():
     assert b"all relations: ok" in proc.stdout
 
 
+def test_derham_relations_verdict_does_not_depend_on_degree():
+    relations = ["derham", "--group", "u2", "--check-relations", "--json"]
+    proc = run(*relations, "--degree", "40", timeout=60)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert sorted(payload) == [
+        "bracket_sign", "command", "contraction_squares_zero", "contractions_anticommute",
+        "d_commutes_with_lie", "d_squared_zero", "degree", "group", "mixed_relation_ok",
+        "mode", "ok",
+    ]
+    assert payload == {**json.loads(run(*relations, "--degree", "4").stdout), "degree": 40}
+
+
 def test_derham_cohomology_dims():
     proc = run("derham", "--cohomology", "--weights", "1,1", "--degree", "4", "--json")
     assert proc.returncode == 0
@@ -245,6 +260,27 @@ def test_negative_size_flag_is_usage_error(prefix, flag, capsys):
     assert cli.main([*prefix, flag, "-1"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {flag} must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("weights, degree", [((0,), 5), ((0, 0), 3), ((1, 2), 4), ((), 7)])
+def test_sheaf_cochain_estimate_bounds_the_complex(weights, degree):
+    blocks = circle_complex(weights, degree, degree)[1]
+    count = sum(len(keys) for block in blocks for keys in block.keys)
+    estimate = cli._sheaf_cochains(len(weights), degree)
+    assert count <= estimate
+    assert (count == estimate) == (not any(weights))
+
+
+def test_sheaf_refuses_degree_past_cochain_limit():
+    proc = run(
+        "sheaf", "--weights", "1,2", "--anchor", "0,0", "--sections", "--degree", "99",
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    estimate = cli._sheaf_cochains(2, 99)
+    assert estimate > cli.SHEAF_COCHAIN_LIMIT
+    assert str(estimate).encode() in proc.stderr
 
 
 def test_sheaf_bad_anchor_is_usage_error():

@@ -219,6 +219,15 @@ def test_weil_relations_hold(make, degree):
     assert rep.bracket_sign == 1
 
 
+@pytest.mark.parametrize("make", [su2, u2])
+@pytest.mark.parametrize("degree", [0, 1, 40])
+def test_weil_relations_do_not_depend_on_degree(make, degree):
+    rep = weil_relations_report(make(), degree=degree)
+    assert rep.degree == degree
+    assert rep.ok
+    assert rep.bracket_sign == 1
+
+
 def test_basic_subspace_dimensions_u1():
     alg = u1()
     dims = [len(basic_subspace(alg, d)) for d in range(9)]

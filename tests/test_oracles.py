@@ -3,10 +3,11 @@ block-product and row-batched Pfaffian windows, integer q-Pochhammer
 product, bucketed series kernels, Lagrange reversion, integral
 formal-group-law engine, weight-basis circle complex and U(2) torus
 reduction, integer t-product of the sigma product form, dict-level ring
-map and the circle differential carried to real coordinates against the
-dense, object-building, per-ratio, per-row, factor-by-factor, per-term,
-per-degree, z-reversion, product-by-product and real-coordinate code they
-replaced, kept here as oracles.
+map, the circle differential carried to real coordinates and the Weil
+relations checked on generators against the dense, object-building,
+per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion,
+product-by-product, real-coordinate and monomial-sweep code they replaced,
+kept here as oracles.
 """
 from __future__ import annotations
 
@@ -20,27 +21,38 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from ellforge import equivderham
 from ellforge.equivderham import (
     Derivation,
     GradedElement,
     GradedWorld,
     LieAlgebra,
     ReductionReport,
+    RelationsReport,
     cartan_cohomology,
     circle_complex,
     form_d,
     form_world,
     joint_nullspace,
+    lie_operator,
     substitute,
     su2,
     torus_reduction_check,
     u1,
     u2,
+    weil_block,
     weil_contraction,
     weil_d,
+    weil_relations_report,
     weil_world,
 )
-from ellforge.equivderham import _compositions, _operator_rows, _splice, _zeros
+from ellforge.equivderham import (
+    _basis_vector,
+    _compositions,
+    _operator_rows,
+    _splice,
+    _zeros,
+)
 from ellforge.fermion import (
     _BLOCK,
     _EM_JMAX,
@@ -495,6 +507,82 @@ def zreversion_fgl(kind, degree, qorder):
         if ck is not None:
             acc = acc + p * MultiSeries(XYQ, {(0, 0, e): f for e, f in ck.coeffs.items()}, **kw)
     return acc
+
+
+# ------------------------------------------------------ Weil monomial sweep
+
+
+def sweep_weil_relations_report(lie: LieAlgebra, degree: int = 8) -> RelationsReport:
+    """Exercise d, iota, L on every monomial up to the degree bound.
+
+    The commutator [L_a, L_b] is compared against both signs of
+    L_[a,b]; the measured sign is reported rather than assumed.
+    """
+    world = weil_world(lie)
+    d = weil_d(lie, world)
+    iotas = [
+        weil_contraction(lie, world, _basis_vector(lie, a)) for a in range(lie.dim)
+    ]
+    lies = [lie_operator(d, iotas[a]) for a in range(lie.dim)]
+
+    monos = []
+    for n in range(degree + 1):
+        monos.extend(weil_block(lie, world, n))
+    elems = [GradedElement(world, {k: Fraction(1)}) for k in monos]
+
+    d2 = all(d(d(x)).is_zero() for x in elems)
+    i2 = all(io(io(x)).is_zero() for io in iotas for x in elems)
+    anti = all(
+        (iotas[a](iotas[b](x)) + iotas[b](iotas[a](x))).is_zero()
+        for a in range(lie.dim)
+        for b in range(a + 1, lie.dim)
+        for x in elems
+    )
+    dl = all(
+        (d(lies[a](x)) - lies[a](d(x))).is_zero()
+        for a in range(lie.dim)
+        for x in elems
+    )
+
+    sign = 0
+    bracket_ok = True
+    probe = elems[: max(len(elems) // 3, 8)]
+    for s in (1, -1):
+        good = True
+        for a in range(lie.dim):
+            for b in range(lie.dim):
+                coeffs = lie.bracket_coeffs(a, b)
+                for x in probe:
+                    lhs = lies[a](lies[b](x)) - lies[b](lies[a](x))
+                    rhs = GradedElement.zero(world)
+                    for c, fc in enumerate(coeffs):
+                        if fc:
+                            rhs = rhs + lies[c](x) * fc
+                    if not (lhs - rhs * s).is_zero():
+                        good = False
+                        break
+                if not good:
+                    break
+            if not good:
+                break
+        if good:
+            sign = s
+            break
+    if sign == 0:
+        bracket_ok = False
+
+    mixed = True
+    for a in range(lie.dim):
+        for b in range(lie.dim):
+            coeffs = lie.bracket_coeffs(a, b)
+            iab = weil_contraction(lie, world, coeffs)
+            for x in probe:
+                lhs = lies[a](iotas[b](x)) - iotas[b](lies[a](x))
+                if not (lhs - iab(x)).is_zero():
+                    mixed = False
+                    break
+
+    return RelationsReport(lie.label, degree, d2, i2, anti, dl, sign if bracket_ok else 0, mixed)
 
 
 # ---------------------------------------------------- real-coordinate Cartan model
@@ -1215,6 +1303,42 @@ def test_splice_sign_counts_inversions(rest, odd, data):
         (-1) ** inversions, tuple(sorted(seq))
     )
     assert _splice(tuple(rest), t, tuple(odd)) == want
+
+
+# ------------------------------------------------------------ Weil relations
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [(make, deg) for make, top in ((u1, 4), (su2, 6), (u2, 4)) for deg in range(top + 1)],
+)
+def test_weil_relations_match_monomial_sweep(make, degree):
+    lie = make()
+    assert weil_relations_report(lie, degree) == sweep_weil_relations_report(lie, degree)
+
+
+_WEIL_D = weil_d
+
+
+def flipped_weil_d(lie, world):
+    """weil_d with the curvature sign flipped: d eps^a = e^a + (1/2) f^a_bc eps^b eps^c."""
+    images = dict(_WEIL_D(lie, world).images)
+    for a in range(lie.dim):
+        images[f"ep{a}"] = world.gen(f"e{a}") * 2 - images[f"ep{a}"]
+    return Derivation(world, 1, images)
+
+
+@pytest.mark.parametrize("make", [su2, u2])
+def test_flipped_curvature_fails_like_the_sweep(make, monkeypatch):
+    # both the report and the sweep oracle build their differential by name
+    monkeypatch.setattr(equivderham, "weil_d", flipped_weil_d)
+    monkeypatch.setitem(globals(), "weil_d", flipped_weil_d)
+    lie = make()
+    rep = equivderham.weil_relations_report(lie, 4)
+    assert not rep.d_squared_zero
+    assert rep.bracket_sign == 0
+    assert not rep.ok
+    assert rep == sweep_weil_relations_report(lie, 4)
 
 
 # ------------------------------------------------------- Pfaffian and q-products
