@@ -7,6 +7,7 @@ success, 1 for a failed check, 2 for usage or input errors.
 """
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -583,28 +584,19 @@ class CheckReport:
         }
 
 
-def _report(name, ok, residuals, parameters, started) -> CheckReport:
-    return CheckReport(
-        name,
-        "pass" if ok else "fail",
-        residuals,
-        parameters,
-        time.perf_counter() - started,
-    )
+# Each suite takes the parameters p of its _SUITES entry, the seed and the
+# tolerance, and returns (ok, residuals) or (ok, residuals, measured), where
+# measured holds parameters known only once the suite has run.
 
 
-def _suite_sigma_identity(seed, tol):
-    t0 = time.perf_counter()
-    bad = differing_terms(sigma_product(6, 8).coeffs, sigma_exponential(6, 8).coeffs)
-    return _report(
-        "sigma-identity", bad == 0, [float(bad)],
-        {"qorder": 6, "zorder": 8, "seed": seed}, t0,
-    )
+def _sigma_identity(p, seed, tol):
+    sizes = p["qorder"], p["zorder"]
+    bad = differing_terms(sigma_product(*sizes).coeffs, sigma_exponential(*sizes).coeffs)
+    return bad == 0, [float(bad)]
 
 
-def _suite_fgl_axioms(seed, tol):
-    t0 = time.perf_counter()
-    fgl = fgl_from_coordinate("sigma", 6, 3)
+def _fgl_axioms(p, seed, tol):
+    fgl = fgl_from_coordinate("sigma", p["degree"], p["qorder"])
     add = fgl_from_coordinate("additive", 3, 0)
     mul = fgl_from_coordinate("multiplicative", 3, 0)
     checks = [
@@ -615,112 +607,82 @@ def _suite_fgl_axioms(seed, tol):
         sorted(mul.table.coeffs) == [(0, 1, 0), (1, 0, 0), (1, 1, 0)],
     ]
     bad = sum(1 for c in checks if not c)
-    return _report(
-        "fgl-axioms", bad == 0, [float(bad)],
-        {"degree": 6, "qorder": 3, "seed": seed}, t0,
-    )
+    return bad == 0, [float(bad)]
 
 
-def _suite_group_law(seed, tol):
-    t0 = time.perf_counter()
-    bound = tol if tol is not None else 1e-9
-    rep = group_law_check(0.2, 0.1)
-    ok = rep.residual < bound and abs(rep.slope - 11.0) <= 0.5
-    return _report(
-        "group-law", ok, [rep.residual],
-        {"x": 0.2, "y": 0.1, "degree": 10, "slope": f"{rep.slope:.3f}", "seed": seed},
-        t0,
-    )
+def _group_law(p, seed, tol):
+    rep = group_law_check(p["x"], p["y"], p["degree"])
+    ok = rep.residual < tol and abs(rep.slope - (p["degree"] + 1)) <= 0.5
+    return ok, [rep.residual], {"slope": f"{rep.slope:.3f}"}
 
 
-def _suite_pfaffian(seed, tol):
-    t0 = time.perf_counter()
-    bound = tol if tol is not None else 1e-3
-    lat = Lattice(2j, 1.0)
+def _pfaffian(p, seed, tol):
+    lat = Lattice(complex(p["tau"].replace("i", "j")), 1.0)
     a = [SectorDatum(Fraction(1, 3))]
     b = [SectorDatum(Fraction(1, 4))]
-    truncated = pf_truncated_ratio(a, b, lat, 200)
+    truncated = pf_truncated_ratio(a, b, lat, p["modes"])
     closed = pf_closed(a, lat) / pf_closed(b, lat)
     rel = abs(truncated - closed) / abs(closed)
     trivial = pf_closed([SectorDatum(Fraction(0))], lat)
-    ok = rel < bound and trivial == 0
-    return _report(
-        "pfaffian", ok, [rel, abs(trivial)],
-        {"tau": "2i", "modes": 200, "seed": seed}, t0,
-    )
+    return rel < tol and trivial == 0, [rel, abs(trivial)]
 
 
-def _suite_vacuum_character(seed, tol):
-    t0 = time.perf_counter()
-    ch = vacuum_character(2, 4, 4)
-    bad = differing_terms(ch.coeffs, vacuum_character_product(2, 4, 4).coeffs)
+def _vacuum_character(p, seed, tol):
+    sizes = p["rank"], p["qorder"], p["zorder"]
+    ch = vacuum_character(*sizes)
+    bad = differing_terms(ch.coeffs, vacuum_character_product(*sizes).coeffs)
     asym = weyl_defect(ch)
-    return _report(
-        "vacuum-character", bad == 0 and asym == 0, [float(bad), float(asym)],
-        {"rank": 2, "qorder": 4, "zorder": 4, "seed": seed}, t0,
-    )
+    return bad == 0 and asym == 0, [float(bad), float(asym)]
 
 
-def _suite_looijenga(seed, tol):
-    t0 = time.perf_counter()
-    bound = tol if tol is not None else 1e-8
+def _looijenga(p, seed, tol):
     rng = random.Random(seed)
     worst = 0.0
     ok = True
-    for _ in range(3):
+    for _ in range(p["samples"]):
         lat = Lattice(complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.8)), 1.0)
         datum = SectorDatum(
             Fraction(rng.randrange(1, 6), 7),
             Fraction(rng.randrange(-2, 3), 5),
             complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)),
         )
-        for chk in looijenga_check(lat, datum, bound):
+        for chk in looijenga_check(lat, datum, tol):
             worst = max(worst, chk.rel_err)
             ok = ok and chk.ok
-    return _report("looijenga", ok, [worst], {"samples": 3, "seed": seed}, t0)
+    return ok, [worst]
 
 
-def _suite_euler_anomaly(seed, tol):
-    t0 = time.perf_counter()
-    cert = g2_free_certificate(corrected_euler(2, 3, 2), 2)
+def _euler_anomaly(p, seed, tol):
+    m, deg, qo = p["roots"], p["nilpotency"], p["qorder"]
+    cert = g2_free_certificate(corrected_euler(m, deg, qo), m)
     checks = [
-        anomaly_factorization_ok(2, 3, 2),
+        anomaly_factorization_ok(m, deg, qo),
         cert.ok,
-        whitney_defect(1, 1, 3, 2).is_zero(),
+        whitney_defect(1, 1, deg, qo).is_zero(),
     ]
     bad = sum(1 for c in checks if not c)
-    return _report(
-        "euler-anomaly", bad == 0, [float(bad)],
-        {"roots": 2, "nilpotency": 3, "qorder": 2, "seed": seed}, t0,
-    )
+    return bad == 0, [float(bad)]
 
 
-def _suite_modularity(seed, tol):
-    t0 = time.perf_counter()
-    bound = tol if tol is not None else 1e-9
+def _modularity(p, seed, tol):
     chk = check_weight(
-        lambda lat: eisenstein_lattice(4, lat, 40), 4, count=3, seed=seed, tol=bound
+        lambda lat: eisenstein_lattice(p["k"], lat, p["qorder"]), p["k"],
+        count=p["samples"], seed=seed, tol=tol,
     )
-    return _report(
-        "modularity", chk.ok, [chk.max_rel],
-        {"k": 4, "qorder": 40, "samples": chk.samples, "seed": seed}, t0,
-    )
+    return chk.ok, [chk.max_rel], {"samples": chk.samples}
 
 
-def _suite_derham(seed, tol):
-    t0 = time.perf_counter()
-    dims = cartan_cohomology((1,), 4).dims
-    bad = sum(a != b for a, b in zip(dims, [1, 0, 1, 0, 1]))
-    bad += sum(not weil_relations_report(lie, 4).ok for lie in (u1(), su2()))
-    return _report(
-        "derham", bad == 0, [float(bad)], {"degree": 4, "seed": seed}, t0
-    )
+def _derham(p, seed, tol):
+    dims = cartan_cohomology((1,), p["degree"]).dims
+    expected = [1 - n % 2 for n in range(p["degree"] + 1)]  # H(C) = Q[u], deg u = 2
+    bad = sum(a != b for a, b in zip(dims, expected))
+    bad += sum(not weil_relations_report(lie, p["degree"]).ok for lie in (u1(), su2()))
+    return bad == 0, [float(bad)]
 
 
-def _suite_sheaf(seed, tol):
-    t0 = time.perf_counter()
+def _sheaf(p, seed, tol):
     sp = CircleActionSpace((1, 2))
-    s = make_section(sp, (0, 0), truncation=4)
+    s = make_section(sp, (0, 0), truncation=p["degree"])
     half = Fraction(1, 2)
     chained = transition(
         sp, (half, 0), (half, half), transition(sp, (0, 0), (half, 0), s)
@@ -737,24 +699,19 @@ def _suite_sheaf(seed, tol):
         for n in range(4)
     )
     loc = localized_transition_rank(
-        CircleActionSpace((1,)), (0, 0), (Fraction(1, 3), 0), degree_bound=4
+        CircleActionSpace((1,)), (0, 0), (Fraction(1, 3), 0), degree_bound=p["degree"]
     )
     bad = sum(not (r == a == b) for r, a, b in zip(loc.ranks, loc.upstairs, loc.downstairs))
     bad += sum(not c for c in (cocycle_ok, comp_ok))
-    return _report(
-        "sheaf", bad == 0, [float(bad)], {"degree": 4, "seed": seed}, t0
-    )
+    return bad == 0, [float(bad)]
 
 
-def _suite_sectors(seed, tol):
-    t0 = time.perf_counter()
+def _sectors(p, seed, tol):
     z2 = finite_sectors(FiniteGroupTable(2, ((0, 1), (1, 0))))
-    import itertools
-
     perms = sorted(itertools.permutations(range(3)))
-    idx = {p: i for i, p in enumerate(perms)}
+    idx = {q: i for i, q in enumerate(perms)}
     mul = tuple(
-        tuple(idx[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms
+        tuple(idx[tuple(g[h[i]] for i in range(3))] for h in perms) for g in perms
     )
     s3 = finite_sectors(FiniteGroupTable(6, mul))
     checks = [
@@ -765,27 +722,39 @@ def _suite_sectors(seed, tol):
         s3.burnside_ok,
     ]
     bad = sum(1 for c in checks if not c)
-    return _report("sectors", bad == 0, [float(bad)], {"seed": seed}, t0)
+    return bad == 0, [float(bad)]
 
 
+# name -> (suite, the parameters it reads and reports, default tolerance);
+# exact suites have no tolerance and ignore --tol.
 _SUITES = {
-    "sigma-identity": _suite_sigma_identity,
-    "fgl-axioms": _suite_fgl_axioms,
-    "group-law": _suite_group_law,
-    "pfaffian": _suite_pfaffian,
-    "vacuum-character": _suite_vacuum_character,
-    "looijenga": _suite_looijenga,
-    "euler-anomaly": _suite_euler_anomaly,
-    "modularity": _suite_modularity,
-    "derham": _suite_derham,
-    "sheaf": _suite_sheaf,
-    "sectors": _suite_sectors,
+    "sigma-identity": (_sigma_identity, {"qorder": 6, "zorder": 8}, None),
+    "fgl-axioms": (_fgl_axioms, {"degree": 6, "qorder": 3}, None),
+    "group-law": (_group_law, {"x": 0.2, "y": 0.1, "degree": 10}, 1e-9),
+    "pfaffian": (_pfaffian, {"tau": "2i", "modes": 200}, 1e-3),
+    "vacuum-character": (_vacuum_character, {"rank": 2, "qorder": 4, "zorder": 4}, None),
+    "looijenga": (_looijenga, {"samples": 3}, 1e-8),
+    "euler-anomaly": (_euler_anomaly, {"roots": 2, "nilpotency": 3, "qorder": 2}, None),
+    "modularity": (_modularity, {"k": 4, "qorder": 40, "samples": 3}, 1e-9),
+    "derham": (_derham, {"degree": 4}, None),
+    "sheaf": (_sheaf, {"degree": 4}, None),
+    "sectors": (_sectors, {}, None),
 }
 
 
 def run_checks(names, seed, tol):
-    """Run the requested suites in order."""
-    return [_SUITES[n](seed, tol) for n in names]
+    """Run the requested suites in order, timing each one."""
+    reports = []
+    for name in names:
+        suite, params, default_tol = _SUITES[name]
+        t0 = time.perf_counter()
+        ok, residuals, *measured = suite(params, seed, default_tol if tol is None else tol)
+        parameters = dict(params, seed=seed)
+        parameters.update(*measured)
+        reports.append(CheckReport(
+            name, "pass" if ok else "fail", residuals, parameters, time.perf_counter() - t0
+        ))
+    return reports
 
 
 def _cmd_check(args):
@@ -825,8 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument(
         "--from", dest="from_file", metavar="FILE", default=None,
         help="re-emit a previously saved JSON payload",
@@ -878,6 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common], help="run identity check suites")
     p.add_argument("suite", nargs="?")
     p.add_argument("--list", action="store_true")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     return parser
 

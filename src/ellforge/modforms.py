@@ -254,40 +254,32 @@ def g2_lattice(lat: Lattice, qorder: int = 40) -> complex:
     return eisenstein_lattice(2, lat, qorder)
 
 
-def weight_monomials(weight: int, use_g2: bool = False):
-    """Exponent triples (c, a, b) with 2c + 4a + 6b = weight (c = 0 without G_2)."""
-    out = []
-    cmax = weight // 2 if use_g2 else 0
-    for c in range(cmax + 1):
-        for a in range((weight - 2 * c) // 4 + 1):
-            rem = weight - 2 * c - 4 * a
-            if rem >= 0 and rem % 6 == 0:
-                out.append((c, a, rem // 6))
-    return out
+def weight_monomials(weight: int):
+    """Exponents (c, a, b) of G_2^c G_4^a G_6^b with c = 0 and 4a + 6b = weight."""
+    return [
+        (0, a, (weight - 4 * a) // 6)
+        for a in range(weight // 4 + 1)
+        if (weight - 4 * a) % 6 == 0
+    ]
 
 
-def homogeneous_fit(series: TruncatedSeries, weight: int, use_g2: bool = False):
+def homogeneous_fit(series: TruncatedSeries, weight: int):
     """Write a q-series as an isobaric weight-w polynomial in G_4, G_6.
 
-    Returns {(c, a, b): Fraction} for sum coeff * G2^c G4^a G6^b matching
+    Returns {(0, a, b): Fraction} for sum coeff * G4^a G6^b matching
     every available q-coefficient exactly, or None when no such expression
-    exists.  The zero series always fits (empty dict).  With use_g2 the
-    basis is enlarged by powers of the quasimodular G_2.
+    exists.  The zero series always fits (empty dict).
     """
     order = series.trunc
     if series.is_zero():
         return {}
     if weight < 0:
         return None
-    monos = weight_monomials(weight, use_g2)
+    monos = weight_monomials(weight)
     if not monos:
         return None
-    cols = []
-    cache = {2: eisenstein_q(2, order), 4: eisenstein_q(4, order), 6: eisenstein_q(6, order)}
-    for c, a, b in monos:
-        m = TruncatedSeries.one("q", order)
-        m = m * cache[2] ** c * cache[4] ** a * cache[6] ** b
-        cols.append(m)
+    g4, g6 = eisenstein_q(4, order), eisenstein_q(6, order)
+    cols = [TruncatedSeries.one("q", order) * g4 ** a * g6 ** b for _, a, b in monos]
     rows = [[col.coeff(e) for col in cols] for e in range(order + 1)]
     rhs = [series.coeff(e) for e in range(order + 1)]
     sol = solve_exact(rows, rhs)

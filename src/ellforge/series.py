@@ -154,10 +154,6 @@ def _coerce(c):
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
-def _scalar_str(c) -> str:
-    return str(c)
-
-
 class TruncatedSeries:
     """Series in one variable, exact coefficients, explicit truncation order.
 
@@ -480,7 +476,7 @@ class TruncatedSeries:
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            cs = _scalar_str(c)
+            cs = str(c)
             if isinstance(c, Gaussian) and c.re != 0 and c.im != 0:
                 cs = f"({cs})"
             if e == 0:
@@ -1018,7 +1014,7 @@ class MultiSeries:
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k
             )
-            cs = f"({c})" if isinstance(c, TruncatedSeries) else _scalar_str(c)
+            cs = f"({c})" if isinstance(c, TruncatedSeries) else str(c)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from ellforge.equivderham import (
-    GradedElement,
     basic_subspace,
     cartan_cohomology,
     chern_weil,
@@ -72,6 +71,7 @@ from ellforge.sigma import (
     sigma_product,
     taylor_completion,
 )
+from test_equivderham import _random_connection, _trace_square
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,29 +209,6 @@ def test_criterion_08_modularity():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     assert _verdict(8, ok, "weight checks for G4, G6, G8, G2, Delta"), elapsed
-
-
-def _trace_square(dim):
-    poly = {}
-    for a in range(dim):
-        exp = [0] * dim
-        exp[a] = 2
-        poly[tuple(exp)] = Fraction(-1, 2)
-    return poly
-
-
-def _random_connection(alg, w, rng):
-    names = ["x1", "x2", "dx1", "dx2"]
-    conn = []
-    for _ in range(alg.dim):
-        el = GradedElement.zero(w)
-        for _ in range(rng.randrange(1, 4)):
-            term = GradedElement.const(w, Fraction(rng.randrange(-3, 4)))
-            term = term * w.gen(rng.choice(names[:2]))
-            term = term * w.gen(rng.choice(names[2:]))
-            el = el + term
-        conn.append(el)
-    return conn
 
 
 def test_criterion_09_equivariant_de_rham():

@@ -47,33 +47,33 @@ def _perturbed(ms, count):
 
 
 def test_sigma_identity_residual_counts_differing_coefficients(monkeypatch):
-    assert cli._suite_sigma_identity(0, None).residuals == [0.0]
+    assert cli.run_checks(["sigma-identity"], 0, None)[0].residuals == [0.0]
     exact = cli.sigma_exponential
     monkeypatch.setattr(cli, "sigma_exponential", lambda q, z: _perturbed(exact(q, z), 3))
-    report = cli._suite_sigma_identity(0, None)
+    report = cli.run_checks(["sigma-identity"], 0, None)[0]
     assert (report.status, report.residuals) == ("fail", [3.0])
 
 
 def test_vacuum_character_residuals_count_differing_coefficients(monkeypatch):
-    assert cli._suite_vacuum_character(0, None).residuals == [0.0, 0.0]
+    assert cli.run_checks(["vacuum-character"], 0, None)[0].residuals == [0.0, 0.0]
     exact = cli.vacuum_character_product
     monkeypatch.setattr(
         cli, "vacuum_character_product", lambda n, q, z: _perturbed(exact(n, q, z), 5)
     )
-    report = cli._suite_vacuum_character(0, None)
+    report = cli.run_checks(["vacuum-character"], 0, None)[0]
     assert (report.status, report.residuals) == ("fail", [5.0, 0.0])
 
 
 def test_derham_residual_counts_wrong_degrees(monkeypatch):
-    assert cli._suite_derham(0, None).residuals == [0.0]
+    assert cli.run_checks(["derham"], 0, None)[0].residuals == [0.0]
     wrong = SimpleNamespace(dims=[0, 0, 2, 0, 1])
     monkeypatch.setattr(cli, "cartan_cohomology", lambda weights, degree: wrong)
-    report = cli._suite_derham(0, None)
+    report = cli.run_checks(["derham"], 0, None)[0]
     assert (report.status, report.residuals) == ("fail", [2.0])
 
 
 def test_sheaf_residual_counts_disagreeing_degrees(monkeypatch):
-    assert cli._suite_sheaf(0, None).residuals == [0.0]
+    assert cli.run_checks(["sheaf"], 0, None)[0].residuals == [0.0]
     exact = cli.localized_transition_rank
 
     def short(*args, **kwargs):
@@ -82,8 +82,24 @@ def test_sheaf_residual_counts_disagreeing_degrees(monkeypatch):
         return rep
 
     monkeypatch.setattr(cli, "localized_transition_rank", short)
-    report = cli._suite_sheaf(0, None)
+    report = cli.run_checks(["sheaf"], 0, None)[0]
     assert (report.status, report.residuals) == ("fail", [3.0])
+
+
+def test_suite_parameters_are_what_runs_and_what_is_reported(monkeypatch):
+    calls = []
+    exact = cli.sigma_product
+
+    def spy(qorder, zorder):
+        calls.append((qorder, zorder))
+        return exact(qorder, zorder)
+
+    monkeypatch.setattr(cli, "sigma_product", spy)
+    monkeypatch.setitem(cli._SUITES["sigma-identity"][1], "qorder", 3)
+    report = cli.run_checks(["sigma-identity"], 0, None)[0]
+    assert calls == [(3, 8)]
+    assert report.status == "pass"
+    assert report.to_json()["parameters"] == {"qorder": "3", "seed": "0", "zorder": "8"}
 
 
 def test_check_list_names_every_suite():
@@ -112,6 +128,13 @@ def test_seed_is_printed_and_respected():
     assert a.returncode == b.returncode == 0
     assert b"seed 7" in a.stdout
     assert b"seed 8" in b.stdout
+
+
+def test_seed_and_tol_belong_to_check_only():
+    for argv in (("sigma", "--seed", "1"), ("modforms", "--tol", "1e-3")):
+        proc = run(*argv)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+    assert run("check", "looijenga", "--seed", "7", "--tol", "1e-8").returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,14 @@ def test_axioms_all_kinds_small():
         assert f.is_unital(), kind
         assert f.is_commutative(), kind
         assert f.is_associative(), kind
+
+
+def test_extra_y_free_term_or_wrong_x_coefficient_is_not_unital():
+    f = fgl_from_coordinate("multiplicative", 4, 2)
+    assert f.is_unital()
+    for change in ({(2, 0, 0): 1}, {(1, 0, 1): 1}, {(1, 0, 0): 2}):
+        bad = replace(f, table=f.table._like({**f.table.coeffs, **change}))
+        assert not bad.is_unital(), change
 
 
 def test_sigma_law_q0_slice_is_multiplicative_type(sigma_law):
