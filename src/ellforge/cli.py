@@ -443,8 +443,8 @@ def _cmd_derham(args):
 
 
 # The most cochains (as _sheaf_cochains counts them) that sheaf --sections
-# builds.  Two fixed coordinates pass up to degree 8 (16,341): about a minute
-# when both weights are zero, where the count is exact, and about 5 s for
+# builds.  Two fixed coordinates pass up to degree 8 (16,341): about 16 s
+# when both weights are zero, where the count is exact, and about 2 s for
 # weights (1, 2), which keep 1,209 of them.  Degree 99 would need 3.3e9.
 SHEAF_COCHAIN_LIMIT = 20_000
 
@@ -726,7 +726,7 @@ def _sectors(p, seed, tol):
 
 
 # name -> (suite, the parameters it reads and reports, default tolerance);
-# exact suites have no tolerance and ignore --tol.
+# exact suites have no tolerance and ignore --tol, the others report theirs.
 _SUITES = {
     "sigma-identity": (_sigma_identity, {"qorder": 6, "zorder": 8}, None),
     "fgl-axioms": (_fgl_axioms, {"degree": 6, "qorder": 3}, None),
@@ -747,9 +747,12 @@ def run_checks(names, seed, tol):
     reports = []
     for name in names:
         suite, params, default_tol = _SUITES[name]
+        applied = default_tol if tol is None else tol
         t0 = time.perf_counter()
-        ok, residuals, *measured = suite(params, seed, default_tol if tol is None else tol)
+        ok, residuals, *measured = suite(params, seed, applied)
         parameters = dict(params, seed=seed)
+        if default_tol is not None:
+            parameters["tol"] = applied
         parameters.update(*measured)
         reports.append(CheckReport(
             name, "pass" if ok else "fail", residuals, parameters, time.perf_counter() - t0

@@ -1149,5 +1149,15 @@ def nullspace(rows, ncols: int):
     return basis
 
 
+def row_basis(rows, ncols: int):
+    """nullspace(nullspace(rows, ncols), ncols) in one elimination.
+
+    That basis of the row space has unit vectors on the last independent
+    columns: it is the RREF with the column order reversed, read backwards.
+    """
+    mat, pivots = rref([row[:ncols][::-1] for row in rows], ncols)
+    return [row[::-1] for row in reversed(mat[:len(pivots)])]
+
+
 # callers that the trace looks past, to name who asked for the elimination
-_ELIMINATION_CODES = {f.__code__ for f in (matrix_rank, solve_exact, nullspace)}
+_ELIMINATION_CODES = {f.__code__ for f in (matrix_rank, solve_exact, nullspace, row_basis)}

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equivderham import (
-    Derivation,
     GradedElement,
     GradedWorld,
     circle_complex,
@@ -26,11 +25,10 @@ from .equivderham import (
     substitute,
     weight_action,
 )
-from .series import Gaussian, I, MultiSeries, TruncatedSeries, matrix_rank, nullspace
+from .series import MultiSeries, TruncatedSeries, matrix_rank, row_basis
 from .sigma import sigma_product
 
 _WORLDS = {}
-_DIFFERENTIALS = {}
 
 
 def _world(k):
@@ -92,77 +90,63 @@ def _active_weights(space, h):
 # The cocycles come from the weight-basis circle complex (see
 # equivderham.circle_complex), block by charge-0 multidegree, and
 # circle_d is the only Cartan differential.  Real coordinates appear only
-# as a change of coordinates at the edge, given as generator images:
-# z = x + i y, zb = x - i y (forms alike) and u = i u0, and the inverse.
-# Each cocycle is substituted into the shared real world, and the real
-# and imaginary parts of one W-block and degree span its real cocycles,
-# given in the canonical reduced basis (series.nullspace) of that span.
-# Real cochains are checked with circle_d carried to the real world
-# generator by generator (_real_d).
-
-
-def _keys(world):
-    return {name: next(iter(world.gen(name).coeffs)) for name in world.index}
+# at the edge, in the rescaled y' = i y, dy' = i dy, u0' = i u0, where the
+# change of coordinates is rational both ways: z = x + y', zb = x - y',
+# u = u0' and x = (z + zb)/2, y' = (z - zb)/2, u0' = u (forms alike).
+# A rescaled term c key is c i^kappa key, kappa counting its u0, y and dy
+# factors, and _fold splits off its real and imaginary parts.  Those of one
+# W-block and degree span its real cocycles, in the canonical basis that
+# series.row_basis gives.  circle_d is rational, so a real cochain is
+# closed when it kills the weight images of both folded parts.
 
 
 def _real_images(k):
-    """Images of the weight-basis generators in the shared real world."""
+    """Images of the weight-basis generators in the rescaled real world."""
     world = _world(k)
-    key = _keys(world)
-    images = {"u": GradedElement(world, {key["u0"]: I})}
+    images = {"u": world.gen("u0")}
     for j in range(1, k + 1):
         for z, x in (("z", "x"), ("dz", "dx")):
-            re, im = key[f"{x}{2 * j - 1}"], key[f"{x}{2 * j}"]
-            images[f"{z}{j}"] = GradedElement(world, {re: 1, im: I})
-            images[f"{z}b{j}"] = GradedElement(world, {re: 1, im: -I})
+            re, im = world.gen(f"{x}{2 * j - 1}"), world.gen(f"{x}{2 * j}")
+            images[f"{z}{j}"], images[f"{z}b{j}"] = re + im, re - im
     return images
 
 
 def _weight_images(world, k):
-    """Images of the real generators in the weight-basis world of circle_world(k)."""
-    key = _keys(world)
-    half, half_i = Fraction(1, 2), Gaussian(0, Fraction(1, 2))
-    images = {"u0": GradedElement(world, {key["u"]: -I})}
+    """Images of the rescaled real generators in world, which is circle_world(k)."""
+    half = Fraction(1, 2)
+    images = {"u0": world.gen("u")}
     for j in range(1, k + 1):
         for z, x in (("z", "x"), ("dz", "dx")):
-            zj, zbj = key[f"{z}{j}"], key[f"{z}b{j}"]
-            images[f"{x}{2 * j - 1}"] = GradedElement(world, {zj: half, zbj: half})
-            images[f"{x}{2 * j}"] = GradedElement(world, {zj: -half_i, zbj: half_i})
+            zj, zbj = world.gen(f"{z}{j}") * half, world.gen(f"{z}b{j}") * half
+            images[f"{x}{2 * j - 1}"], images[f"{x}{2 * j}"] = zj + zbj, zj - zbj
     return images
 
 
-def _real_d(ws):
-    """circle_d(weight_action(ws)) carried to the real world, once per weight tuple.
+def _fold(coeffs):
+    """Real and imaginary parts of sum c i^kappa(key) key over a real-world dict."""
+    parts = ({}, {})
+    for (e, o), c in coeffs.items():
+        kappa = e[0] + sum(e[2::2]) + sum(i % 2 for i in o)
+        parts[kappa % 2][e, o] = -c if kappa % 4 > 1 else c
+    return parts
 
-    A real generator g goes to the real image of d applied to g written in
-    the weight basis.  That is linear in the weight-basis generators h, so
-    the ring map h -> (real image of d h) computes it, and building the
-    differential applies no derivation.
-    """
-    if ws not in _DIFFERENTIALS:
-        k = len(ws)
-        cworld, world = circle_world(k), _world(k)
-        forward = _real_images(k)
-        dh = {h: substitute(img, world, forward)
-              for h, img in circle_d(weight_action(ws), cworld).images.items()}
-        _DIFFERENTIALS[ws] = Derivation(world, 1, {
-            g: substitute(img, world, dh) for g, img in _weight_images(cworld, k).items()
-        })
-    return _DIFFERENTIALS[ws]
+
+def _is_cocycle(ws, el):
+    """Whether circle_d(weight_action(ws)) kills the real cochain el."""
+    world = circle_world(len(ws))
+    d, images = circle_d(weight_action(ws), world), _weight_images(world, len(ws))
+    return all(d(substitute(GradedElement(el.world, part), world, images)).is_zero()
+               for part in _fold(el.coeffs))
 
 
 def _real_basis(els, world, images):
     """Canonical real basis of the real and imaginary parts of els."""
-    reals = [substitute(el, world, images).coeffs for el in els]
+    parts = [part for el in els for part in _fold(substitute(el, world, images).coeffs)]
     # the real block's key order: form degree, then exponents, then forms
-    keys = sorted({k for r in reals for k in r}, key=lambda k: (len(k[1]), k))
-    rows = []
-    for r in reals:
-        parts = [r.get(k, 0) for k in keys]
-        rows.append([c.re if isinstance(c, Gaussian) else c for c in parts])
-        rows.append([c.im if isinstance(c, Gaussian) else 0 for c in parts])
-    span = nullspace(nullspace(rows, len(keys)), len(keys))
-    return [GradedElement(world, {k: c for k, c in zip(keys, v) if c}) for v in span]
+    keys = sorted({k for p in parts for k in p}, key=lambda k: (len(k[1]), k))
+    rows = [[p.get(k, 0) for k in keys] for p in parts]
+    return [GradedElement(world, {k: c for k, c in zip(keys, v) if c})
+            for v in row_basis(rows, len(keys))]
 
 
 @dataclass
@@ -252,7 +236,7 @@ def make_section(space, h, cocycle=None, factor="O(Lat)", truncation=8, weight=N
         cocycle = GradedElement.const(world, Fraction(1))
     if cocycle.world is not world:
         raise ValueError("cocycle lives in the wrong generator world")
-    if not _real_d(ws)(cocycle).is_zero():
+    if not _is_cocycle(ws, cocycle):
         raise ValueError("not a cocycle: the equivariant differential does not vanish")
     if weight is None:
         degs = {world.monomial_degree(k) for k in cocycle.coeffs}
@@ -331,7 +315,7 @@ def transition(space, h, hp, s):
             images[f"x{2 * oldi + r}"] = worldp.gen(f"x{2 * newi + r}")
             images[f"dx{2 * oldi + r}"] = worldp.gen(f"dx{2 * newi + r}")
     coc = substitute(s.cocycle, worldp, images)
-    if not _real_d(_active_weights(space, hp))(coc).is_zero():
+    if not _is_cocycle(_active_weights(space, hp), coc):
         raise ValueError("restriction failed to preserve the cocycle condition")
     tw = (s.twist[0] + (h[0] - hp[0]), s.twist[1] + (h[1] - hp[1]))
     return LocalSection(

@@ -122,6 +122,15 @@ def test_impossible_tolerance_fails_with_exit_one():
     assert b"FAIL" in proc.stdout
 
 
+def test_applied_tolerance_is_reported():
+    for argv, tol in ((("--tol", "1e-30"), "1e-30"), ((), "1e-09")):
+        proc = run("check", "group-law", "--json", *argv)
+        (report,) = json.loads(proc.stdout)["reports"]
+        assert report["parameters"]["tol"] == tol
+    report = json.loads(run("check", "sigma-identity", "--tol", "1e-3", "--json").stdout)
+    assert "tol" not in report["reports"][0]["parameters"]
+
+
 def test_seed_is_printed_and_respected():
     a = run("check", "looijenga", "--seed", "7")
     b = run("check", "looijenga", "--seed", "8")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from ellforge import equivderham
 from ellforge.equivderham import (
@@ -31,6 +31,8 @@ from ellforge.equivderham import (
     RelationsReport,
     cartan_cohomology,
     circle_complex,
+    circle_d,
+    circle_world,
     form_d,
     form_world,
     joint_nullspace,
@@ -40,6 +42,7 @@ from ellforge.equivderham import (
     torus_reduction_check,
     u1,
     u2,
+    weight_action,
     weil_block,
     weil_contraction,
     weil_d,
@@ -67,8 +70,10 @@ from ellforge.fermion import (
 from ellforge.modforms import Lattice, qpochhammer
 from ellforge.sheafmodel import (
     CircleActionSpace,
-    _real_d,
+    _fold,
+    _is_cocycle,
     _real_images,
+    _weight_images,
     _world,
     fixed_locus,
     local_sections,
@@ -90,6 +95,7 @@ from ellforge.series import (
     TruncatedSeries,
     matrix_rank,
     nullspace,
+    row_basis,
     rref,
     solve_exact,
 )
@@ -1201,6 +1207,20 @@ def test_nullspace_matches_dense(case):
 
 
 @settings(max_examples=150, derandomize=True)
+@given(matrices())
+@example(([], 3))
+@example(([], 0))
+@example(([[Fraction(0)] * 4] * 3, 4))
+@example(([[1, 2, 0], [3, 4, 0], [0, 5, 6]], 3))
+@example(([[1, 2], [3, 4], [5, 6]], 2))
+def test_row_basis_is_the_double_nullspace(case):
+    rows, n = case
+    basis = row_basis(rows, n)
+    assert basis == nullspace(nullspace(rows, n), n)
+    assert all(is_exact(x) for v in basis for x in v)
+
+
+@settings(max_examples=150, derandomize=True)
 @given(matrices(), st.data())
 def test_augmented_rows_and_solve_match_dense(case, data):
     rows, n = case
@@ -1778,14 +1798,41 @@ def test_substitute_matches_products(ws, h, degree):
                 assert substitute(el, worldp, images) == product_substitute(el, worldp, images)
 
 
+def transported_d(ws):
+    """circle_d(weight_action(ws)) carried to the real world generator by generator.
+
+    A real generator g is i^-kappa(g) times its rescaled self, with kappa(g)
+    = 1 for u0, the y_j and the dy_j and 0 otherwise.  Its weight image goes
+    through circle_d and back, and _fold splits the result into re + i im;
+    the real image of d g is re when kappa(g) = 0 and im when it is 1, and
+    the other part vanishes.
+    """
+    k = len(ws)
+    cworld, world = circle_world(k), _world(k)
+    d, forward = circle_d(weight_action(ws), cworld), _real_images(k)
+    images = {}
+    for g, img in _weight_images(cworld, k).items():
+        re, im = (GradedElement(world, p) for p in _fold(substitute(d(img), world, forward).coeffs))
+        if g == "u0" or int(g.lstrip("dx")) % 2 == 0:
+            re, im = im, re
+        assert im.is_zero()
+        images[g] = re
+    return Derivation(world, 1, images)
+
+
 @pytest.mark.parametrize("ws", [
     (), (0,), (1,), (-2,), (1, 2), (1, -2), (0, 3), (2, 3, 5),
 ])
 def test_transported_differential_is_the_real_cartan_differential(ws):
     want = cartan_d(_U1, _world(len(ws)), circle_rep(ws))
-    got = _real_d(ws)
+    got = transported_d(ws)
     assert got.world is want.world and got.parity == want.parity
     assert got.images == want.images
+    # the cocycle check through circle_d agrees with the transported one
+    world = _world(len(ws))
+    basis = local_sections(CircleActionSpace(ws), (0, 0), 3).basis
+    for el in [el for els in basis.values() for el in els] + [world.gen(g) for g in world.index]:
+        assert _is_cocycle(ws, el) == got(el).is_zero()
 
 
 # ------------------------------------------------------ weight-basis torus reduction
