@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log2
 
 from .equivderham import (
     basic_subspace,
@@ -270,8 +270,49 @@ def _cmd_sigma(args):
     return 0
 
 
+# The most work (as _fgl_work counts it) that fgl builds: about 10 s.  On a
+# 2-vCPU VM (Python 3.11) the time per unit ran from 1 to 6 ns over 22
+# sizes, and the largest sizes accepted at degrees 8, 16, 20, 24, 30 and 50
+# (q-orders 1101, 184, 85, 45, 20 and 0) took 4 to 11 s.
+FGL_WORK_LIMIT = 2_000_000_000
+
+
+def _fgl_work(degree, qorder):
+    """Estimated cost of one packed law build, for every kind.
+
+    The unit is one product of 30-bit digits of a Python int.  The build
+    multiplies 2 (C(D+4, 5) - C(D+2, 3)) pairs of packed ints (the powers
+    of G, cut at total degree D), each of S = qorder + 1 slots of B bits,
+    and the proven B stays below D (3 + log2 S) (37 at D = 10, S = 7; 165
+    at D = 24, S = 63).  A Karatsuba product of n digits costs n^log2(3)
+    units, plus about 250 in the interpreter.  The build lifts about
+    C(D+2, 2) + 2D packed ints slot by slot, and the t-product of a sigma
+    coordinate takes about (D - 1)/2 * S^2 log2 S loop steps of 25 units.
+    """
+    slots = qorder + 1
+    # past 10^9 digits every product is far over the limit; the cap keeps
+    # the float power below overflow
+    digits = min(-(-slots * degree * (3 + slots.bit_length()) // 30), 10**9)
+    products = 2 * (comb(degree + 4, 5) - comb(degree + 2, 3))
+    lifted = comb(degree + 2, 2) + 2 * degree
+    t_steps = max(degree - 1, 0) // 2 * slots * slots * slots.bit_length()
+    return (
+        products * (250 + int(digits ** log2(3)))
+        + lifted * slots * digits
+        + 25 * t_steps
+    )
+
+
 def _cmd_fgl(args):
     if _negative(args, "degree", "qorder"):
+        return 2
+    estimate = _fgl_work(args.degree, args.qorder)
+    if estimate > FGL_WORK_LIMIT:
+        print(
+            f"error: --degree {args.degree} --qorder {args.qorder} needs about "
+            f"{estimate} digit products, over the limit of {FGL_WORK_LIMIT}",
+            file=sys.stderr,
+        )
         return 2
     fgl = fgl_from_coordinate(args.coordinate, args.degree, args.qorder)
     payload = {"command": "fgl"}

@@ -15,11 +15,22 @@ Python ints through the per-factor identity
 t = e^z + e^-z - 2: the factors make one polynomial in t over Z[q]
 (``_t_product``), and only then is t expanded in z.
 
-The formal group law is computed over Z[[q]] in the coordinate
-w = e^z - 1, where the product form is an integral series g(w): the law
-is g(G(g^-1(x), g^-1(y))) with G the multiplicative law x + y + xy and
-g^-1 found by Lagrange reversion, all on Python ints.  g comes from the
-same t-polynomial, with t = w^2/(1+w).
+The formal group law is computed over Z[q]/(q^S), S = qorder + 1, in the
+coordinate w = e^z - 1, where the product form is an integral series g(w):
+the law is F = g(G(g^-1(x), g^-1(y))) with G the multiplicative law
+x + y + xy and g^-1 found by Lagrange reversion.  g comes from the same
+t-polynomial, with t = w^2/(1+w).  Each coefficient of a series in w, or
+in x and y, is a polynomial in q packed into one Python int, its value at
+q = 2^B (Kronecker substitution).  q -> 2^B maps Z[q] to Z and q^S to
+2^(BS), so it induces a ring map Z[q]/(q^S) -> Z/2^(BS): a q-convolution
+is one big-int product under the mask 2^(BS) - 1, exact however large the
+true coefficients grow.  Only reading a polynomial back (the Lagrange
+numerators before their exact division by k, the table, the
+associativity defect) needs its coefficients inside (-2^(B-1), 2^(B-1)).
+B is proven, not guessed: the same pipeline, run once on the l1 norms of
+the polynomials (||ab|| <= ||a|| ||b||, ||a + b|| <= ||a|| + ||b||), bounds
+every coefficient that is read back, and B is the bound's bit length
+plus 2.
 """
 from __future__ import annotations
 
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .modforms import TWO_PI_I, Lattice, eisenstein_q, homogeneous_fit
-from .series import MultiSeries, TruncatedSeries
+from .series import MultiSeries, TruncatedSeries, _exact_div
 
 QZ = ("q", "z")
 
@@ -190,18 +201,30 @@ def quasi_period_measured(direction: int, lat: Lattice, z: complex) -> complex:
 XYQ = ("x", "y", "q")
 WQ = ("w", "q")
 
-
-def _additive(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return a + b
-
-
-def _multiplicative(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return a + b + a * b
+# coordinate kind -> whether the law G its coordinate g conjugates has a
+# product term: the additive law x + y in z for the additive kind, the
+# multiplicative law x + y + xy in w = e^z - 1 otherwise
+PRODUCT_TERM = {"additive": False, "multiplicative": True, "sigma": True}
 
 
-# coordinate kind -> the law G its coordinate g conjugates: the additive law
-# in z for the additive kind, the multiplicative law in w = e^z - 1 otherwise
-BASE_LAWS = {"additive": _additive, "multiplicative": _multiplicative, "sigma": _multiplicative}
+def _coordinate_rows(kind: str, degree: int, qorder: int) -> list[list[int]]:
+    """Row d holds the q-coefficients 0..qorder of [w^d] g, for d <= degree."""
+    if kind not in PRODUCT_TERM:
+        raise ValueError(f"unknown coordinate kind {kind!r}")
+    rows = [[0] * (qorder + 1) for _ in range(degree + 1)]
+    if kind != "sigma":
+        if degree >= 1 and qorder >= 0:
+            rows[1][0] = 1
+        return rows
+    t = _t_product(qorder, (degree - 1) // 2)
+    # w/(1+w) t^j = w^(2j+1) (1+w)^-(j+1): sum_i (-1)^i C(j+i, j) w^(2j+1+i)
+    for d in range(1, degree + 1):
+        for e in range(qorder + 1):
+            rows[d][e] = sum(
+                (-1) ** (d - 2 * j - 1) * math.comb(d - j - 1, j) * t[j][e]
+                for j in range((d - 1) // 2 + 1)
+            )
+    return rows
 
 
 def coordinate_w(kind: str, degree: int, qorder: int) -> MultiSeries:
@@ -216,24 +239,215 @@ def coordinate_w(kind: str, degree: int, qorder: int) -> MultiSeries:
     w + w^2 Z[[q]][[w]].  The product is the t-polynomial of ``_t_product``,
     shared with ``sigma_product``, so g = sum_j row_j(q) w^(2j+1)/(1+w)^(j+1).
     """
-    if kind not in BASE_LAWS:
-        raise ValueError(f"unknown coordinate kind {kind!r}")
-    caps = (degree, qorder)
-    if kind != "sigma":
-        return MultiSeries.gen(WQ, "w", caps=caps)
-    jmax = (degree - 1) // 2
-    rows = _t_product(qorder, jmax)
-    # w/(1+w) t^j = w^(2j+1) (1+w)^-(j+1): sum_i (-1)^i C(j+i, j) w^(2j+1+i)
+    rows = _coordinate_rows(kind, degree, qorder)
+    table = {(d, e): c for d, row in enumerate(rows) for e, c in enumerate(row) if c}
+    return MultiSeries(WQ, table, caps=(degree, qorder))
+
+
+class _Packed:
+    """Z[q]/(q^S) inside Z/2^(BS): a polynomial is its value at q = 2^B.
+
+    q -> 2^B is a ring map Z[q] -> Z that sends q^S to 2^(BS), so it
+    induces a ring map Z[q]/(q^S) -> Z/2^(BS): sums and products of
+    packed ints reduced by ``mask`` are the images of the exact sums and
+    products, whatever size their coefficients reach.  Only ``lift``
+    needs every coefficient of the true polynomial in [-2^(B-1), 2^(B-1)).
+    """
+
+    def __init__(self, width: int, slots: int):
+        self.width = width
+        self.slots = slots
+        self.mask = (1 << width * slots) - 1
+        # 2^(B-1) in every slot: added before the lift, it makes each digit
+        # non-negative and below 2^B, so no slot borrows from the next
+        self.half = sum(1 << (width * k + width - 1) for k in range(slots))
+
+    def pack(self, row) -> int:
+        v = 0
+        for c in reversed(row):
+            v = (v << self.width) + c
+        return v & self.mask
+
+    def lift(self, v: int) -> list[int]:
+        """The balanced digits: the true coefficients when they fit."""
+        v = (v + self.half) & self.mask
+        digit = (1 << self.width) - 1
+        top = 1 << (self.width - 1)
+        return [(v >> (self.width * k) & digit) - top for k in range(self.slots)]
+
+    def neg(self, v: int) -> int:
+        return -v & self.mask
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) & self.mask
+
+    def divide(self, v: int, k: int) -> int:
+        return self.pack([_exact_div(c, k) for c in self.lift(v)])
+
+
+class _Norms:
+    """The l1 norms of the same polynomials, as exact ints.
+
+    ||ab|| <= ||a|| ||b|| and ||a +- b|| <= ||a|| + ||b||, and truncation
+    at q^S only drops terms, so every step bounds the norm of the packed
+    step it shadows; an exact quotient c/k has norm ||c||/k, an integer.
+    """
+
+    mask = -1  # x & -1 == x: nothing is reduced
+
+    def pack(self, row) -> int:
+        return sum(map(abs, row))
+
+    def neg(self, v: int) -> int:
+        return v
+
+    def sub(self, a: int, b: int) -> int:
+        return a + b
+
+    def divide(self, v: int, k: int) -> int:
+        return v // k
+
+
+_NORMS = _Norms()
+
+
+def _mul2(a: dict, b: dict, degree: int, mask: int) -> dict:
+    """Product of bivariate series (i, j) -> element, cut at total degree."""
+    by_total = [[] for _ in range(degree + 1)]
+    for (k, l), v in b.items():
+        if k + l <= degree:
+            by_total[k + l].append((k, l, v))
+    acc = {}
+    get = acc.get
+    for (i, j), u in a.items():
+        for n in range(degree - i - j + 1):
+            for k, l, v in by_total[n]:
+                key = (i + k, j + l)
+                acc[key] = get(key, 0) + u * v
+    out = {}
+    for key, v in acc.items():
+        if v := v & mask:
+            out[key] = v
+    return out
+
+
+def _law(ring, g: list, degree: int, product: bool):
+    """F = g(G(g^-1(x), g^-1(y))) in ``ring``, from g by w-degree.
+
+    Returns the Lagrange numerators [w^(k-1)] r^k for k = 1..degree, the
+    coefficients of g^-1 by w-degree, and F as {(i, j): F_ij}.
+    """
+    mask = ring.mask
+    # r = 1/u for u = g/w = 1 + u_1 w + ...: r_n = -sum_{i>=1} u_i r_(n-i)
+    r = [1]
+    for n in range(1, degree):
+        r.append(ring.neg(sum(g[i + 1] * r[n - i] for i in range(1, n + 1))))
+    # Lagrange inversion: [w^k] g^-1 = [w^(k-1)] r^k / k
+    numerators = []
+    power = [1] + [0] * (degree - 1)
+    for k in range(1, degree + 1):
+        power = [sum(power[i] * r[n - i] for i in range(n + 1)) & mask for n in range(degree)]
+        numerators.append(power[k - 1])
+    ginv = [0] + [ring.divide(c, k) for k, c in enumerate(numerators, 1)]
+    base = {}
+    for i in range(1, degree + 1):
+        if ginv[i]:
+            base[(i, 0)] = base[(0, i)] = ginv[i]
+            if product:
+                for j in range(1, degree - i + 1):
+                    if v := ginv[i] * ginv[j] & mask:
+                        base[(i, j)] = v
     table = {}
-    for d in range(1, degree + 1):
-        for e in range(qorder + 1):
-            c = sum(
-                (-1) ** (d - 2 * j - 1) * math.comb(d - j - 1, j) * rows[j][e]
-                for j in range((d - 1) // 2 + 1)
-            )
-            if c:
-                table[(d, e)] = c
-    return MultiSeries(WQ, table, caps=caps)
+    power = base
+    last = max(d for d in range(degree + 1) if g[d])
+    for d in range(1, last + 1):
+        if d > 1:
+            power = _mul2(power, base, degree, mask)
+        if g[d]:
+            for key, v in power.items():
+                table[key] = table.get(key, 0) + g[d] * v
+    return numerators, ginv, {key: v & mask for key, v in table.items() if v & mask}
+
+
+def _law_width(rows: list, degree: int, product: bool) -> int:
+    """The slot width B at which the packed law lifts exactly.
+
+    The norm pipeline bounds the l1 norm N of every lifted polynomial, the
+    numerators and the table, so each coefficient c has |c| <= N.  With
+    B = bit_length(max N) + 2, |c| < 2^(B-2): the balanced lift is exact
+    with room to spare.  A width read off the results instead would not
+    be a proof, since a digit that outgrows its slot carries silently.
+    """
+    numerators, _, table = _law(_NORMS, [_NORMS.pack(row) for row in rows], degree, product)
+    return max(numerators + list(table.values())).bit_length() + 2
+
+
+def _compose(f: dict, powers: list, degree: int) -> dict:
+    """[x^a y^b w^c] of sum_(i,c) f_ic P_i(x, y) w^c, keys (a, b, c), unreduced."""
+    out = {}
+    get = out.get
+    for (i, c), v in f.items():
+        room = degree - c
+        for (a, b), p in powers[i].items():
+            if a + b <= room:
+                key = (a, b, c)
+                out[key] = get(key, 0) + v * p
+    return out
+
+
+def _defect(ring, f: dict, degree: int) -> dict:
+    """F(F(x,y),w) - F(x,F(y,w)) as {(a, b, c): element}, from F's powers.
+
+    [x^a y^b w^c] F(F(x,y),w) = sum_i F_ic [x^a y^b] F^i and
+    [x^a y^b w^c] F(x,F(y,w)) = sum_j F_aj [y^b w^c] F^j: no product in
+    three variables is needed.
+    """
+    top = max((max(k) for k in f), default=0)
+    powers = [{(0, 0): 1}, f]
+    while len(powers) <= top:
+        powers.append(_mul2(powers[-1], f, degree, ring.mask))
+    left = _compose(f, powers, degree)
+    # composing the transpose gives right[a, b, c] under the key (b, c, a)
+    right = _compose({(j, i): v for (i, j), v in f.items()}, powers, degree)
+    out = {}
+    for a, b, c in left.keys() | {(a, b, c) for (b, c, a) in right}:
+        if v := ring.sub(left.get((a, b, c), 0), right.get((b, c, a), 0)):
+            out[(a, b, c)] = v
+    return out
+
+
+def _defect_width(rows: dict, degree: int) -> int:
+    """The slot width for the defect: its norm bound is |left| + |right|."""
+    norms = {key: _NORMS.pack(row) for key, row in rows.items()}
+    return max(_defect(_NORMS, norms, degree).values(), default=0).bit_length() + 2
+
+
+def _build_order(qsupport: list, product: bool):
+    """Sort key: the order in which the MultiSeries build reached each term.
+
+    That build substituted G = A + B (+ AB) into g one power of G at a
+    time.  Its first power placed the terms of G by (i + j, e), each group
+    as G lists them: x^n, y^n, then the mixed terms by ascending i.  The
+    terms of F that G lacks (for sigma, x^2 y q^e and x y^2 q^e, since
+    g^-1 has no q-terms below w^3) came from G^3, by e and descending i.
+    ``evaluate`` sums the table in its order, and ``check group-law``
+    prints the residual of that float sum, so the order is kept.
+    qsupport[i] holds the q-exponents of [w^i] g^-1, and a q-exponent of
+    AB counts as present when two of theirs add up to it; the fixed-grid
+    oracle test compares the whole order with the MultiSeries build.
+    """
+
+    def key(term):
+        i, j, e = term
+        if i == 0 or j == 0:
+            in_base = e in qsupport[i + j]
+        else:
+            in_base = product and any(e - e1 in qsupport[j] for e1 in qsupport[i])
+        if in_base:
+            return (0, i + j, e, 0 if j == 0 else 1 if i == 0 else 2, i)
+        return (1, e, -i)
+
+    return key
 
 
 @dataclass
@@ -268,18 +482,30 @@ class FormalGroupLaw:
         return flipped == self.table.coeffs
 
     def associativity_defect(self) -> MultiSeries:
-        """F(F(x,y),w) - F(x,F(y,w)) in the exact quotient ring."""
-        V = ("x", "y", "w", "q")
-        caps = (self.degree, self.degree, self.degree, self.qorder)
-        kw = dict(caps=caps, total=self.degree, tgroup=(0, 1, 2))
-        gx = MultiSeries.gen(V, "x", **kw)
-        gw = MultiSeries.gen(V, "w", **kw)
-        gq = MultiSeries.gen(V, "q", **kw)
-        f_xy = self.table.lift(V, **kw)
-        f_yw = self.table.rename({"x": "y", "y": "w"}).lift(V, **kw)
-        left = self.table.subs({"x": f_xy, "y": gw, "q": gq})
-        right = self.table.subs({"x": gx, "y": f_yw, "q": gq})
-        return left - right
+        """F(F(x,y),w) - F(x,F(y,w)) in the exact quotient ring, on packed ints."""
+        degree, slots = self.degree, self.qorder + 1
+        rows = {}
+        for (a, b, e), c in self.table.coeffs.items():
+            if not isinstance(c, int):
+                raise ValueError(f"law coefficient {c!r} at x^{a} y^{b} q^{e} is not an integer")
+            rows.setdefault((a, b), [0] * slots)[e] = c
+        if (0, 0) in rows:
+            raise ValueError("substitution target has nonzero constant term")
+        ring = _Packed(_defect_width(rows, degree), slots)
+        defect = _defect(ring, {key: ring.pack(row) for key, row in rows.items()}, degree)
+        coeffs = {
+            (a, b, c, e): d
+            for (a, b, c), v in defect.items()
+            for e, d in enumerate(ring.lift(v))
+            if d
+        }
+        return MultiSeries(
+            ("x", "y", "w", "q"),
+            coeffs,
+            caps=(degree, degree, degree, self.qorder),
+            total=degree,
+            tgroup=(0, 1, 2),
+        )
 
     def is_associative(self) -> bool:
         return self.associativity_defect().is_zero()
@@ -300,17 +526,33 @@ class FormalGroupLaw:
 def fgl_from_coordinate(kind: str, degree: int, qorder: int) -> FormalGroupLaw:
     """F(x, y) = g(G(g^-1(x), g^-1(y))) for the coordinate g of ``coordinate_w``.
 
-    G is the kind's base law in ``BASE_LAWS``.  g is integral with linear
-    coefficient 1, so its Lagrange reversion and the law are integral
-    too: every coefficient of the table is an int.
+    G is x + y, or x + y + xy for the kinds in ``PRODUCT_TERM``.  g is
+    integral with linear coefficient 1, so its Lagrange reversion and the
+    law are integral too: every coefficient of the table is an int.  The
+    whole build runs on packed ints (``_Packed``) at the width
+    ``_law_width`` proves sufficient.
     """
-    g = coordinate_w(kind, degree, qorder)
-    ginv = g.reversion()
-    kw = dict(caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
-    a = ginv.rename({"w": "x"}).lift(XYQ, **kw)
-    b = ginv.rename({"w": "y"}).lift(XYQ, **kw)
-    q = MultiSeries.gen(XYQ, "q", **kw)
-    table = g.subs({"w": BASE_LAWS[kind](a, b), "q": q})
+    rows = _coordinate_rows(kind, degree, qorder)
+    if degree < 1 or qorder < 0:
+        raise ValueError("reversion requires an invertible linear coefficient")
+    product = PRODUCT_TERM[kind]
+    ring = _Packed(_law_width(rows, degree, product), qorder + 1)
+    _, ginv, packed = _law(ring, [ring.pack(row) for row in rows], degree, product)
+    terms = {
+        (i, j, e): c
+        for (i, j), v in packed.items()
+        for e, c in enumerate(ring.lift(v))
+        if c
+    }
+    qsupport = [{e for e, c in enumerate(ring.lift(v)) if c} for v in ginv]
+    order = sorted(terms, key=_build_order(qsupport, product))
+    table = MultiSeries(
+        XYQ,
+        {t: terms[t] for t in order},
+        caps=(degree, degree, qorder),
+        total=degree,
+        tgroup=(0, 1),
+    )
     return FormalGroupLaw(kind, degree, qorder, table)
 
 

@@ -315,6 +315,33 @@ def test_sheaf_refuses_degree_past_cochain_limit():
     assert str(estimate).encode() in proc.stderr
 
 
+@pytest.mark.parametrize("degree, qorder", [(20, 86), (3, 10**400)])
+def test_fgl_refuses_work_past_the_limit(degree, qorder, capsys):
+    assert cli._fgl_work(degree, qorder) > cli.FGL_WORK_LIMIT
+    argv = ["fgl", "--coordinate", "sigma", "--degree", str(degree), "--qorder", str(qorder)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cli._fgl_work(degree, qorder)) in err
+
+
+def test_fgl_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
+    """(20, 85) passes the guard; a small law stands in for its 10 s build."""
+    assert cli._fgl_work(20, 85) <= cli.FGL_WORK_LIMIT
+    built = []
+    real = cli.fgl_from_coordinate
+
+    def small_law(kind, degree, qorder):
+        built.append((kind, degree, qorder))
+        return real(kind, 2, 0)
+
+    monkeypatch.setattr(cli, "fgl_from_coordinate", small_law)
+    assert cli.main(["fgl", "--coordinate", "sigma", "--degree", "20", "--qorder", "85"]) == 0
+    assert built == [("sigma", 20, 85)]
+    assert capsys.readouterr().err == ""
+
+
 def test_sheaf_bad_anchor_is_usage_error():
     proc = run("sheaf", "--weights", "1,2", "--anchor", "1/x,0", "--sections")
     assert proc.returncode == 2

@@ -15,6 +15,7 @@ import cmath
 import itertools
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -80,9 +81,13 @@ from ellforge.sheafmodel import (
     localized_transition_rank,
 )
 from ellforge.sigma import (
+    PRODUCT_TERM,
     QZ,
     WQ,
     XYQ,
+    _coordinate_rows,
+    _defect_width,
+    _law_width,
     coordinate_w,
     fgl_from_coordinate,
     sigma_product,
@@ -513,6 +518,38 @@ def zreversion_fgl(kind, degree, qorder):
         if ck is not None:
             acc = acc + p * MultiSeries(XYQ, {(0, 0, e): f for e, f in ck.coeffs.items()}, **kw)
     return acc
+
+
+def multiseries_fgl(kind, degree, qorder):
+    """g(G(g^-1(x), g^-1(y))) by MultiSeries reversion and one subs."""
+    g = coordinate_w(kind, degree, qorder)
+    ginv = g.reversion()
+    kw = dict(caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
+    a = ginv.rename({"w": "x"}).lift(XYQ, **kw)
+    b = ginv.rename({"w": "y"}).lift(XYQ, **kw)
+    q = MultiSeries.gen(XYQ, "q", **kw)
+    base = a + b + a * b if PRODUCT_TERM[kind] else a + b
+    return g.subs({"w": base, "q": q})
+
+
+def multiseries_sides(law):
+    """F(F(x,y),w) and F(x,F(y,w)) by three-variable subs."""
+    V = ("x", "y", "w", "q")
+    caps = (law.degree, law.degree, law.degree, law.qorder)
+    kw = dict(caps=caps, total=law.degree, tgroup=(0, 1, 2))
+    gx = MultiSeries.gen(V, "x", **kw)
+    gw = MultiSeries.gen(V, "w", **kw)
+    gq = MultiSeries.gen(V, "q", **kw)
+    f_xy = law.table.lift(V, **kw)
+    f_yw = law.table.rename({"x": "y", "y": "w"}).lift(V, **kw)
+    left = law.table.subs({"x": f_xy, "y": gw, "q": gq})
+    right = law.table.subs({"x": gx, "y": f_yw, "q": gq})
+    return left, right
+
+
+def multiseries_defect(law):
+    left, right = multiseries_sides(law)
+    return left - right
 
 
 # ------------------------------------------------------ Weil monomial sweep
@@ -1692,6 +1729,85 @@ def test_integral_fgl_matches_zreversion(kind, degree, qorder):
 
 def test_integral_fgl_matches_zreversion_at_12_8():
     assert fgl_from_coordinate("sigma", 12, 8).table == zreversion_fgl("sigma", 12, 8)
+
+
+FGL_KINDS = ["additive", "multiplicative", "sigma"]
+FGL_GRID = [(1, 0), (3, 0), (6, 3), (10, 6), (12, 8), (16, 10)]
+
+
+@pytest.fixture(scope="module")
+def multiseries_laws():
+    """The MultiSeries build for each (kind, degree, qorder), built once."""
+    built = {}
+
+    def get(kind, degree, qorder):
+        key = kind, degree, qorder
+        if key not in built:
+            built[key] = multiseries_fgl(*key)
+        return built[key]
+
+    return get
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+@pytest.mark.parametrize("degree, qorder", FGL_GRID)
+def test_packed_fgl_matches_multiseries_build(kind, degree, qorder, multiseries_laws):
+    law = fgl_from_coordinate(kind, degree, qorder)
+    want = multiseries_laws(kind, degree, qorder)
+    assert law.table == want
+    assert (law.table.caps, law.table.total, law.table.tgroup) == (want.caps, want.total, want.tgroup)
+    # evaluate sums the table in its order, so the order is part of the law
+    assert list(law.table.coeffs) == list(want.coeffs)
+    assert (law.is_associative(), multiseries_defect(law).is_zero()) == (True, True)
+
+
+@pytest.mark.parametrize("kind", FGL_KINDS)
+@pytest.mark.parametrize("degree, qorder", FGL_GRID)
+def test_lifted_values_fit_the_proven_width(kind, degree, qorder, multiseries_laws):
+    """Every value the packed engine lifts has |c| < 2^(B-1) at its width B.
+
+    The values are recomputed by the MultiSeries engine: the Lagrange
+    numerators k [w^k] g^-1, the table, and |left| + |right| of the
+    associativity defect, coefficient by coefficient.
+    """
+    rows = _coordinate_rows(kind, degree, qorder)
+    width = _law_width(rows, degree, PRODUCT_TERM[kind])
+    ginv = coordinate_w(kind, degree, qorder).reversion()
+    numerators = [k * c for (k, _), c in ginv.coeffs.items()]
+    table = multiseries_laws(kind, degree, qorder)
+    assert max(map(abs, numerators + list(table.coeffs.values()))) < 2 ** (width - 1)
+    law = fgl_from_coordinate(kind, degree, qorder)
+    table_rows = {}
+    for (a, b, e), c in law.table.coeffs.items():
+        table_rows.setdefault((a, b), [0] * (qorder + 1))[e] = c
+    defect_width = _defect_width(table_rows, degree)
+    left, right = multiseries_sides(law)
+    sides = [
+        abs(left.coeffs.get(e, 0)) + abs(right.coeffs.get(e, 0))
+        for e in left.coeffs.keys() | right.coeffs.keys()
+    ]
+    assert max(sides) < 2 ** (defect_width - 1)
+
+
+@pytest.fixture(scope="module")
+def sigma_10_6():
+    return fgl_from_coordinate("sigma", 10, 6)
+
+
+@pytest.mark.parametrize(
+    "term, delta",
+    [((2, 3, 0), 1), ((1, 3, 6), 1), ((3, 7, 0), -1)],
+    ids=["q0", "top-q-slot", "degree-D"],
+)
+def test_packed_check_sees_a_unit_change(sigma_10_6, term, delta):
+    """A unit change breaks associativity, also in the top q-slot, where
+    a carry out of a too-narrow slot would vanish under the mask."""
+    coeffs = dict(sigma_10_6.table.coeffs)
+    coeffs[term] = coeffs.get(term, 0) + delta
+    bad = replace(sigma_10_6, table=sigma_10_6.table._like(coeffs))
+    assert not bad.is_associative()
+    assert not multiseries_defect(bad).is_zero()
+    assert bad.associativity_defect() == multiseries_defect(bad)
 
 
 @settings(max_examples=80, derandomize=True)

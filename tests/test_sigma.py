@@ -175,6 +175,13 @@ def test_extra_y_free_term_or_wrong_x_coefficient_is_not_unital():
         assert not bad.is_unital(), change
 
 
+def test_non_integral_coefficient_is_refused_by_the_packed_check():
+    f = fgl_from_coordinate("sigma", 6, 3)
+    bad = replace(f, table=f.table._like({**f.table.coeffs, (2, 3, 1): Fraction(1, 2)}))
+    with pytest.raises(ValueError, match="not an integer"):
+        bad.is_associative()
+
+
 def test_sigma_law_q0_slice_is_multiplicative_type(sigma_law):
     assert dict(sigma_law.q_zero_slice().coeffs) == {
         (1, 0): 1,
