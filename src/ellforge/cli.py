@@ -43,7 +43,7 @@ from .fermion import (
     weyl_defect,
 )
 from .modforms import Lattice, check_weight, delta_q, eisenstein_lattice, eisenstein_q
-from .series import Gaussian, MultiSeries, TruncatedSeries, differing_terms
+from .series import MultiSeries, TruncatedSeries, differing_terms
 from .sheafmodel import (
     CircleActionSpace,
     FiniteGroupTable,
@@ -75,21 +75,35 @@ def _sig17(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _scalar_json(c):
+def _turned(e, c, turn: bool):
+    """(+-c, imaginary) with i^|e| c = +-c or +-c i, when ``turn`` is set.
+
+    ``euler`` builds its classes in y_j = i F_j, where every coefficient is
+    rational, and they are printed in F: c y^e is i^|e| c F^e.
+    """
+    k = sum(e) if turn else 0
+    return (-c if k % 4 >= 2 else c), k % 2 == 1
+
+
+def _scalar_json(c, imaginary=False):
+    """JSON of c, or of i c as ["0", "c"]; a q-series entry by entry."""
     if isinstance(c, TruncatedSeries):
-        return c.to_json()
-    if isinstance(c, Gaussian):
-        return [str(c.re), str(c.im)]
+        out = c.to_json()
+        if imaginary:
+            out["coeffs"] = [[n, "0", x] for n, x in out["coeffs"]]
+        return out
     if isinstance(c, (int, Fraction)):
-        return str(c)
+        return ["0", str(c)] if imaginary else str(c)
     z = complex(c)
     return [_sig17(z.real), _sig17(z.imag)]
 
 
-def _series_json(ms: MultiSeries) -> dict:
+def _series_json(ms: MultiSeries, turn=False) -> dict:
     out = {
         "vars": list(ms.vars),
-        "terms": [[list(e), _scalar_json(c)] for e, c in sorted(ms.coeffs.items())],
+        "terms": [
+            [list(e), _scalar_json(*_turned(e, c, turn))] for e, c in sorted(ms.coeffs.items())
+        ],
     }
     if ms.caps is not None:
         out["caps"] = list(ms.caps)
@@ -104,15 +118,8 @@ def _element_json(el) -> list:
     ]
 
 
-def _scalar_text(c) -> str:
-    if isinstance(c, Gaussian):
-        if c.im == 0:
-            return str(c.re)
-        if c.re == 0:
-            return f"{c.im}i"
-        sign = "+" if c.im > 0 else "-"
-        return f"{c.re}{sign}{abs(c.im)}i"
-    return str(c)
+def _scalar_text(c, imaginary=False) -> str:
+    return f"{c}i" if imaginary and c else str(c)
 
 
 def _mono_text(names, exps) -> str:
@@ -190,7 +197,7 @@ def _grid(ms: MultiSeries, row_idx, q_idx):
     return headers, rows
 
 
-def _qseries_grid(ms: MultiSeries, qorder):
+def _qseries_grid(ms: MultiSeries, qorder, turn=False):
     """Same layout when the coefficients are themselves q-series."""
 
     def qc(c, n):
@@ -201,10 +208,10 @@ def _qseries_grid(ms: MultiSeries, qorder):
     headers = ["term"] + [f"q^{n}" for n in range(qorder + 1)]
     rows = []
     for e in sorted(ms.coeffs):
-        c = ms.coeffs[e]
+        c, imaginary = _turned(e, ms.coeffs[e], turn)
         cells = [_mono_text(ms.vars, e)]
         for n in range(qorder + 1):
-            cells.append(_scalar_text(qc(c, n)))
+            cells.append(_scalar_text(qc(c, n), imaginary))
         rows.append(cells)
     return headers, rows
 
@@ -368,10 +375,10 @@ def _cmd_euler(args):
         "roots": m,
         "nilpotency": deg,
         "qorder": qo,
-        "twisted": _series_json(tw),
-        "corrected": _series_json(co),
-        "linear_anomaly": _series_json(lin),
-        "g2_anomaly": _series_json(g2a),
+        "twisted": _series_json(tw, turn=True),
+        "corrected": _series_json(co, turn=True),
+        "linear_anomaly": _series_json(lin, turn=True),
+        "g2_anomaly": _series_json(g2a, turn=True),
         "factorization_exact": anomaly_factorization_ok(m, deg, qo),
     }
     if args.json:
@@ -385,7 +392,7 @@ def _cmd_euler(args):
     ):
         print()
         print(label)
-        headers, rows = _qseries_grid(ms, qo)
+        headers, rows = _qseries_grid(ms, qo, turn=True)
         _print_table(headers, rows)
     print()
     print(f"factorization exact: {'yes' if payload['factorization_exact'] else 'no'}")
@@ -627,7 +634,8 @@ class CheckReport:
 
 # Each suite takes the parameters p of its _SUITES entry, the seed and the
 # tolerance, and returns (ok, residuals) or (ok, residuals, measured), where
-# measured holds parameters known only once the suite has run.
+# measured holds parameters known only once the suite has run, and the seed
+# for the suites that read it.
 
 
 def _sigma_identity(p, seed, tol):
@@ -690,7 +698,7 @@ def _looijenga(p, seed, tol):
         for chk in looijenga_check(lat, datum, tol):
             worst = max(worst, chk.rel_err)
             ok = ok and chk.ok
-    return ok, [worst]
+    return ok, [worst], {"seed": seed}
 
 
 def _euler_anomaly(p, seed, tol):
@@ -710,7 +718,7 @@ def _modularity(p, seed, tol):
         lambda lat: eisenstein_lattice(p["k"], lat, p["qorder"]), p["k"],
         count=p["samples"], seed=seed, tol=tol,
     )
-    return chk.ok, [chk.max_rel], {"samples": chk.samples}
+    return chk.ok, [chk.max_rel], {"samples": chk.samples, "seed": seed}
 
 
 def _derham(p, seed, tol):
@@ -791,7 +799,7 @@ def run_checks(names, seed, tol):
         applied = default_tol if tol is None else tol
         t0 = time.perf_counter()
         ok, residuals, *measured = suite(params, seed, applied)
-        parameters = dict(params, seed=seed)
+        parameters = dict(params)
         if default_tol is not None:
             parameters["tol"] = applied
         parameters.update(*measured)

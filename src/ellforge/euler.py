@@ -3,7 +3,11 @@
 A rank-m bundle contributes formal roots F_1..F_m, nilpotent beyond a
 chosen total degree.  Polynomials in the roots live in MultiSeries with
 q-expansion coefficients; the second period is normalized to 1 and each
-root enters the coordinate at z_j = 2 i F_j.
+root enters the coordinate at z_j = 2 i F_j.  The classes are built in the
+rescaled roots y_j = i F_j, so z_j = 2 y_j and every coefficient is a
+rational q-series; the variables keep the names F1..Fm.  The coefficient
+of F^e is i^|e| times the stored coefficient of y^e, and the command line
+applies that power of i when it prints a class.
 
 The twisted class is the coordinate itself over the roots; the corrected
 class keeps only the honestly modular part of the exponential (weights
@@ -15,13 +19,10 @@ components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .modforms import eisenstein_q, homogeneous_fit, weight_monomials
-from .series import Gaussian, MultiSeries, TruncatedSeries
+from .series import MultiSeries, TruncatedSeries
 from .sigma import exp_weight, sigma_product
-
-TWO_I = Gaussian(0, 2)
 
 
 def root_vars(m: int):
@@ -35,7 +36,7 @@ def _unit_exp(v, name, k, m):
 
 
 def twisted_euler(m: int, degree: int, qorder: int) -> MultiSeries:
-    """prod_j sigma(2 i F_j), assembled from the product-form z-slices."""
+    """prod_j sigma(2 y_j), assembled from the product-form z-slices."""
     v = root_vars(m)
     sigma = sigma_product(qorder, degree)
     slices = [sigma.coeff_in("z", k).as_univariate() for k in range(degree + 1)]
@@ -46,40 +47,40 @@ def twisted_euler(m: int, degree: int, qorder: int) -> MultiSeries:
             c = slices[k]
             if c.is_zero():
                 continue
-            table[_unit_exp(v, name, k, m)] = c * TWO_I**k
+            table[_unit_exp(v, name, k, m)] = c * 2**k
         out = out * MultiSeries(v, table, total=degree)
     return out
 
 
 def corrected_euler(m: int, degree: int, qorder: int) -> MultiSeries:
-    """prod_j (2 i F_j) exp(sum_{k>=2} w_k G_2k (2 i F_j)^{2k}): the modular part."""
+    """prod_j 2 y_j exp(sum_{k>=2} w_k G_2k 4^k y_j^{2k}): the modular part."""
     v = root_vars(m)
     one_q = TruncatedSeries.one("q", qorder)
     out = MultiSeries.one(v, total=degree)
     for name in v:
         arg = MultiSeries.zero(v, total=degree)
         for k in range(2, degree // 2 + 1):
-            coeff = eisenstein_q(2 * k, qorder) * (exp_weight(k) * (TWO_I ** (2 * k)))
+            coeff = eisenstein_q(2 * k, qorder) * (exp_weight(k) * 4**k)
             arg = arg + MultiSeries(v, {_unit_exp(v, name, 2 * k, m): coeff}, total=degree)
-        lead = MultiSeries(v, {_unit_exp(v, name, 1, m): one_q * TWO_I}, total=degree)
+        lead = MultiSeries(v, {_unit_exp(v, name, 1, m): one_q * 2}, total=degree)
         out = out * lead * arg.exp()
     return out
 
 
 def linear_anomaly(m: int, degree: int, qorder: int) -> MultiSeries:
-    """exp(-(1/2) sum z_j) = exp(-i sum F_j)."""
+    """exp(-(1/2) sum z_j) = exp(-sum y_j)."""
     v = root_vars(m)
-    minus_i = TruncatedSeries.const("q", qorder, Gaussian(0, -1))
+    minus_one = TruncatedSeries.const("q", qorder, -1)
     arg = MultiSeries(
-        v, {_unit_exp(v, name, 1, m): minus_i for name in v}, total=degree
+        v, {_unit_exp(v, name, 1, m): minus_one for name in v}, total=degree
     )
     return arg.exp()
 
 
 def g2_anomaly(m: int, degree: int, qorder: int) -> MultiSeries:
-    """exp(-G_2 sum z_j^2) = exp(4 G_2 sum F_j^2)."""
+    """exp(-G_2 sum z_j^2) = exp(-4 G_2 sum y_j^2)."""
     v = root_vars(m)
-    g2 = eisenstein_q(2, qorder) * Fraction(4)
+    g2 = eisenstein_q(2, qorder) * -4
     arg = MultiSeries(
         v, {_unit_exp(v, name, 2, m): g2 for name in v}, total=degree
     )
@@ -107,9 +108,9 @@ class CertificateReport:
 def g2_free_certificate(cls: MultiSeries, rank: int) -> CertificateReport:
     """Prove every root-monomial coefficient is an isobaric G_4/G_6 polynomial.
 
-    The monomial prod F_j^(k_j) must carry, after stripping the (2i)^K
-    unit, a rational q-series equal to a weight (K - rank) polynomial in
-    G_4 and G_6, solved exactly; a genuinely quasimodular class fails.
+    The monomial prod y_j^(k_j) must carry, after stripping the 2^K from
+    z = 2y, a q-series equal to a weight (K - rank) polynomial in G_4 and
+    G_6, solved exactly; a genuinely quasimodular class fails.
     Demands enough q-coefficients to overdetermine each solve.
     """
     failures = []
@@ -119,10 +120,7 @@ def g2_free_certificate(cls: MultiSeries, rank: int) -> CertificateReport:
         k_total = sum(e)
         weight = k_total - rank
         checked += 1
-        r = s / TWO_I**k_total
-        if any(isinstance(c, Gaussian) for c in r.coeffs.values()):
-            failures.append((e, "unit mismatch"))
-            continue
+        r = s / 2**k_total
         monos = weight_monomials(weight)
         if r.trunc < len(monos) + 1:
             raise ValueError(

@@ -1,10 +1,9 @@
 """Exact truncated series arithmetic.
 
-Univariate power and Laurent series over exact rationals (optionally
-Gaussian rationals), plus a sparse multivariate companion used for
-group-law expansions, box-truncated (q, z) tables, and nilpotent root
-algebras.  Coefficient arithmetic is exact everywhere; floating point
-appears only in the numeric evaluators.
+Univariate power and Laurent series over exact rationals, plus a sparse
+multivariate companion used for group-law expansions, box-truncated
+(q, z) tables, and nilpotent root algebras.  Coefficient arithmetic is
+exact everywhere; floating point appears only in the numeric evaluators.
 """
 from __future__ import annotations
 
@@ -19,139 +18,12 @@ from operator import add, le
 LAURENT_FLOOR = -24
 
 
-class Gaussian:
-    """Gaussian rational re + im*i with exact Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def conjugate(self) -> "Gaussian":
-        return Gaussian(self.re, -self.im)
-
-    def __add__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        return _norm_scalar(Gaussian(self.re + o.re, self.im + o.im))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        return _norm_scalar(Gaussian(self.re - o.re, self.im - o.im))
-
-    def __rsub__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        return _norm_scalar(Gaussian(o.re - self.re, o.im - self.im))
-
-    def __neg__(self):
-        return Gaussian(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        return _norm_scalar(
-            Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _norm_scalar(
-            Gaussian(
-                (self.re * o.re + self.im * o.im) / n,
-                (self.im * o.re - self.re * o.im) / n,
-            )
-        )
-
-    def __rtruediv__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (Fraction(1) / self) ** (-n)
-        out = Fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return _norm_scalar(out)
-
-    def __eq__(self, other):
-        if isinstance(other, Gaussian):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    def __repr__(self):
-        return f"Gaussian({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
-
-
-I = Gaussian(0, 1)
-
-
-def _as_gaussian(x):
-    if isinstance(x, Gaussian):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Gaussian(x)
-    return None
-
-
-def _norm_scalar(c):
-    # collapse Gaussian rationals with zero imaginary part back to Fraction
-    if isinstance(c, Gaussian) and c.im == 0:
-        return c.re
-    return c
-
-
 def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, (Fraction, Gaussian)):
-        return _norm_scalar(c)
-    raise TypeError(f"unsupported coefficient {c!r}")
+    if isinstance(c, Fraction):
+        return c
+    raise TypeError(f"unsupported coefficient {c!r}: not a rational")
 
 
 class TruncatedSeries:
@@ -242,7 +114,7 @@ class TruncatedSeries:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian)):
+        if isinstance(other, (int, Fraction)):
             other = TruncatedSeries(self.var, self.trunc, {0: other}, min(self.minexp, 0))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -274,7 +146,7 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian)):
+        if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if c == 0:
                 return TruncatedSeries.zero(self.var, self.trunc, self.minexp)
@@ -305,7 +177,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian)):
+        if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             return self.map_coeffs(lambda x: x / c)
         if not isinstance(other, TruncatedSeries):
@@ -339,7 +211,7 @@ class TruncatedSeries:
         lead = self.coeffs[v]
         n = self.trunc - v  # number of known coefficients past the lead
         # a = lead * x^v * (1 + u), solve (1+u)^-1 term by term
-        inv0 = 1 / lead if isinstance(lead, Fraction) else Fraction(1) / lead
+        inv0 = 1 / lead
         b = {0: inv0}
         for k in range(1, n + 1):
             s = 0
@@ -367,21 +239,6 @@ class TruncatedSeries:
             if term.is_zero():
                 break
             out = out + term
-        return out
-
-    def log(self) -> "TruncatedSeries":
-        if self.coeff(0) != 1:
-            raise ValueError("log requires constant term 1")
-        if any(e < 0 for e in self.coeffs):
-            raise ValueError("log of a series with negative exponents")
-        u = self - 1
-        out = TruncatedSeries.zero(self.var, self.trunc)
-        p = TruncatedSeries.one(self.var, self.trunc)
-        for k in range(1, self.trunc + 1):
-            p = p * u
-            if p.is_zero():
-                break
-            out = out + p * Fraction((-1) ** (k + 1), k)
         return out
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -436,13 +293,7 @@ class TruncatedSeries:
         return out
 
     def to_json(self) -> dict:
-        pairs = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if isinstance(c, Gaussian):
-                pairs.append([e, str(c.re), str(c.im)])
-            else:
-                pairs.append([e, str(c)])
+        pairs = [[e, str(self.coeffs[e])] for e in sorted(self.coeffs)]
         return {"var": self.var, "min": self.minexp, "trunc": self.trunc, "coeffs": pairs}
 
     @classmethod
@@ -454,14 +305,13 @@ class TruncatedSeries:
             if last is not None and e <= last:
                 raise ValueError("exponents must be strictly increasing")
             last = e
-            if len(entry) == 2:
-                table[e] = Fraction(entry[1])
-            else:
-                table[e] = Gaussian(Fraction(entry[1]), Fraction(entry[2]))
+            if len(entry) != 2:
+                raise ValueError(f"coefficient entry {entry!r} is not [exponent, rational]")
+            table[e] = Fraction(entry[1])
         return cls(data["var"], int(data["trunc"]), table, int(data["min"]))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian)):
+        if isinstance(other, (int, Fraction)):
             other = TruncatedSeries(self.var, self.trunc, {0: other})
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -475,10 +325,7 @@ class TruncatedSeries:
             return f"0 + O({self.var}^{self.trunc + 1})"
         parts = []
         for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            cs = str(c)
-            if isinstance(c, Gaussian) and c.re != 0 and c.im != 0:
-                cs = f"({cs})"
+            cs = str(self.coeffs[e])
             if e == 0:
                 parts.append(cs)
             elif e == 1:
@@ -558,10 +405,10 @@ class MultiSeries:
     Truncation policy: an optional per-variable cap vector and an optional
     total-degree bound, the latter counted over a chosen subset of the
     variables (``tgroup``, default all).  At least one bound must be set.
-    Coefficients may be int, Fraction, Gaussian, or TruncatedSeries in an
-    auxiliary variable, so the same class covers integral and rational
-    group-law tables, box-truncated (q, z) data, and nilpotent root
-    algebras over the q-expansion ring.  Integer coefficients are kept as
+    Coefficients may be int, Fraction, or TruncatedSeries in an auxiliary
+    variable, so the same class covers integral and rational group-law
+    tables, box-truncated (q, z) data, and nilpotent root algebras over
+    the q-expansion ring.  Integer coefficients are kept as
     ints, so integral series stay integral through every ring operation.
 
     Operands of one operation must count their totals over the same
@@ -669,7 +516,7 @@ class MultiSeries:
         return caps, total
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian, TruncatedSeries)):
+        if isinstance(other, (int, Fraction, TruncatedSeries)):
             z = (0,) * len(self.vars)
             other = self._like({z: other})
         if not isinstance(other, MultiSeries):
@@ -711,7 +558,7 @@ class MultiSeries:
         return self._like({e: x * c for e, x in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian, TruncatedSeries)):
+        if isinstance(other, (int, Fraction, TruncatedSeries)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
             return NotImplemented
@@ -744,8 +591,6 @@ class MultiSeries:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return self.map_coeffs(lambda x: x / c)
-        if isinstance(other, Gaussian):
-            return self.map_coeffs(lambda x: x / other)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -907,24 +752,6 @@ class MultiSeries:
             out = out + term
         return out
 
-    def log(self) -> "MultiSeries":
-        zero_key = (0,) * len(self.vars)
-        c0 = self.coeffs.get(zero_key, Fraction(0))
-        if not (isinstance(c0, (int, Fraction)) and c0 == 1) and not (
-            isinstance(c0, TruncatedSeries) and c0 == 1
-        ):
-            raise ValueError("log requires constant term 1")
-        u = self - 1
-        bound = self._nilpotency_bound()
-        out = MultiSeries.zero(self.vars, self.caps, self.total, self.tgroup)
-        p = MultiSeries.one(self.vars, self.caps, self.total, self.tgroup)
-        for k in range(1, bound + 1):
-            p = p * u
-            if p.is_zero():
-                break
-            out = out + p * Fraction((-1) ** (k + 1), k)
-        return out
-
     def _nilpotency_bound(self) -> int:
         # any series with zero constant term vanishes beyond this power
         if self.caps is not None:
@@ -988,11 +815,8 @@ class MultiSeries:
     # ---- comparisons / display ----
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Gaussian)):
-            z = (0,) * len(self.vars)
-            if _is_zero_coeff(_coerce(other) if isinstance(other, int) else other):
-                return not self.coeffs
-            return self.coeffs == {z: other if not isinstance(other, int) else Fraction(other)}
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs == ({(0,) * len(self.vars): other} if other else {})
         if not isinstance(other, MultiSeries):
             return NotImplemented
         return self.vars == other.vars and self.coeffs == other.coeffs
@@ -1020,8 +844,8 @@ class MultiSeries:
 
 
 # ------------------------------------------------------------------ exact
-# linear algebra over the coefficient field (Fraction or Gaussian), used by
-# the modular-fit solvers, kernel computations, and rank checks.
+# linear algebra over the rationals, used by the modular-fit solvers,
+# kernel computations, and rank checks.
 
 # ELLFORGE_TRACE=1 writes one stderr line per elimination: caller, shape,
 # input nonzeros, rank and seconds.  Standard output is never touched.

@@ -334,8 +334,8 @@ def _mul2(a: dict, b: dict, degree: int, mask: int) -> dict:
 def _law(ring, g: list, degree: int, product: bool):
     """F = g(G(g^-1(x), g^-1(y))) in ``ring``, from g by w-degree.
 
-    Returns the Lagrange numerators [w^(k-1)] r^k for k = 1..degree, the
-    coefficients of g^-1 by w-degree, and F as {(i, j): F_ij}.
+    Returns the Lagrange numerators [w^(k-1)] r^k for k = 1..degree and F
+    as {(i, j): F_ij}.
     """
     mask = ring.mask
     # r = 1/u for u = g/w = 1 + u_1 w + ...: r_n = -sum_{i>=1} u_i r_(n-i)
@@ -366,7 +366,7 @@ def _law(ring, g: list, degree: int, product: bool):
         if g[d]:
             for key, v in power.items():
                 table[key] = table.get(key, 0) + g[d] * v
-    return numerators, ginv, {key: v & mask for key, v in table.items() if v & mask}
+    return numerators, {key: v & mask for key, v in table.items() if v & mask}
 
 
 def _law_width(rows: list, degree: int, product: bool) -> int:
@@ -378,7 +378,7 @@ def _law_width(rows: list, degree: int, product: bool) -> int:
     with room to spare.  A width read off the results instead would not
     be a proof, since a digit that outgrows its slot carries silently.
     """
-    numerators, _, table = _law(_NORMS, [_NORMS.pack(row) for row in rows], degree, product)
+    numerators, table = _law(_NORMS, [_NORMS.pack(row) for row in rows], degree, product)
     return max(numerators + list(table.values())).bit_length() + 2
 
 
@@ -422,34 +422,6 @@ def _defect_width(rows: dict, degree: int) -> int:
     return max(_defect(_NORMS, norms, degree).values(), default=0).bit_length() + 2
 
 
-def _build_order(qsupport: list, product: bool):
-    """Sort key: the order in which the MultiSeries build reached each term.
-
-    That build substituted G = A + B (+ AB) into g one power of G at a
-    time.  Its first power placed the terms of G by (i + j, e), each group
-    as G lists them: x^n, y^n, then the mixed terms by ascending i.  The
-    terms of F that G lacks (for sigma, x^2 y q^e and x y^2 q^e, since
-    g^-1 has no q-terms below w^3) came from G^3, by e and descending i.
-    ``evaluate`` sums the table in its order, and ``check group-law``
-    prints the residual of that float sum, so the order is kept.
-    qsupport[i] holds the q-exponents of [w^i] g^-1, and a q-exponent of
-    AB counts as present when two of theirs add up to it; the fixed-grid
-    oracle test compares the whole order with the MultiSeries build.
-    """
-
-    def key(term):
-        i, j, e = term
-        if i == 0 or j == 0:
-            in_base = e in qsupport[i + j]
-        else:
-            in_base = product and any(e - e1 in qsupport[j] for e1 in qsupport[i])
-        if in_base:
-            return (0, i + j, e, 0 if j == 0 else 1 if i == 0 else 2, i)
-        return (1, e, -i)
-
-    return key
-
-
 @dataclass
 class FormalGroupLaw:
     kind: str
@@ -465,9 +437,20 @@ class FormalGroupLaw:
         return TruncatedSeries("q", self.qorder, out)
 
     def evaluate(self, x: complex, y: complex, q: complex) -> complex:
-        total = 0j
+        """F(x, y) at a point, each x^i y^j coefficient by Horner in q.
+
+        The terms are summed in sorted (i, j) order, so the float result
+        depends on the law alone, not on the order the table was built in.
+        """
+        rows = {}
         for (a, b, e), c in self.table.coeffs.items():
-            total += complex(c) * x**a * y**b * q**e
+            rows.setdefault((a, b), {})[e] = c
+        total = 0j
+        for (a, b), row in sorted(rows.items()):
+            h = 0j
+            for e in range(max(row), -1, -1):
+                h = h * q + row.get(e, 0)
+            total += h * x**a * y**b
         return total
 
     def q_zero_slice(self) -> MultiSeries:
@@ -537,18 +520,16 @@ def fgl_from_coordinate(kind: str, degree: int, qorder: int) -> FormalGroupLaw:
         raise ValueError("reversion requires an invertible linear coefficient")
     product = PRODUCT_TERM[kind]
     ring = _Packed(_law_width(rows, degree, product), qorder + 1)
-    _, ginv, packed = _law(ring, [ring.pack(row) for row in rows], degree, product)
+    _, packed = _law(ring, [ring.pack(row) for row in rows], degree, product)
     terms = {
         (i, j, e): c
         for (i, j), v in packed.items()
         for e, c in enumerate(ring.lift(v))
         if c
     }
-    qsupport = [{e for e, c in enumerate(ring.lift(v)) if c} for v in ginv]
-    order = sorted(terms, key=_build_order(qsupport, product))
     table = MultiSeries(
         XYQ,
-        {t: terms[t] for t in order},
+        terms,
         caps=(degree, degree, qorder),
         total=degree,
         tgroup=(0, 1),

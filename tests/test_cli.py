@@ -99,7 +99,7 @@ def test_suite_parameters_are_what_runs_and_what_is_reported(monkeypatch):
     report = cli.run_checks(["sigma-identity"], 0, None)[0]
     assert calls == [(3, 8)]
     assert report.status == "pass"
-    assert report.to_json()["parameters"] == {"qorder": "3", "seed": "0", "zorder": "8"}
+    assert report.to_json()["parameters"] == {"qorder": "3", "zorder": "8"}
 
 
 def test_check_list_names_every_suite():
@@ -129,6 +129,12 @@ def test_applied_tolerance_is_reported():
         assert report["parameters"]["tol"] == tol
     report = json.loads(run("check", "sigma-identity", "--tol", "1e-3", "--json").stdout)
     assert "tol" not in report["reports"][0]["parameters"]
+
+
+def test_seed_is_reported_only_by_the_suites_that_read_it():
+    reports = cli.run_checks(list(cli._SUITES), 7, None)
+    seeds = {r.name: r.to_json()["parameters"]["seed"] for r in reports if "seed" in r.parameters}
+    assert seeds == {"looijenga": "7", "modularity": "7"}
 
 
 def test_seed_is_printed_and_respected():
@@ -357,6 +363,10 @@ def _golden_bytes(name):
 
 EMIT_CASES = [
     (["euler", "--roots", "2", "--nilpotency", "4", "--qorder", "2"], "euler_r2_n4_q2.txt"),
+    # the classes are built in y = iF and printed in F: i^3 and i^5 appear
+    (["euler", "--roots", "3", "--nilpotency", "5", "--qorder", "3"], "euler_r3_n5_q3.txt"),
+    (["euler", "--roots", "2", "--nilpotency", "4", "--qorder", "2", "--json"],
+     "euler_r2_n4_q2.json"),
     (["fgl", "--coordinate", "additive", "--degree", "3", "--json"], "fgl_additive_d3.json"),
     (["sigma", "--qorder", "3", "--zorder", "4", "--json"], "sigma_q3_z4.json"),
     (

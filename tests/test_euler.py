@@ -17,20 +17,26 @@ from ellforge.euler import (
     whitney_defect,
 )
 from ellforge.modforms import eisenstein_q, homogeneous_fit
-from ellforge.series import Gaussian, MultiSeries, TruncatedSeries
+from ellforge.series import MultiSeries, TruncatedSeries
 from test_oracles import factor_sigma_product
 
 
+# The classes live in y_j = i F_j with z_j = 2 y_j, so their coefficients
+# are rational; the coefficient of F^e is i^|e| times that of y^e.
+
+
 def test_twisted_leading_term_is_product_of_roots():
+    # (2 y_1)(2 y_2) = -4 F_1 F_2
     tw = twisted_euler(2, 4, 3)
     lead = tw.coeffs[(1, 1)]
-    assert lead == TruncatedSeries.const("q", 3, Fraction(-4))
+    assert lead == TruncatedSeries.const("q", 3, Fraction(4))
 
 
 def test_twisted_cubic_cross_term():
-    # c_1 c_2 (2i)^3 with c_2 = -1/2 from the coordinate expansion
+    # c_1 c_2 2^3 with c_2 = -1/2 from the coordinate expansion: -4 y_1 y_2^2,
+    # which is 4i F_1 F_2^2
     tw = twisted_euler(2, 4, 3)
-    assert tw.coeffs[(1, 2)] == TruncatedSeries.const("q", 3, Gaussian(0, 4))
+    assert tw.coeffs[(1, 2)] == TruncatedSeries.const("q", 3, Fraction(-4))
     assert tw.coeffs[(1, 2)] == tw.coeffs[(2, 1)]
 
 
@@ -63,13 +69,13 @@ def test_factorization_larger():
 
 def test_linear_anomaly_coefficient():
     la = linear_anomaly(2, 4, 3)
-    assert la.coeffs[(1, 0)] == TruncatedSeries.const("q", 3, Gaussian(0, -1))
+    assert la.coeffs[(1, 0)] == TruncatedSeries.const("q", 3, Fraction(-1))
     assert la.coeffs[(0, 1)] == la.coeffs[(1, 0)]
 
 
 def test_g2_anomaly_coefficient():
     g = g2_anomaly(2, 4, 3)
-    assert g.coeffs[(2, 0)] == eisenstein_q(2, 3) * Fraction(4)
+    assert g.coeffs[(2, 0)] == eisenstein_q(2, 3) * Fraction(-4)
 
 
 def test_certificate_accepts_corrected():
@@ -81,12 +87,12 @@ def test_certificate_accepts_corrected():
 
 
 def test_certificate_fit_values():
-    # normalized F^5 coefficient is exactly -G_4/12
+    # normalized y^5 coefficient is exactly -G_4/12
     co = corrected_euler(1, 10, 8)
-    r5 = co.coeffs[(5,)] / Gaussian(0, 2) ** 5
+    r5 = co.coeffs[(5,)] / 2**5
     assert homogeneous_fit(r5, 4) == {(0, 1, 0): Fraction(-1, 12)}
-    # the F^9 coefficient needs the weight-8 relation G_8 = 120 G_4^2
-    r9 = co.coeffs[(9,)] / Gaussian(0, 2) ** 9
+    # the y^9 coefficient needs the weight-8 relation G_8 = 120 G_4^2
+    r9 = co.coeffs[(9,)] / 2**9
     assert homogeneous_fit(r9, 8) == {(0, 2, 0): Fraction(-5, 2016)}
 
 

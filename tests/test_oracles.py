@@ -7,7 +7,9 @@ map, the circle differential carried to real coordinates and the Weil
 relations checked on generators against the dense, object-building,
 per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion,
 product-by-product, real-coordinate and monomial-sweep code they replaced,
-kept here as oracles.
+kept here as oracles; so are the Gaussian rationals, the Euler classes
+built over them in F (the library builds them in y = iF) and the series
+``log`` the library no longer needs.
 """
 from __future__ import annotations
 
@@ -68,7 +70,14 @@ from ellforge.fermion import (
     pf_truncated_ratio,
     sector_z,
 )
-from ellforge.modforms import Lattice, qpochhammer
+from ellforge.euler import (
+    corrected_euler,
+    g2_anomaly,
+    linear_anomaly,
+    root_vars,
+    twisted_euler,
+)
+from ellforge.modforms import Lattice, eisenstein_q, qpochhammer
 from ellforge.sheafmodel import (
     CircleActionSpace,
     _fold,
@@ -89,13 +98,12 @@ from ellforge.sigma import (
     _defect_width,
     _law_width,
     coordinate_w,
+    exp_weight,
     fgl_from_coordinate,
     sigma_product,
     z_coefficients,
 )
 from ellforge.series import (
-    Gaussian,
-    I,
     MultiSeries,
     TruncatedSeries,
     matrix_rank,
@@ -550,6 +558,229 @@ def multiseries_sides(law):
 def multiseries_defect(law):
     left, right = multiseries_sides(law)
     return left - right
+
+
+# ------------------------------------- Gaussian rationals and F-basis Euler
+
+
+class Gaussian:
+    """Gaussian rational re + im*i with exact Fraction parts.
+
+    A second coefficient field for the elimination and MultiSeries tests,
+    whose code works over any field, and the field of the F-basis Euler
+    builders below; a TruncatedSeries holds rationals only.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def conjugate(self) -> "Gaussian":
+        return Gaussian(self.re, -self.im)
+
+    def __add__(self, other):
+        o = _as_gaussian(other)
+        if o is None:
+            return NotImplemented
+        return _norm_scalar(Gaussian(self.re + o.re, self.im + o.im))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _as_gaussian(other)
+        if o is None:
+            return NotImplemented
+        return _norm_scalar(Gaussian(self.re - o.re, self.im - o.im))
+
+    def __rsub__(self, other):
+        o = _as_gaussian(other)
+        if o is None:
+            return NotImplemented
+        return _norm_scalar(Gaussian(o.re - self.re, o.im - self.im))
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        o = _as_gaussian(other)
+        if o is None:
+            return NotImplemented
+        return _norm_scalar(
+            Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _as_gaussian(other)
+        if o is None:
+            return NotImplemented
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _norm_scalar(
+            Gaussian(
+                (self.re * o.re + self.im * o.im) / n,
+                (self.im * o.re - self.re * o.im) / n,
+            )
+        )
+
+    def __rtruediv__(self, other):
+        o = _as_gaussian(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return (Fraction(1) / self) ** (-n)
+        out = Fraction(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return _norm_scalar(out)
+
+    def __eq__(self, other):
+        if isinstance(other, Gaussian):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(self.re, self.im)
+
+    def __repr__(self):
+        return f"Gaussian({self.re!r}, {self.im!r})"
+
+
+I = Gaussian(0, 1)
+TWO_I = Gaussian(0, 2)
+
+
+def _as_gaussian(x):
+    if isinstance(x, Gaussian):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Gaussian(x)
+    return None
+
+
+def _norm_scalar(c):
+    # collapse Gaussian rationals with zero imaginary part back to Fraction
+    if isinstance(c, Gaussian) and c.im == 0:
+        return c.re
+    return c
+
+
+def log(s):
+    """log s = sum_k (-1)^(k+1) (s - 1)^k / k, for s with constant term 1.
+
+    For a TruncatedSeries or a MultiSeries; the sum stops once a power of
+    s - 1 truncates to zero.
+    """
+    if s.coeffs.get((0,) * len(s.vars) if isinstance(s, MultiSeries) else 0) != 1:
+        raise ValueError("log requires constant term 1")
+    u = s - 1
+    out = power = u
+    k = 1
+    while not power.is_zero():
+        k += 1
+        power = power * u
+        out = out + power * Fraction((-1) ** (k + 1), k)
+    return out
+
+
+# The Euler classes in the roots F_j with z_j = 2 i F_j, over the
+# Gaussian rationals.  A TruncatedSeries cannot hold a Gaussian q-series,
+# so q is one more MultiSeries variable here: a class is a series in
+# (F1..Fm, q), total degree counted in the roots and q capped at the
+# q-order.
+
+
+def _fq(m, degree, qorder):
+    return dict(caps=(degree,) * m + (qorder,), total=degree, tgroup=tuple(range(m)))
+
+
+def _root_terms(m, j, k, series, unit):
+    """{exponent: coefficient} of unit * series(q) * F_j^k over (F1..Fm, q)."""
+    e = (0,) * j + (k,) + (0,) * (m - j - 1)
+    return {e + (n,): c * unit for n, c in series.coeffs.items()}
+
+
+def gaussian_twisted_euler(m, degree, qorder):
+    """prod_j sigma(2 i F_j)."""
+    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    sigma = sigma_product(qorder, degree)
+    out = MultiSeries.one(v, **kw)
+    for j in range(m):
+        table = {}
+        for k in range(1, degree + 1):
+            table.update(_root_terms(m, j, k, sigma.coeff_in("z", k).as_univariate(), TWO_I**k))
+        out = out * MultiSeries(v, table, **kw)
+    return out
+
+
+def gaussian_corrected_euler(m, degree, qorder):
+    """prod_j (2 i F_j) exp(sum_{k>=2} w_k G_2k (2 i F_j)^{2k})."""
+    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    one_q = TruncatedSeries.one("q", qorder)
+    out = MultiSeries.one(v, **kw)
+    for j in range(m):
+        arg = {}
+        for k in range(2, degree // 2 + 1):
+            g = eisenstein_q(2 * k, qorder) * exp_weight(k)
+            arg.update(_root_terms(m, j, 2 * k, g, TWO_I ** (2 * k)))
+        lead = MultiSeries(v, _root_terms(m, j, 1, one_q, TWO_I), **kw)
+        out = out * lead * MultiSeries(v, arg, **kw).exp()
+    return out
+
+
+def gaussian_linear_anomaly(m, degree, qorder):
+    """exp(-i sum F_j)."""
+    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    one_q = TruncatedSeries.one("q", qorder)
+    arg = {}
+    for j in range(m):
+        arg.update(_root_terms(m, j, 1, one_q, -I))
+    return MultiSeries(v, arg, **kw).exp()
+
+
+def gaussian_g2_anomaly(m, degree, qorder):
+    """exp(4 G_2 sum F_j^2)."""
+    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    arg = {}
+    for j in range(m):
+        arg.update(_root_terms(m, j, 2, eisenstein_q(2, qorder), 4))
+    return MultiSeries(v, arg, **kw).exp()
+
+
+def rotated(cls, qorder):
+    """A class in y = iF with q-series coefficients, read in F over (F1..Fm, q).
+
+    c y^e is i^|e| c F^e.
+    """
+    m = len(cls.vars)
+    table = {}
+    for e, c in cls.coeffs.items():
+        series = c if isinstance(c, TruncatedSeries) else TruncatedSeries.const("q", qorder, c)
+        table.update({e + (n,): x * I ** sum(e) for n, x in series.coeffs.items()})
+    return MultiSeries(cls.vars + ("q",), table, **_fq(m, cls.total, qorder))
 
 
 # ------------------------------------------------------ Weil monomial sweep
@@ -1624,7 +1855,7 @@ def test_multi_mul_cancels_to_zero():
     assert_same(a * b, loop_multi_mul(a, b))
     assert (a * b).coeffs == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
     q2 = TruncatedSeries("q", 3, {2: 1})
-    c = MultiSeries(("x", "y"), {(1, 0): q2, (0, 1): q2 * I}, **kw)
+    c = MultiSeries(("x", "y"), {(1, 0): q2, (0, 1): q2 * Fraction(-1, 2)}, **kw)
     assert (c * c).is_zero()  # every coefficient is a multiple of q^4
     assert_same(c * c, loop_multi_mul(c, c))
 
@@ -1645,8 +1876,7 @@ def laurent_pairs(draw):
         minexp = draw(st.integers(-3, 0))
         trunc = draw(st.integers(minexp, 8))
         table = draw(st.dictionaries(
-            st.integers(minexp, trunc), ring_element(draw(ring_kinds.filter(
-                lambda k: k != "series")), 0), max_size=6,
+            st.integers(minexp, trunc), ring_element("fraction", 0), max_size=6,
         ))
         return TruncatedSeries("q", trunc, table, minexp)
 
@@ -1756,8 +1986,6 @@ def test_packed_fgl_matches_multiseries_build(kind, degree, qorder, multiseries_
     want = multiseries_laws(kind, degree, qorder)
     assert law.table == want
     assert (law.table.caps, law.table.total, law.table.tgroup) == (want.caps, want.total, want.tgroup)
-    # evaluate sums the table in its order, so the order is part of the law
-    assert list(law.table.coeffs) == list(want.coeffs)
     assert (law.is_associative(), multiseries_defect(law).is_zero()) == (True, True)
 
 
@@ -1965,3 +2193,21 @@ def test_torus_reduction_matches_real_invariant_solves(degree_bound, poly_bound)
     rep = torus_reduction_check(degree_bound, poly_bound)
     assert rep == want  # dataclass equality: every field
     assert rep.ok == want.ok
+
+
+# ------------------------------------------------------ Euler classes in y = iF
+
+EULER_BUILDERS = [
+    (twisted_euler, gaussian_twisted_euler),
+    (corrected_euler, gaussian_corrected_euler),
+    (linear_anomaly, gaussian_linear_anomaly),
+    (g2_anomaly, gaussian_g2_anomaly),
+]
+
+
+@pytest.mark.parametrize("builders", EULER_BUILDERS, ids=lambda b: b[0].__name__)
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 4, 5, 8])
+def test_y_basis_class_rotates_to_the_gaussian_build(builders, m, degree):
+    build, gaussian_build = builders
+    assert rotated(build(m, degree, 3), 3) == gaussian_build(m, degree, 3)

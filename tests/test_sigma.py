@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from ellforge.sigma import (
     taylor_completion,
     z_coefficients,
 )
+from test_oracles import log
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ def test_exponential_constants_regenerate_from_product():
         {(e, j - 1): c for (e, j), c in p.coeffs.items()},
         caps=(qorder, zorder - 1),
     )
-    logform = over_z.log()
+    logform = log(over_z)
     expected = MultiSeries(
         ("q", "z"), {(0, 1): EXP_LINEAR}, caps=(qorder, zorder - 1)
     )
@@ -195,6 +197,18 @@ def test_sigma_law_first_q_correction(sigma_law):
     assert any(e > 0 for (_, _, e) in sigma_law.table.coeffs)
     c11 = sigma_law.coefficient(1, 1)
     assert c11.coeff(0) == -1
+
+
+def test_evaluate_does_not_depend_on_table_order(sigma_law):
+    q = Lattice(2j, 1.0).q
+    want = sigma_law.evaluate(0.2, 0.1, q)
+    items = list(sigma_law.table.coeffs.items())
+    rng = random.Random(0)
+    for _ in range(20):
+        rng.shuffle(items)
+        shuffled = replace(sigma_law, table=sigma_law.table._like(dict(items)))
+        assert list(shuffled.table.coeffs) == [e for e, _ in items]
+        assert shuffled.evaluate(0.2, 0.1, q) == want  # bit for bit
 
 
 def test_group_law_residual_and_slope(sigma_law):
