@@ -451,6 +451,14 @@ def _cmd_derham(args):
             return 2
         weights = tuple(int(w) for w in args.weights.split(","))
         degree = args.degree if args.degree is not None else 8
+        estimate = _sheaf_cochains(len(weights), degree)
+        if estimate > DERHAM_COCHAIN_LIMIT:
+            print(
+                f"error: --degree {degree} on {len(weights)} weights needs up to "
+                f"{estimate} cochains, over the limit of {DERHAM_COCHAIN_LIMIT}",
+                file=sys.stderr,
+            )
+            return 2
         rep = cartan_cohomology(weights, degree)
         payload = {
             "command": "derham",
@@ -495,6 +503,15 @@ def _cmd_derham(args):
 # when both weights are zero, where the count is exact, and about 2 s for
 # weights (1, 2), which keep 1,209 of them.  Degree 99 would need 3.3e9.
 SHEAF_COCHAIN_LIMIT = 20_000
+
+# The most cochains (as _sheaf_cochains counts them) that derham --cohomology
+# builds: about 10 s.  Zero weights keep every cochain and cost the most per
+# cochain, about 40 us on a 2-vCPU VM (Python 3.11): zero weights on 9
+# coordinates at degree 4 (185,973) took 7.3 s and on 3 at degree 8
+# (169,913) 5.7 s, while weights 1,1,1 at degree 8 took 2.1 s.  Past the
+# limit, zero weights on 6 coordinates at degree 5 (234,064) took 10.3 s
+# and weights 1,1,1 at degree 12 (2,251,461) 14.5 s.
+DERHAM_COCHAIN_LIMIT = 200_000
 
 
 def _sheaf_cochains(k, degree):
@@ -826,9 +843,10 @@ def _cmd_check(args):
     else:
         for r in reports:
             worst = max(r.residuals) if r.residuals else 0.0
+            seed = f"seed {r.parameters['seed']}  " if "seed" in r.parameters else ""
             print(
                 f"{r.name}: {r.status.upper()}  residual {_sig17(worst)}  "
-                f"seed {args.seed}  ({r.runtime:.2f}s)"
+                f"{seed}({r.runtime:.2f}s)"
             )
         failed = sum(1 for r in reports if r.status != "pass")
         print(f"{len(reports) - failed}/{len(reports)} suites passed")

@@ -652,6 +652,26 @@ class CircleBlock:
         return len(self.cocycles[deg]) - self.rank(deg - 1)
 
 
+def _forms(nm):
+    """Every way to take form factors out of the weight vector nm, as
+    (form degree, exponents left to z and zb, odd indices).
+
+    A factor dz_i or dzb_i takes one unit of weight from coordinate i, so
+    only the coordinates in the support of nm can give one.  The choices
+    run through the 0/1 vectors on that support in lexicographic order,
+    which is their order among the 0/1 vectors on all 2k coordinates.
+    """
+    support = [i for i, x in enumerate(nm) if x]
+    forms = []
+    for bits in itertools.product((0, 1), repeat=len(support)):
+        odd = tuple(i for i, b in zip(support, bits) if b)
+        e = list(nm)
+        for i in odd:
+            e[i] -= 1
+        forms.append((len(odd), tuple(e), odd))
+    return forms
+
+
 def circle_complex(weights, degree_bound: int, wmax: int):
     """World and charge-0 blocks with W <= wmax, by increasing W."""
     k = len(weights)
@@ -663,11 +683,7 @@ def circle_complex(weights, degree_bound: int, wmax: int):
             n, m = nm[:k], nm[k:]
             if sum(wt * (a - b) for wt, a, b in zip(weights, n, m)):
                 continue
-            forms = []
-            for eps in itertools.product((0, 1), repeat=2 * k):
-                e = tuple(map(int.__sub__, nm, eps))
-                if min(e, default=0) >= 0:
-                    forms.append((sum(eps), e, tuple(i for i, x in enumerate(eps) if x)))
+            forms = _forms(nm)
             keys = [
                 [(((deg - f) // 2,) + e, o) for f, e, o in forms
                  if f <= deg and (deg - f) % 2 == 0]

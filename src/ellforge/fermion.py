@@ -16,12 +16,15 @@ Ratios of infinite eigenvalue products are regularized by a rectangle
 window: |n| <= M rows, each row cut at |m| <= P with P = 4 M^2.  A row's
 head, |m| <= P0 with P0 about 3 |c| + 48 for its shift c, is multiplied
 out; the rest of the row up to P is an analytic Euler-Maclaurin tail.
-Within a head the ratios are multiplied in blocks of _BLOCK and one
-complex log is taken per block product, so the summed log is known only
-modulo 2 pi i; the ratio is its exponential and does not see the
-difference.  Heads are evaluated one row at a time: at M = 800 the whole
-window holds about 7.8 million ratios, some 125 MB as one complex array,
-which would raise peak memory.  Tails are cheap to batch: all rows' tails
+Heads pair the modes m and -m into one factor, so a row's head is
+ca/cb times P0 paired factors (see _head_product for the one or two
+pairs per row taken unpaired).  The paired factors of all rows form one
+sequence, cut into chunks of _CHUNK: at M = 800 the window holds about
+3.9 million of them, some 63 MB as one complex array, which would raise
+peak memory, while a chunk's few arrays take about 0.5 MB, as much as the
+tail step at M = 200.  Each chunk is multiplied down in blocks of _BLOCK
+and the running product is rescaled by exact powers of two, so no log is
+taken and nothing overflows.  Tails are cheap to batch: all rows' tails
 are one (rows x _EM_JMAX) complex array, about 0.6 MB at M = 800, and the
 whole tail step stays under 2 MB there.
 
@@ -44,7 +47,8 @@ from .series import MultiSeries, differing_terms
 from .sigma import sigma_exponential, sigma_num, sigma_product
 
 _EM_JMAX = 24
-_BLOCK = 16  # ratios per complex log in the window kernel
+_BLOCK = 16  # factors per block product in the window heads; a power of two
+_CHUNK = 1 << 13  # paired modes per chunk of the window heads
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,94 @@ def _window_rows(sector_a, sector_b, lat: Lattice, M: int, P: int):
     return rows
 
 
-def _head_log_ratio(ca: complex, cb: complex, m) -> complex:
-    """log prod (ca + m)/(cb + m) over the modes ``m``, modulo 2 pi i."""
-    ratios = (ca + m) / (cb + m)
-    cut = ratios.size - ratios.size % _BLOCK
-    # a block takes every (cut / _BLOCK)-th ratio; only the total product matters
-    blocks = ratios[:cut].reshape(_BLOCK, -1).prod(axis=0)
-    return complex(np.log(blocks).sum()) + cmath.log(complex(ratios[cut:].prod()))
+def _rescale(x) -> int:
+    """Scale the complex array x in place by exact powers of two, each entry
+    to a modulus in [1/2, 1); return the sum of the exponents taken out."""
+    _, e = np.frexp(np.abs(x))
+    np.ldexp(x.real, -e, out=x.real)
+    np.ldexp(x.imag, -e, out=x.imag)
+    return int(e.sum())
+
+
+def _scaled_prod(x) -> tuple[complex, int]:
+    """prod(x) as (mantissa, exponent), the product being mantissa * 2**exponent.
+
+    Multiplies blocks of _BLOCK entries level by level and rescales every
+    level, so no partial product overflows or underflows.
+    """
+    exp = 0
+    while x.size > 1:
+        x = np.concatenate((x, np.ones(-x.size % _BLOCK, dtype=complex)))
+        x = x.reshape(_BLOCK, -1).prod(axis=0)
+        exp += _rescale(x)
+    return (complex(x[0]) if x.size else complex(1)), exp
+
+
+def _head_product(rows) -> tuple[complex, int]:
+    """prod (ca + m)/(cb + m) over every row and |m| <= P0, as (mantissa, exponent).
+
+    A row contributes ca/cb for m = 0 and, for m = 1..P0, the pair m, -m
+    as 1 + (ca - cb)(ca + cb)/(cb^2 - m^2).  The form
+    (ca^2 - m^2)/(cb^2 - m^2) would share the rounding of ca^2 across every
+    mode of the row; here (ca - cb)(ca + cb) and cb^2 are rounded once per
+    row, and their rounding reaches a factor only through its correction,
+    which is small once m passes |cb|.  Only where ca - m or cb - m is
+    itself small does that rounding swamp the factor, so the pairs with m
+    nearest to |Re ca| and to |Re cb| are taken unpaired instead, as
+    (ca - m)(ca + m)/((cb - m)(cb + m)), and multiplied with the m = 0
+    ratios.  The other paired modes of all rows are one sequence, taken
+    _CHUNK at a time: a chunk is multiplied down in blocks of _BLOCK, each
+    block's product kept as its difference from 1 until the block is done,
+    into an accumulator of _CHUNK / _BLOCK entries, which is rescaled after
+    every chunk.
+    """
+    count = np.array([P0 for _, _, P0 in rows], dtype=np.int64)
+    end = np.cumsum(count)
+    start = end - count
+    exact = [ca / cb for ca, cb, _ in rows]
+    skip = []
+    for (ca, cb, P0), first in zip(rows, start.tolist()):
+        for m in {round(abs(ca.real)), round(abs(cb.real))}:
+            if 1 <= m <= P0:
+                exact.append((ca - m) * (ca + m) / ((cb - m) * (cb + m)))
+                skip.append(first + m - 1)
+    mant, exp = _scaled_prod(np.array(exact, dtype=complex))
+    if not rows:
+        return mant, exp
+    skip = np.sort(np.array(skip, dtype=np.int64))
+    # per-row constants, in Python complex (see _tail_log_ratios)
+    d = np.array([(ca - cb) * (ca + cb) for ca, cb, _ in rows])
+    b2 = np.array([cb * cb for _, cb, _ in rows])
+    total = int(end[-1])
+    acc = np.ones(_CHUNK // _BLOCK, dtype=complex)
+    x = np.empty(_CHUNK, dtype=complex)
+    for s in range(0, total, _CHUNK):
+        e = min(s + _CHUNK, total)
+        # rows i0 .. i1 - 1 meet the chunk; n counts each one's modes in it
+        i0, i1 = np.searchsorted(end, (s, e - 1), side="right")
+        i1 += 1
+        n = np.minimum(end[i0:i1], e) - np.maximum(start[i0:i1], s)
+        m = np.arange(s + 1, e + 1, dtype=float)
+        m -= np.repeat(start[i0:i1], n)
+        m *= m
+        den = np.repeat(b2[i0:i1], n)
+        den -= m
+        np.divide(np.repeat(d[i0:i1], n), den, out=x[: e - s])
+        x[e - s :] = 0
+        j0, j1 = np.searchsorted(skip, (s, e))
+        x[skip[j0:j1] - s] = 0  # taken unpaired
+        # each block's product less 1, by halves: (1 + a)(1 + b) - 1 =
+        # a + b + ab rounds relative to the corrections, not to 1
+        g = x.reshape(_BLOCK, -1)
+        while len(g) > 1:
+            a, b = g[: len(g) // 2], g[len(g) // 2 :]
+            g = a * b
+            g += a
+            g += b
+        acc *= g[0] + 1
+        exp += _rescale(acc)
+    tail_mant, tail_exp = _scaled_prod(acc)
+    return mant * tail_mant, exp + tail_exp
 
 
 def _tail_log_ratios(rows, P: int) -> list[complex]:
@@ -174,11 +259,10 @@ def pf_truncated_ratio(
 
     The error decays like 1/M; with the default P = 4 M^2 the relative
     deviation from the closed form drops below 1e-4 by M = 800 on
-    lattices with Im tau >= 1.  Each row's head takes one complex log per
-    block product of _BLOCK ratios, so the summed log is exact only
-    modulo 2 pi i, which the returned exponential removes.  Heads run one
-    row at a time, so memory stays at one row's ratios; the tails of all
-    rows are one (rows x _EM_JMAX) array (see the module docstring).
+    lattices with Im tau >= 1.  The heads of all rows are one product of
+    paired modes, carried as a mantissa and a power of two (see
+    _head_product); the tails of all rows are one (rows x _EM_JMAX) array.
+    Memory stays at a few chunk-sized arrays (see the module docstring).
     Empty sectors give exactly 1.
     """
     if len(sector_a) != len(sector_b):
@@ -188,16 +272,12 @@ def pf_truncated_ratio(
     if M < 1 or P < 1:
         raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
     rows = _window_rows(sector_a, sector_b, lat, M, P)
-    tails = iter(_tail_log_ratios([r for r in rows if r[2] < P], P))
-    pmax = max((P0 for _, _, P0 in rows), default=0)
-    modes = np.arange(-pmax, pmax + 1, dtype=float)
-    total = complex(0)
-    for ca, cb, P0 in rows:
-        head = _head_log_ratio(ca, cb, modes[pmax - P0 : pmax + P0 + 1])
-        total += head - next(tails) if P0 < P else head
+    tail = sum(_tail_log_ratios([r for r in rows if r[2] < P], P))
+    mant, exp = _head_product(rows)
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
-    return cmath.exp(total - (s_a - s_b) / 2)
+    out = mant * cmath.exp(-tail - (s_a - s_b) / 2)
+    return complex(math.ldexp(out.real, exp), math.ldexp(out.imag, exp))
 
 
 def pf_rowlimit_ratio(sector_a, sector_b, lat: Lattice, rows: int = 10) -> complex:

@@ -145,6 +145,15 @@ def test_seed_is_printed_and_respected():
     assert b"seed 8" in b.stdout
 
 
+def test_seed_is_printed_only_on_the_lines_of_suites_that_read_it():
+    proc = run("check", "--seed", "7")
+    assert proc.returncode == 0
+    lines = proc.stdout.decode().splitlines()[:-1]
+    printed = {line.split(":")[0] for line in lines if "  seed 7  " in line}
+    assert printed == {"looijenga", "modularity"}
+    assert sum("seed" in line for line in lines) == 2
+
+
 def test_seed_and_tol_belong_to_check_only():
     for argv in (("sigma", "--seed", "1"), ("modforms", "--tol", "1e-3")):
         proc = run(*argv)
@@ -345,6 +354,35 @@ def test_fgl_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "fgl_from_coordinate", small_law)
     assert cli.main(["fgl", "--coordinate", "sigma", "--degree", "20", "--qorder", "85"]) == 0
     assert built == [("sigma", 20, 85)]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("weights, degree", [("1,1,1", 9), ("0,0", 15), ("1,2,3,4,5,6", 5)])
+def test_derham_cohomology_refuses_cochains_past_the_limit(weights, degree, capsys):
+    estimate = cli._sheaf_cochains(len(weights.split(",")), degree)
+    assert estimate > cli.DERHAM_COCHAIN_LIMIT
+    argv = ["derham", "--cohomology", "--weights", weights, "--degree", str(degree)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(estimate) in err
+
+
+def test_derham_cohomology_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
+    """Weights 1,1,1 at degree 8 pass the guard and degree 9 does not; a
+    degree-2 complex stands in for the 2 s build."""
+    assert cli._sheaf_cochains(3, 8) <= cli.DERHAM_COCHAIN_LIMIT < cli._sheaf_cochains(3, 9)
+    built = []
+    real = cli.cartan_cohomology
+
+    def small_complex(weights, degree):
+        built.append((weights, degree))
+        return real(weights, 2)
+
+    monkeypatch.setattr(cli, "cartan_cohomology", small_complex)
+    assert cli.main(["derham", "--cohomology", "--weights", "1,1,1", "--degree", "8"]) == 0
+    assert built == [((1, 1, 1), 8)]
     assert capsys.readouterr().err == ""
 
 

@@ -1,5 +1,5 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
-block-product and row-batched Pfaffian windows, integer q-Pochhammer
+block-product and paired-mode Pfaffian windows, integer q-Pochhammer
 product, bucketed series kernels, Lagrange reversion, integral
 formal-group-law engine, weight-basis circle complex and U(2) torus
 reduction, integer t-product of the sigma product form, dict-level ring
@@ -9,7 +9,10 @@ per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion,
 product-by-product, real-coordinate and monomial-sweep code they replaced,
 kept here as oracles; so are the Gaussian rationals, the Euler classes
 built over them in F (the library builds them in y = iF) and the series
-``log`` the library no longer needs.
+``log`` the library no longer needs.  A 40-digit decimal evaluation of the
+window heads measures how far the float windows are from exact, and the
+circle complex's forms, taken over the support of each weight vector, are
+checked against the sweep over all 0/1 vectors.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +59,7 @@ from ellforge.equivderham import (
 from ellforge.equivderham import (
     _basis_vector,
     _compositions,
+    _forms,
     _operator_rows,
     _splice,
     _zeros,
@@ -65,7 +70,9 @@ from ellforge.fermion import (
     SectorDatum,
     _nearest_mode,
     _row_shift,
+    _tail_log_ratios,
     _twists,
+    _window_rows,
     _zeta_tail,
     pf_truncated_ratio,
     sector_z,
@@ -219,6 +226,23 @@ def derive_by_products(d, x):
     return out
 
 
+def product_forms(nm):
+    """_forms by a sweep over all 0/1 vectors on the 2k coordinates."""
+    forms = []
+    for eps in itertools.product((0, 1), repeat=len(nm)):
+        e = tuple(map(int.__sub__, nm, eps))
+        if min(e, default=0) >= 0:
+            forms.append((sum(eps), e, tuple(i for i, x in enumerate(eps) if x)))
+    return forms
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_support_forms_match_the_full_sweep(k):
+    for w in range(7):
+        for nm in _compositions(w, 2 * k):
+            assert _forms(nm) == product_forms(nm)
+
+
 def loop_zeta_tail(s: int, x: float) -> float:
     """sum_{m > x} m^-s by Euler-Maclaurin, one power of x per term."""
     t = x ** (1 - s) / (s - 1) - 0.5 * x ** (-s) + s * x ** (-s - 1) / 12.0
@@ -299,7 +323,8 @@ def _row_log_ratio(ca, cb, P, k, zeta_P, j, n):
 
 
 def row_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
-    """The block-product window one row at a time, tail included (the
+    """The block-product window one row at a time, tail included: one
+    complex division per mode and one complex log per _BLOCK ratios (the
     replaced kernel)."""
     if len(sector_a) != len(sector_b):
         raise ValueError("sectors must have equal dimension for a finite ratio")
@@ -317,6 +342,45 @@ def row_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
     return cmath.exp(total - (s_a - s_b) / 2)
+
+
+def _decimal_mul(x, y):
+    """Product of two (real, imaginary) pairs of Decimals."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
+    """The window with its heads multiplied out in 40-digit decimal.
+
+    The row shifts (_window_rows) and the tails (_tail_log_ratios) are the
+    library's floats; every head factor (ca^2 - m^2)/(cb^2 - m^2) is formed
+    from those floats, which Decimal holds exactly, so the heads' rounding
+    is some 1e-35.  The exponent range is unbounded: the numerator and
+    denominator products reach about 10^10^6 at M = 200.
+    """
+    if P is None:
+        P = 4 * M * M
+    rows = _window_rows(sector_a, sector_b, lat, M, P)
+    tail = sum(_tail_log_ratios([r for r in rows if r[2] < P], P))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.Emax, ctx.Emin = 10**15, -(10**15)
+        num = den = (Decimal(1), Decimal(0))
+        for ca, cb, P0 in rows:
+            a = Decimal(ca.real), Decimal(ca.imag)
+            b = Decimal(cb.real), Decimal(cb.imag)
+            a2, b2 = _decimal_mul(a, a), _decimal_mul(b, b)
+            num, den = _decimal_mul(num, a), _decimal_mul(den, b)
+            for m in range(1, P0 + 1):
+                mm = m * m
+                num = _decimal_mul(num, (a2[0] - mm, a2[1]))
+                den = _decimal_mul(den, (b2[0] - mm, b2[1]))
+        norm = den[0] * den[0] + den[1] * den[1]
+        real, imag = _decimal_mul(num, (den[0], -den[1]))
+        head = complex(float(real / norm), float(imag / norm))
+    s_a = sum(sector_z(d, lat) for d in sector_a)
+    s_b = sum(sector_z(d, lat) for d in sector_b)
+    return head * cmath.exp(-tail - (s_a - s_b) / 2)
 
 
 def factor_qpochhammer(order, power=1):
@@ -1672,12 +1736,60 @@ def test_pf_truncated_ratio_matches_loop(case):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(pfaffian_cases())
-def test_pf_truncated_ratio_matches_row_window_bit_for_bit(case):
+def test_pf_truncated_ratio_matches_row_window(case):
     value, error = _outcome(pf_truncated_ratio, *case)
     want, want_error = _outcome(row_pf_truncated_ratio, *case)
     assert error == want_error
     if want_error is None:
-        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert abs(value - want) <= 1e-11 * abs(want)
+
+
+_PINNED_A = [
+    SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.1 + 0.05j),
+    SectorDatum(Fraction(-2, 7)),
+]
+_PINNED_B = [
+    SectorDatum(Fraction(1, 4), Fraction(-2, 7), 0.02j),
+    SectorDatum(Fraction(3, 5), Fraction(1, 2)),
+]
+_THIRD = [SectorDatum(Fraction(1, 3))]
+_QUARTER = [SectorDatum(Fraction(1, 4))]
+_TWISTED_A = [SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.07 + 0.03j)]
+_TWISTED_B = [SectorDatum(Fraction(1, 4), Fraction(-1, 6), -0.05 + 0.11j)]
+
+
+@pytest.mark.parametrize(
+    "sector_a, sector_b, lat, M",
+    [
+        (_PINNED_A, _PINNED_B, Lattice((0.3 + 1.2j) * (1.1 - 0.1j), 1.1 - 0.1j), 60),
+        (_THIRD, _QUARTER, Lattice(2j, 1.0), 100),
+        (_TWISTED_A, _TWISTED_B, Lattice(0.3 + 1.2j, 1.0), 100),
+    ],
+    ids=["pinned-M60", "tau-2i-M100", "tau-0.3+1.2i-M100"],
+)
+def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
+    """Within 1e-13 of the 40-digit heads, and no farther than the replaced
+    block-log kernel; pairing m, -m as (ca^2 - m^2)/(cb^2 - m^2) instead
+    misses the bound at tau = 2i."""
+    want = decimal_pf_truncated_ratio(sector_a, sector_b, lat, M)
+    got = abs(pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
+    old = abs(row_pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
+    assert got <= 1e-13
+    assert got <= old
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-9])
+@pytest.mark.parametrize("side", ["numerator", "denominator"])
+def test_pf_truncated_ratio_keeps_near_vanishing_eigenvalues(side, gap):
+    """An eigenvalue gap from zero (ca = 1 + gap or cb = 2 + gap in row 0)
+    cancels in the paired factor's 1 + x; the window must still be within
+    1e-13 of the 40-digit heads (pairing those modes missed it by 1e-9 at
+    gap 1e-7)."""
+    near = [SectorDatum(Fraction(1 if side == "numerator" else 2), Fraction(0), gap)]
+    case = (near, _QUARTER) if side == "numerator" else (_QUARTER, near)
+    lat = Lattice(2j, 1.0)
+    want = decimal_pf_truncated_ratio(*case, lat, 30)
+    assert abs(pf_truncated_ratio(*case, lat, 30) - want) <= 1e-13 * abs(want)
 
 
 @settings(max_examples=150, derandomize=True)
