@@ -136,13 +136,20 @@ def _window_rows(sector_a, sector_b, lat: Lattice, M: int, P: int):
     return rows
 
 
-def _rescale(x) -> int:
+def _rescale(x, work=None) -> int:
     """Scale the complex array x in place by exact powers of two, each entry
-    to a modulus in [1/2, 1); return the sum of the exponents taken out."""
-    _, e = np.frexp(np.abs(x))
-    np.ldexp(x.real, -e, out=x.real)
-    np.ldexp(x.imag, -e, out=x.imag)
-    return int(e.sum())
+    to a modulus in [1/2, 1); return the sum of the exponents taken out.
+
+    work, if given, is a (float, np.intc) pair of arrays of x's shape used
+    as scratch, so a caller in a loop allocates nothing.
+    """
+    mag, e = work if work is not None else (np.empty(x.shape), np.empty(x.shape, np.intc))
+    np.abs(x, out=mag)
+    np.frexp(mag, out=(mag, e))
+    np.negative(e, out=e)
+    np.ldexp(x.real, e, out=x.real)
+    np.ldexp(x.imag, e, out=x.imag)
+    return -int(e.sum())
 
 
 def _scaled_prod(x) -> tuple[complex, int]:
@@ -195,33 +202,45 @@ def _head_product(rows) -> tuple[complex, int]:
     d = np.array([(ca - cb) * (ca + cb) for ca, cb, _ in rows])
     b2 = np.array([cb * cb for _, cb, _ in rows])
     total = int(end[-1])
-    acc = np.ones(_CHUNK // _BLOCK, dtype=complex)
+    # each chunk's rows and skipped modes, found once for all chunks
+    chunks = np.arange(0, total, _CHUNK)
+    ends = np.minimum(chunks + _CHUNK, total)
+    first = np.searchsorted(end, chunks, side="right").tolist()
+    last = (np.searchsorted(end, ends - 1, side="right") + 1).tolist()
+    skips = np.searchsorted(skip, np.append(chunks, total)).tolist()
+    skip %= _CHUNK
     x = np.empty(_CHUNK, dtype=complex)
-    for s in range(0, total, _CHUNK):
-        e = min(s + _CHUNK, total)
+    cols = _CHUNK // _BLOCK
+    ab = np.empty((_BLOCK // 2, cols), dtype=complex)  # a * b of the halving tree
+    acc = np.ones(cols, dtype=complex)
+    work = (np.empty(cols), np.empty(cols, np.intc))
+    for c, (s, e) in enumerate(zip(chunks.tolist(), ends.tolist())):
         # rows i0 .. i1 - 1 meet the chunk; n counts each one's modes in it
-        i0, i1 = np.searchsorted(end, (s, e - 1), side="right")
-        i1 += 1
+        i0, i1 = first[c], last[c]
         n = np.minimum(end[i0:i1], e) - np.maximum(start[i0:i1], s)
-        m = np.arange(s + 1, e + 1, dtype=float)
-        m -= np.repeat(start[i0:i1], n)
+        m = x.view(float)[: e - s]  # m^2 is dead before x is formed
+        np.subtract(np.arange(s + 1.0, e + 1), np.repeat(start[i0:i1], n), out=m)
         m *= m
         den = np.repeat(b2[i0:i1], n)
-        den -= m
+        den.real -= m  # b2 - m^2 bit for bit, with no complex copy of m^2
         np.divide(np.repeat(d[i0:i1], n), den, out=x[: e - s])
+        del den  # else it lives on while the next chunk builds its own
         x[e - s :] = 0
-        j0, j1 = np.searchsorted(skip, (s, e))
-        x[skip[j0:j1] - s] = 0  # taken unpaired
+        x[skip[skips[c] : skips[c + 1]]] = 0  # taken unpaired
         # each block's product less 1, by halves: (1 + a)(1 + b) - 1 =
-        # a + b + ab rounds relative to the corrections, not to 1
+        # a + b + ab rounds relative to the corrections, not to 1; a is
+        # overwritten by the result, as a + ab equals ab + a bit for bit
         g = x.reshape(_BLOCK, -1)
         while len(g) > 1:
-            a, b = g[: len(g) // 2], g[len(g) // 2 :]
-            g = a * b
-            g += a
-            g += b
-        acc *= g[0] + 1
-        exp += _rescale(acc)
+            h = len(g) // 2
+            a, b = g[:h], g[h:]
+            np.multiply(a, b, out=ab[:h])
+            a += ab[:h]
+            a += b
+            g = a
+        g += 1
+        acc *= g[0]
+        exp += _rescale(acc, work)
     tail_mant, tail_exp = _scaled_prod(acc)
     return mant * tail_mant, exp + tail_exp
 

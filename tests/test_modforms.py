@@ -41,6 +41,13 @@ def test_bernoulli_oracle():
     assert bernoulli(3) == 0 and bernoulli(9) == 0
 
 
+def test_bernoulli_is_memoized():
+    first = bernoulli(12)
+    hits = bernoulli.cache_info().hits
+    assert bernoulli(12) is first
+    assert bernoulli.cache_info().hits == hits + 1
+
+
 def test_divisor_sigma_oracle():
     assert divisor_sigma(1, 6) == 12
     assert divisor_sigma(3, 4) == 73
@@ -111,6 +118,22 @@ def test_eisenstein_summed_g2_close():
     direct = eisenstein_num(2, lat, 60)
     viaq = g2_lattice(lat)
     assert abs(direct - viaq) / abs(viaq) < 0.05
+
+
+@pytest.mark.parametrize("M", [0, -3])
+def test_eisenstein_num_rejects_bad_cutoffs(M):
+    lat = Lattice(1.3j, 1.0)
+    for k in (2, 3, 4):
+        with pytest.raises(ValueError, match="M >= 1"):
+            eisenstein_num(k, lat, M)
+
+
+def test_eisenstein_num_rejects_divergent_weights():
+    lat = Lattice(1.3j, 1.0)
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be"):
+            eisenstein_num(k, lat, 10)
+    assert eisenstein_num(5, lat, 10) == 0j
 
 
 def test_weight_law_g4_g6():

@@ -7,9 +7,10 @@ map, the circle differential carried to real coordinates and the Weil
 relations checked on generators against the dense, object-building,
 per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion,
 product-by-product, real-coordinate and monomial-sweep code they replaced,
-kept here as oracles; so are the Gaussian rationals, the Euler classes
-built over them in F (the library builds them in y = iF) and the series
-``log`` the library no longer needs.  A 40-digit decimal evaluation of the
+kept here as oracles; so is the whole-meshgrid and row-by-row Eisenstein
+lattice sum that the half-lattice tiles replaced, and so are the Gaussian
+rationals, the Euler classes built over them in F (the library builds
+them in y = iF) and the series ``log`` the library no longer needs.  A 40-digit decimal evaluation of the
 window heads measures how far the float windows are from exact, and the
 circle complex's forms, taken over the support of each weight vector, are
 checked against the sweep over all 0/1 vectors.
@@ -20,6 +21,7 @@ import cmath
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -84,7 +86,7 @@ from ellforge.euler import (
     root_vars,
     twisted_euler,
 )
-from ellforge.modforms import Lattice, eisenstein_q, qpochhammer
+from ellforge.modforms import Lattice, eisenstein_num, eisenstein_q, qpochhammer
 from ellforge.sheafmodel import (
     CircleActionSpace,
     _fold,
@@ -381,6 +383,32 @@ def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
     return head * cmath.exp(-tail - (s_a - s_b) / 2)
+
+
+def meshgrid_eisenstein_num(k, lat, M):
+    """The lattice sum over the whole (2M+1)^2 meshgrid for k >= 4, as the
+    Richardson extrapolate of the cutoffs M // 2 and M, each summed afresh,
+    and over every row |n| <= M for k = 2, each row a |m| <= M^2 array."""
+    if k % 2:
+        return 0j
+    if k >= 4:
+        return (4 * square_sum(k, lat, M) - square_sum(k, lat, M // 2)) / 3
+    total = 0j
+    inner = M * M
+    m = np.arange(-inner, inner + 1)
+    for n in range(-M, M + 1):
+        row = n * lat.lam1 + m * lat.lam2
+        if n == 0:
+            row = row[m != 0]
+        total += np.sum(row ** (-2.0))
+    return complex(total)
+
+
+def square_sum(k, lat, M):
+    n, m = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
+    w = n * lat.lam1 + m * lat.lam2
+    w = w[(n != 0) | (m != 0)]
+    return complex(np.sum(w ** (-float(k))))
 
 
 def factor_qpochhammer(order, power=1):
@@ -1790,6 +1818,40 @@ def test_pf_truncated_ratio_keeps_near_vanishing_eigenvalues(side, gap):
     lat = Lattice(2j, 1.0)
     want = decimal_pf_truncated_ratio(*case, lat, 30)
     assert abs(pf_truncated_ratio(*case, lat, 30) - want) <= 1e-13 * abs(want)
+
+
+# two lattices with real lam2 and one with lam2 tilted off the real axis;
+# none is near tau = i or rho, where G_6 or G_4 vanishes
+_EIS_LATTICES = [
+    Lattice(complex(0.21, 1.37), 1.0),
+    Lattice(complex(-0.1, 1.1), 0.9),
+    Lattice((0.3 + 1.2j) * (0.8 + 0.5j), 0.8 + 0.5j),
+]
+
+
+@pytest.mark.parametrize("lat", _EIS_LATTICES)
+@pytest.mark.parametrize(
+    "k, M",
+    [(k, M) for k in (2, 4, 6, 8) for M in (1, 2, 3, 7, 60) + ((301,) if k >= 4 else ())],
+)
+def test_eisenstein_num_matches_meshgrid_and_row_loop(k, M, lat):
+    # odd M and M // 2 = 0 (at M = 1) are on the grid
+    got = eisenstein_num(k, lat, M)
+    want = meshgrid_eisenstein_num(k, lat, M)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_eisenstein_num_memory_is_bounded(k):
+    # the meshgrid sum took a 16.9 MiB tracemalloc peak here
+    lat = _EIS_LATTICES[0]
+    tracemalloc.start()
+    try:
+        eisenstein_num(k, lat, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 @settings(max_examples=150, derandomize=True)
