@@ -220,6 +220,13 @@ def _qseries_grid(ms: MultiSeries, qorder, turn=False):
 # emitters
 
 
+def _over_limit(estimate, limit, request, unit):
+    """Whether the estimated work is past its limit, said on stderr if so."""
+    if estimate > limit:
+        print(f"error: {request} {estimate} {unit}, over the limit of {limit}", file=sys.stderr)
+    return estimate > limit
+
+
 def _negative(args, *flags):
     """Report the first negative size flag, whose result would be vacuous."""
     for flag in flags:
@@ -313,13 +320,9 @@ def _fgl_work(degree, qorder):
 def _cmd_fgl(args):
     if _negative(args, "degree", "qorder"):
         return 2
-    estimate = _fgl_work(args.degree, args.qorder)
-    if estimate > FGL_WORK_LIMIT:
-        print(
-            f"error: --degree {args.degree} --qorder {args.qorder} needs about "
-            f"{estimate} digit products, over the limit of {FGL_WORK_LIMIT}",
-            file=sys.stderr,
-        )
+    if _over_limit(_fgl_work(args.degree, args.qorder), FGL_WORK_LIMIT,
+                   f"--degree {args.degree} --qorder {args.qorder} needs about",
+                   "digit products"):
         return 2
     fgl = fgl_from_coordinate(args.coordinate, args.degree, args.qorder)
     payload = {"command": "fgl"}
@@ -451,13 +454,9 @@ def _cmd_derham(args):
             return 2
         weights = tuple(int(w) for w in args.weights.split(","))
         degree = args.degree if args.degree is not None else 8
-        estimate = _sheaf_cochains(len(weights), degree)
-        if estimate > DERHAM_COCHAIN_LIMIT:
-            print(
-                f"error: --degree {degree} on {len(weights)} weights needs up to "
-                f"{estimate} cochains, over the limit of {DERHAM_COCHAIN_LIMIT}",
-                file=sys.stderr,
-            )
+        if _over_limit(_sheaf_cochains(len(weights), degree), DERHAM_COCHAIN_LIMIT,
+                       f"--degree {degree} on {len(weights)} weights needs up to",
+                       "cochains"):
             return 2
         rep = cartan_cohomology(weights, degree)
         payload = {
@@ -480,6 +479,9 @@ def _cmd_derham(args):
         print(f"free of rank one: {'yes' if rep.free_rank_one else 'no'}")
         return 0
     degree = args.degree if args.degree is not None else 4
+    if _over_limit(_weil_monomials(alg.dim, degree), DERHAM_BASIC_LIMIT,
+                   f"--degree {degree} on {args.group} needs", "monomials"):
+        return 2
     basis = basic_subspace(alg, degree)
     payload = {
         "command": "derham",
@@ -514,6 +516,25 @@ SHEAF_COCHAIN_LIMIT = 20_000
 DERHAM_COCHAIN_LIMIT = 200_000
 
 
+# The most monomials (as _weil_monomials counts them) that derham --basic
+# solves for: about 10 s.  On a 2-vCPU VM (Python 3.11) u2 at degree 24
+# (2,925) took 5.6 to 7.8 s and at degree 26 (3,654) 9.4 s, and su2, which
+# is cheaper per monomial, 7.6 s at degree 86 (3,828).  u2 passes up to
+# degree 26 and su2 up to 84; u1 has one monomial in every degree.
+DERHAM_BASIC_LIMIT = 3_700
+
+
+def _weil_monomials(n, degree):
+    """Monomials of the Weil algebra of an n-dimensional Lie algebra in the
+    degree, exactly as weil_block lists them: s odd generators and
+    (degree - s)/2 even ones."""
+    return sum(
+        comb(n, s) * comb((degree - s) // 2 + n - 1, n - 1)
+        for s in range(min(n, degree) + 1)
+        if (degree - s) % 2 == 0
+    )
+
+
 def _sheaf_cochains(k, degree):
     """Cochains of the circle complex on k fixed coordinates up to the degree.
 
@@ -542,13 +563,9 @@ def _cmd_sheaf(args):
         return 2
     space = CircleActionSpace(weights)
     k = len(fixed_locus(space, (ax, ay)))
-    estimate = _sheaf_cochains(k, args.degree)
-    if estimate > SHEAF_COCHAIN_LIMIT:
-        print(
-            f"error: --degree {args.degree} on {k} fixed coordinates needs up to "
-            f"{estimate} cochains, over the limit of {SHEAF_COCHAIN_LIMIT}",
-            file=sys.stderr,
-        )
+    if _over_limit(_sheaf_cochains(k, args.degree), SHEAF_COCHAIN_LIMIT,
+                   f"--degree {args.degree} on {k} fixed coordinates needs up to",
+                   "cochains"):
         return 2
     rep = local_sections(space, (ax, ay), args.degree)
     payload = {

@@ -21,8 +21,12 @@ generator world so they can never mix:
 
 A ring map given by generator images (substitute) carries elements
 between worlds, such as the change to real coordinates that the sheaf
-model makes at its edge.
+model makes at its edge, and evaluates a Chern-Weil polynomial on the
+curvature.
 
+Coefficients are ints or Fractions, kept as given: integral inputs stay
+ints through products, derivations and substitutions, and only a
+division (such as the 1/2 of the Weil differential) makes a Fraction.
 All linear algebra is exact over the rationals; cohomology and
 invariants are computed on finite blocks that the operators preserve.
 """
@@ -66,8 +70,8 @@ class GradedWorld:
         ne = len(self.evens)
         if kind == "even":
             e = tuple(1 if j == i else 0 for j in range(ne))
-            return GradedElement(self, {(e, ()): Fraction(1)})
-        return GradedElement(self, {((0,) * ne, (i,)): Fraction(1)})
+            return GradedElement(self, {(e, ()): 1})
+        return GradedElement(self, {((0,) * ne, (i,)): 1})
 
     def monomial_degree(self, key):
         e, o = key
@@ -118,16 +122,14 @@ class GradedElement:
     __slots__ = ("world", "coeffs")
 
     def __init__(self, world, coeffs=None):
+        """Keep the int and Fraction coefficients as given, drop zeros."""
         self.world = world
-        # drop zeros and coerce the rest as Fraction(0) + c does (int ->
-        # Fraction), which the integral Derivation images rely on
         self.coeffs = {}
         if coeffs:
-            self.coeffs = {
-                k: c if type(c) is Fraction else Fraction(0) + c
-                for k, c in coeffs.items()
-                if c != 0
-            }
+            for c in coeffs.values():
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"unsupported coefficient {c!r}: not a rational")
+            self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @classmethod
     def zero(cls, world):
@@ -135,7 +137,7 @@ class GradedElement:
 
     @classmethod
     def const(cls, world, c):
-        return cls(world, {((0,) * len(world.evens), ()): Fraction(c)})
+        return cls(world, {((0,) * len(world.evens), ()): c})
 
     def is_zero(self):
         return not self.coeffs
@@ -160,7 +162,7 @@ class GradedElement:
         self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return GradedElement(self.world, out)
 
     __radd__ = __add__
@@ -210,17 +212,13 @@ class Derivation:
                 raise ValueError(f"unknown generator {name}")
             if img is not None and not img.is_zero():
                 self.images[name] = img
-        # image terms (even exponents, odd indices, coefficient) per generator;
-        # integral coefficients as ints, which multiply a Fraction in one step
+        # image terms (even exponents, odd indices, coefficient) per generator
         self._even = [self._terms(n) for n, _ in world.evens]
         self._odd = [self._terms(n) for n, _ in world.odds]
 
     def _terms(self, name):
         img = self.images.get(name)
-        return [
-            (e, o, int(c) if isinstance(c, Fraction) and c.denominator == 1 else c)
-            for (e, o), c in img.coeffs.items()
-        ] if img else None
+        return [(e, o, c) for (e, o), c in img.coeffs.items()] if img else None
 
     def __call__(self, x):
         if x.world is not self.world:
@@ -303,62 +301,45 @@ class LieAlgebra:
     f: tuple  # f[a][b][c] = coefficient of T_a in [T_b, T_c]
 
     def __post_init__(self):
-        n = self.dim
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.f[a][b][c] != -self.f[a][c][b]:
-                        raise ValueError("structure constants not antisymmetric")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for e in range(n):
-                        s = Fraction(0)
-                        for d in range(n):
-                            s += (
-                                self.f[e][d][c] * self.f[d][a][b]
-                                + self.f[e][d][a] * self.f[d][b][c]
-                                + self.f[e][d][b] * self.f[d][c][a]
-                            )
-                        if s != 0:
-                            raise ValueError("structure constants fail Jacobi")
+        f, n = self.f, range(self.dim)
+        if any(f[a][b][c] != -f[a][c][b] for a in n for b in n for c in n):
+            raise ValueError("structure constants not antisymmetric")
+        for a, b, c, e in itertools.product(n, repeat=4):
+            if sum(f[e][d][c] * f[d][a][b] + f[e][d][a] * f[d][b][c] + f[e][d][b] * f[d][c][a]
+                   for d in n):
+                raise ValueError("structure constants fail Jacobi")
 
     def bracket_coeffs(self, a, b):
         return [self.f[c][a][b] for c in range(self.dim)]
 
 
-def _zeros(n):
-    return tuple(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)) for _ in range(n))
+def _eps_f(dim):
+    """Integer structure constants: eps_abc on the last three of dim indices
+    when dim >= 3 (they span su(2); the others are central), and zero for
+    dim < 3 (abelian)."""
+    low = dim - 3 if dim >= 3 else dim
+
+    def eps(a, b, c):
+        # (a - b)(b - c)(c - a)/2 is the Levi-Civita symbol on 0, 1, 2
+        a, b, c = a - low, b - low, c - low
+        return (a - b) * (b - c) * (c - a) // 2 if min(a, b, c) >= 0 else 0
+
+    idx = range(dim)
+    return tuple(tuple(tuple(eps(a, b, c) for c in idx) for b in idx) for a in idx)
 
 
 def u1() -> LieAlgebra:
-    return LieAlgebra("u1", 1, _zeros(1))
-
-
-_EPS = {
-    (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-    (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
-}
-
-
-def _su2_f():
-    f = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (a, b, c), s in _EPS.items():
-        f[a][b][c] = Fraction(s)
-    return tuple(tuple(tuple(r) for r in m) for m in f)
+    return LieAlgebra("u1", 1, _eps_f(1))
 
 
 def su2() -> LieAlgebra:
     """su(2) with T_k = -i sigma_k / 2, so [T_a, T_b] = eps_abc T_c."""
-    return LieAlgebra("su2", 3, _su2_f())
+    return LieAlgebra("su2", 3, _eps_f(3))
 
 
 def u2() -> LieAlgebra:
     """u(2) = central i/2 plus su(2); the center commutes with everything."""
-    f = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
-    for (a, b, c), s in _EPS.items():
-        f[a + 1][b + 1][c + 1] = Fraction(s)
-    return LieAlgebra("u2", 4, tuple(tuple(tuple(r) for r in m) for m in f))
+    return LieAlgebra("u2", 4, _eps_f(4))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +397,7 @@ def lie_operator(d: Derivation, iota: Derivation):
 
 
 def _basis_vector(lie, a):
-    return [Fraction(1 if b == a else 0) for b in range(lie.dim)]
+    return [1 if b == a else 0 for b in range(lie.dim)]
 
 
 def weil_block(lie: LieAlgebra, world: GradedWorld, degree: int):
@@ -448,7 +429,7 @@ def _operator_rows(op, world, src_keys, dst_keys):
     dst_index = {k: i for i, k in enumerate(dst_keys)}
     rows = [[0] * len(src_keys) for _ in dst_keys]
     for j, key in enumerate(src_keys):
-        for k, c in op(_element(world, {key: Fraction(1)})).coeffs.items():
+        for k, c in op(_element(world, {key: 1})).coeffs.items():
             rows[dst_index[k]][j] = c
     return rows
 
@@ -958,37 +939,41 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
 # ---------------------------------------------------------------------------
 # Chern-Weil
 
+# A polynomial {exponents: c} on the Lie algebra is an element of the world
+# of even degree-2 generators x_0..x_{dim-1}, which pair with the curvature
+# components.  The coadjoint action of X = X^a T_a is the derivation
+# x_b -> -f^b_ac X^a x_c, and P(-F) is the ring map x_a -> -F^a.
 
-def poly_partial(poly: dict, b: int, nvars: int) -> dict:
-    out = {}
-    for e, c in poly.items():
-        if e[b]:
-            key = tuple(x - 1 if i == b else x for i, x in enumerate(e))
-            out[key] = out.get(key, Fraction(0)) + c * e[b]
-    return {k: v for k, v in out.items() if v != 0}
+
+def _poly(lie: LieAlgebra, poly: dict) -> GradedElement:
+    world = GradedWorld([(f"x{a}", 2) for a in range(lie.dim)], [])
+    return GradedElement(world, {(tuple(e), ()): c for e, c in poly.items()})
+
+
+def _coadjoint(lie: LieAlgebra, world: GradedWorld, X) -> Derivation:
+    """The coadjoint derivation along X: x_b -> -f^b_ac X^a x_c."""
+    n = lie.dim
+    keys = [(tuple(int(i == c) for i in range(n)), ()) for c in range(n)]
+    return Derivation(world, 0, {
+        f"x{b}": GradedElement(world, {
+            keys[c]: -sum(lie.f[b][a][c] * X[a] for a in range(n)) for c in range(n)
+        })
+        for b in range(n)
+    })
 
 
 def invariance_defects(lie: LieAlgebra, poly: dict):
     """Coadjoint derivative of the polynomial along each basis direction.
 
-    Variables x_a pair with the curvature coordinates; invariance of P
-    means f^c_ab x_c dP/dx_b vanishes for every a.
+    Variables x_a pair with the curvature coordinates; the defect along
+    T_a is -f^b_ac x_c dP/dx_b, a dict keyed by exponent tuples, and P is
+    invariant when every defect vanishes.
     """
-    n = lie.dim
-    defects = []
-    for a in range(n):
-        acc = {}
-        for b in range(n):
-            dp = poly_partial(poly, b, n)
-            for c in range(n):
-                coef = lie.f[b][a][c]
-                if not coef:
-                    continue
-                for e, v in dp.items():
-                    key = tuple(x + 1 if i == c else x for i, x in enumerate(e))
-                    acc[key] = acc.get(key, Fraction(0)) - coef * v
-        defects.append({k: v for k, v in acc.items() if v != 0})
-    return defects
+    p = _poly(lie, poly)
+    return [
+        {e: c for (e, _), c in _coadjoint(lie, p.world, _basis_vector(lie, a))(p).coeffs.items()}
+        for a in range(lie.dim)
+    ]
 
 
 def is_invariant_poly(lie: LieAlgebra, poly: dict) -> bool:
@@ -1011,46 +996,25 @@ def curvature(lie: LieAlgebra, conn):
     return out
 
 
-def _evaluate(poly: dict, values, world):
-    """The polynomial at the given elements, term by term."""
-    out = GradedElement.zero(world)
-    for e, c in poly.items():
-        term = GradedElement.const(world, c)
-        for a, k in enumerate(e):
-            for _ in range(k):
-                term = term * values[a]
-        out = out + term
-    return out
+def _at_minus_curvature(lie: LieAlgebra, p: GradedElement, conn):
+    """The polynomial p at x_a = -F^a, in the world of the connection."""
+    images = {f"x{a}": -f for a, f in enumerate(curvature(lie, conn))}
+    return substitute(p, conn[0].world, images)
 
 
 def chern_weil(lie: LieAlgebra, poly: dict, conn):
     """Evaluate an invariant polynomial on minus the curvature of the connection."""
     if not is_invariant_poly(lie, poly):
         raise ValueError("polynomial is not invariant under the coadjoint action")
-    return _evaluate(poly, [-f for f in curvature(lie, conn)], conn[0].world)
+    return _at_minus_curvature(lie, _poly(lie, poly), conn)
 
 
 def gauge_defect(lie: LieAlgebra, poly: dict, conn, direction):
     """First-order change of P(-F) under an infinitesimal constant gauge rotation.
 
     direction is a coefficient vector X = X^a T_a; the output is
-    sum_a dP/dx_a(-F) [X, F]^a, identically zero for invariant P.
+    sum_a dP/dx_a(-F) [X, F]^a, which is the coadjoint derivative of P
+    along X taken at -F, identically zero for invariant P.
     """
-    world = conn[0].world
-    curv = curvature(lie, conn)
-    neg = [-f for f in curv]
-    n = lie.dim
-    out = GradedElement.zero(world)
-    for a in range(n):
-        dp = poly_partial(poly, a, n)
-        if not dp:
-            continue
-        dp_at = _evaluate(dp, neg, world)
-        bracket = GradedElement.zero(world)
-        for b in range(n):
-            for c in range(n):
-                coef = lie.f[a][b][c]
-                if coef:
-                    bracket = bracket + curv[c] * (coef * direction[b])
-        out = out + dp_at * bracket
-    return out
+    p = _poly(lie, poly)
+    return _at_minus_curvature(lie, _coadjoint(lie, p.world, direction)(p), conn)

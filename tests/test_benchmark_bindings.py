@@ -61,3 +61,12 @@ def test_tracer_installs_over_the_workloads_and_uninstalls(tracer):
         t.uninstall()
     for ns, old in zip(namespaces, before):
         assert all(vars(ns)[k] is v for k, v in old.items()), ns
+
+
+@pytest.mark.parametrize("workload", ["qseries", "cartan", "weil-sheaf"])
+def test_every_benchmark_task_passes_at_full_size(workload):
+    # a failed verdict raises the benchmark's failed share, so each task of
+    # each workload must hold once at the size the benchmark runs
+    tasks = _load("workloads").build(workload, seed=1, size="full")
+    assert tasks
+    assert [t.name for t in tasks if not t.run()] == []

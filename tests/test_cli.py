@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from ellforge import cli, series
-from ellforge.equivderham import circle_complex
+from ellforge.equivderham import circle_complex, weil_block, weil_world
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -384,6 +384,62 @@ def test_derham_cohomology_accepts_the_size_next_to_the_limit(monkeypatch, capsy
     assert cli.main(["derham", "--cohomology", "--weights", "1,1,1", "--degree", "8"]) == 0
     assert built == [((1, 1, 1), 8)]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("group", ["u1", "su2", "u2"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 8, 13])
+def test_weil_monomial_count_is_exact(group, degree):
+    lie = cli._GROUPS[group]()
+    keys = weil_block(lie, weil_world(lie), degree)
+    assert cli._weil_monomials(lie.dim, degree) == len(keys)
+
+
+@pytest.mark.parametrize("group, degree", [("u2", 27), ("u2", 40), ("su2", 85), ("u2", 10**6)])
+def test_derham_basic_refuses_monomials_past_the_limit(group, degree, capsys):
+    estimate = cli._weil_monomials(cli._GROUPS[group]().dim, degree)
+    assert estimate > cli.DERHAM_BASIC_LIMIT
+    argv = ["derham", "--basic", "--group", group, "--degree", str(degree)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: --degree {degree} on {group} needs {estimate} monomials, "
+        f"over the limit of {cli.DERHAM_BASIC_LIMIT}\n"
+    )
+
+
+def test_derham_basic_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
+    """u2 at degree 26 passes the guard and degree 27 does not; a degree-2
+    solve stands in for the 10 s one."""
+    assert cli._weil_monomials(4, 26) <= cli.DERHAM_BASIC_LIMIT < cli._weil_monomials(4, 27)
+    built = []
+    real = cli.basic_subspace
+
+    def small_solve(alg, degree):
+        built.append((alg.label, degree))
+        return real(alg, 2)
+
+    monkeypatch.setattr(cli, "basic_subspace", small_solve)
+    assert cli.main(["derham", "--basic", "--group", "u2", "--degree", "26"]) == 0
+    assert built == [("u2", 26)]
+    assert capsys.readouterr().err == ""
+
+
+def test_guard_messages_keep_their_bytes(capsys):
+    cases = [
+        (["fgl", "--coordinate", "sigma", "--degree", "50", "--qorder", "5"],
+         "error: --degree 50 --qorder 5 needs about 5703562720 digit products, "
+         "over the limit of 2000000000\n"),
+        (["derham", "--cohomology", "--weights", "1,1,1", "--degree", "9"],
+         "error: --degree 9 on 3 weights needs up to 354492 cochains, "
+         "over the limit of 200000\n"),
+        (["sheaf", "--weights", "0,0", "--anchor", "0,0", "--sections", "--degree", "9"],
+         "error: --degree 9 on 2 fixed coordinates needs up to 27954 cochains, "
+         "over the limit of 20000\n"),
+    ]
+    for argv, err in cases:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_sheaf_bad_anchor_is_usage_error():

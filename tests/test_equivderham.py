@@ -22,6 +22,7 @@ from ellforge.equivderham import (
     invariance_defects,
     is_invariant_poly,
     lie_operator,
+    substitute,
     su2,
     torus_reduction_check,
     u1,
@@ -32,6 +33,7 @@ from ellforge.equivderham import (
     weil_world,
     weight_action,
 )
+from ellforge.sheafmodel import _real_images, _world
 from test_oracles import (
     _su2_matrices,
     cartan_block,
@@ -54,14 +56,62 @@ def test_odd_generators_anticommute():
     assert (dx1 * dx1).is_zero()
 
 
-def test_element_drops_zeros_and_makes_ints_fractions():
+def test_element_drops_zeros_and_keeps_ints():
     w = form_world(2)
     one = w.gen("x1").coeffs
     (key,) = one
+    assert type(one[key]) is int
     el = GradedElement(w, {key: 3, ((0, 0), ()): 0, ((0, 1), ()): Fraction(0)})
     assert el.coeffs == {key: 3}
-    assert type(el.coeffs[key]) is Fraction
+    assert type(el.coeffs[key]) is int
+    # a Fraction stays a Fraction, also an integral one
+    el = GradedElement(w, {key: Fraction(4), ((0, 1), ()): Fraction(1, 2)})
+    assert [type(c) for c in el.coeffs.values()] == [Fraction, Fraction]
+    assert type(GradedElement.const(w, 2).coeffs[((0, 0), ())]) is int
     assert GradedElement(w, {}).is_zero() and GradedElement(w).is_zero()
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, 1 + 0j, "1"])
+def test_element_refuses_coefficients_that_are_not_rational(bad):
+    w = form_world(2)
+    (key,) = w.gen("x1").coeffs
+    with pytest.raises(TypeError):
+        GradedElement(w, {key: bad})
+    with pytest.raises(TypeError):
+        GradedElement.const(w, bad)
+
+
+def _int_only(el):
+    return all(type(c) is int for c in el.coeffs.values())
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 2), (0, 3), (1, -1, 2)])
+def test_integral_inputs_stay_int(weights):
+    # circle_d, a Derivation with integer images, and the integral change
+    # to real coordinates keep integer coefficients as ints
+    k = len(weights)
+    world, blocks = circle_complex(weights, 3, 3)
+    d = circle_d(weight_action(weights), world)
+    assert all(_int_only(img) for img in d.images.values())
+    images = _real_images(k)
+    for block in blocks:
+        for deg in range(4):
+            keys = block.keys[deg]
+            el = GradedElement(world, {key: (-1) ** i * (i + 1) for i, key in enumerate(keys)})
+            for x in (el, d(el), el * el, substitute(el, _world(k), images)):
+                assert _int_only(x)
+    fw = form_world(2)
+    assert _int_only(form_d(fw)(fw.gen("x1") * fw.gen("x2") * 3))
+
+
+def test_weil_d_halves_stay_fractions():
+    # d eps^0 = e^0 - (1/2) f^0_bc eps^b eps^c: the eps term is a sum of halves
+    world = weil_world(su2())
+    image = weil_d(su2(), world).images["ep0"]
+    e0, = world.gen("e0").coeffs
+    ep12, = (world.gen("ep1") * world.gen("ep2")).coeffs
+    assert image.coeffs == {e0: 1, ep12: -1}
+    assert type(image.coeffs[e0]) is int and type(image.coeffs[ep12]) is Fraction
 
 
 def test_even_generators_commute():
@@ -126,6 +176,12 @@ def test_forms_cartan_magic_formula():
 
 # ---------------------------------------------------------------------------
 # Lie algebra data
+
+
+@pytest.mark.parametrize("make", [u1, su2, u2])
+def test_structure_constants_are_ints(make):
+    f = make().f
+    assert all(type(c) is int for plane in f for row in plane for c in row)
 
 
 def test_structure_constants_must_be_antisymmetric():
@@ -456,6 +512,17 @@ def test_chern_weil_rejects_noninvariant_polynomial():
     conn = [GradedElement.zero(w) for _ in range(3)]
     with pytest.raises(ValueError):
         chern_weil(alg, {(1, 0, 0): Fraction(1)}, conn)
+
+
+def test_noninvariant_polynomial_has_the_coadjoint_defects():
+    # P = x_0 on su(2): along T_1 the defect is -f^0_1c x_c = -x_2, and the
+    # gauge defect is [T_1, F]^0 = f^0_12 F^2 = F^2
+    alg = su2()
+    assert invariance_defects(alg, {(1, 0, 0): 1}) == [{}, {(0, 0, 1): -1}, {(0, 1, 0): 1}]
+    assert not is_invariant_poly(alg, {(1, 0, 0): 1})
+    conn = _random_connection(alg, form_world(2), random.Random(3))
+    defect = gauge_defect(alg, {(1, 0, 0): 1}, conn, [0, 1, 0])
+    assert not defect.is_zero() and defect == curvature(alg, conn)[2]
 
 
 def _random_connection(alg, w, rng):

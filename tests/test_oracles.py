@@ -10,7 +10,9 @@ product-by-product, real-coordinate and monomial-sweep code they replaced,
 kept here as oracles; so is the whole-meshgrid and row-by-row Eisenstein
 lattice sum that the half-lattice tiles replaced, and so are the Gaussian
 rationals, the Euler classes built over them in F (the library builds
-them in y = iF) and the series ``log`` the library no longer needs.  A 40-digit decimal evaluation of the
+them in y = iF), the series ``log`` the library no longer needs and the
+dict calculus (partial derivatives, term-by-term evaluation) that the
+Chern-Weil checks ran on before they became a derivation and a ring map.  A 40-digit decimal evaluation of the
 window heads measures how far the float windows are from exact, and the
 circle complex's forms, taken over the support of each weight vector, are
 checked against the sweep over all 0/1 vectors.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import replace
@@ -42,8 +45,11 @@ from ellforge.equivderham import (
     circle_complex,
     circle_d,
     circle_world,
+    curvature,
     form_d,
     form_world,
+    gauge_defect,
+    invariance_defects,
     joint_nullspace,
     lie_operator,
     substitute,
@@ -63,8 +69,8 @@ from ellforge.equivderham import (
     _compositions,
     _forms,
     _operator_rows,
+    _eps_f,
     _splice,
-    _zeros,
 )
 from ellforge.fermion import (
     _BLOCK,
@@ -1390,7 +1396,7 @@ def real_torus_reduction_check(degree_bound, poly_bound):
     gworld = cartan_world(lie, ambient)
 
     # the torus inside u(2): the central generator and T_3
-    torus = LieAlgebra("t2", 2, _zeros(2))
+    torus = LieAlgebra("t2", 2, _eps_f(2))
     tmats = defining_rep(lie)[0], defining_rep(lie)[3]
     tworld = cartan_world(torus, ambient)
     tls = [cartan_lie(torus, tworld, a, tmats) for a in range(torus.dim)]
@@ -1719,6 +1725,116 @@ def test_flipped_curvature_fails_like_the_sweep(make, monkeypatch):
     assert rep.bracket_sign == 0
     assert not rep.ok
     assert rep == sweep_weil_relations_report(lie, 4)
+
+
+# ------------------------------------------------------------- Chern-Weil
+
+
+def poly_partial(poly: dict, b: int) -> dict:
+    out = {}
+    for e, c in poly.items():
+        if e[b]:
+            key = tuple(x - 1 if i == b else x for i, x in enumerate(e))
+            out[key] = out.get(key, Fraction(0)) + c * e[b]
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def dict_invariance_defects(lie, poly):
+    """-f^b_ac x_c dP/dx_b for each a, by dict loops."""
+    n = lie.dim
+    defects = []
+    for a in range(n):
+        acc = {}
+        for b in range(n):
+            dp = poly_partial(poly, b)
+            for c in range(n):
+                coef = lie.f[b][a][c]
+                if not coef:
+                    continue
+                for e, v in dp.items():
+                    key = tuple(x + 1 if i == c else x for i, x in enumerate(e))
+                    acc[key] = acc.get(key, Fraction(0)) - coef * v
+        defects.append({k: v for k, v in acc.items() if v != 0})
+    return defects
+
+
+def evaluate_poly(poly: dict, values, world):
+    """The polynomial at the given elements, term by term."""
+    out = GradedElement.zero(world)
+    for e, c in poly.items():
+        term = GradedElement.const(world, c)
+        for a, k in enumerate(e):
+            for _ in range(k):
+                term = term * values[a]
+        out = out + term
+    return out
+
+
+def dict_gauge_defect(lie, poly, conn, direction):
+    """sum_a dP/dx_a(-F) [X, F]^a, with the bracket summed by hand."""
+    world = conn[0].world
+    curv = curvature(lie, conn)
+    neg = [-f for f in curv]
+    n = lie.dim
+    out = GradedElement.zero(world)
+    for a in range(n):
+        dp = poly_partial(poly, a)
+        if not dp:
+            continue
+        dp_at = evaluate_poly(dp, neg, world)
+        bracket = GradedElement.zero(world)
+        for b in range(n):
+            for c in range(n):
+                coef = lie.f[a][b][c]
+                if coef:
+                    bracket = bracket + curv[c] * (coef * direction[b])
+        out = out + dp_at * bracket
+    return out
+
+
+# invariant and non-invariant polynomials on su(2) and u(2), in x_0..x_{dim-1}
+CW_POLYS = {
+    su2: [
+        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1},
+        {(1, 0, 0): 1},
+        {(0, 1, 1): Fraction(3, 2), (2, 0, 0): -1},
+        {(1, 1, 0): 2, (0, 0, 1): 5, (0, 0, 0): 7},
+        {(0, 3, 0): 1, (1, 0, 2): Fraction(-1, 3)},
+    ],
+    u2: [
+        {(1, 0, 0, 0): 1, (2, 0, 0, 0): 3},
+        {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (1, 1, 0, 0): 2},
+        {(0, 1, 0, 0): 1},
+        {(1, 0, 1, 1): 4, (0, 0, 2, 0): Fraction(1, 2)},
+        {(0, 1, 1, 0): -1, (0, 0, 0, 1): 1},
+    ],
+}
+
+
+@pytest.mark.parametrize("make", list(CW_POLYS))
+def test_chern_weil_defects_match_the_dict_calculus(make):
+    lie = make()
+    # four dimensions, so that products of two curvature 2-forms survive
+    world = form_world(4)
+    names = [f"{x}{i}" for x in ("x", "dx") for i in range(1, 5)]
+    rng = random.Random(11)
+    directions = [[int(a == b) for b in range(lie.dim)] for a in range(lie.dim)]
+    directions.append([1, -2, Fraction(1, 2), 3][:lie.dim])
+    nonzero = 0
+    for poly in CW_POLYS[make]:
+        assert invariance_defects(lie, poly) == dict_invariance_defects(lie, poly)
+        for _ in range(2):
+            conn = [
+                sum((world.gen(rng.choice(names[:4])) * world.gen(rng.choice(names[4:]))
+                     * rng.randrange(-3, 4) for _ in range(3)), GradedElement.zero(world))
+                for _ in range(lie.dim)
+            ]
+            for x in directions:
+                got = gauge_defect(lie, poly, conn, x)
+                assert got == dict_gauge_defect(lie, poly, conn, x)
+                nonzero += not got.is_zero()
+    # most of the grid is not invariant, so a sign error cannot hide
+    assert nonzero >= 20
 
 
 # ------------------------------------------------------- Pfaffian and q-products
