@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2
+from math import comb, inf, log2
 
 from .equivderham import (
     basic_subspace,
@@ -346,8 +346,48 @@ def fgl_table_as_xy(fgl) -> MultiSeries:
     return MultiSeries(("x", "y"), coeffs, total=fgl.degree)
 
 
+# The most work (as _fermion_work counts it) that fermion builds and prints:
+# about 10 s.  On a 2-vCPU VM (Python 3.11) the largest sizes accepted at
+# 14 shapes took 2.8 to 11.3 s; rank 4 at q- and z-order 10 (765,019)
+# passes in 6.2 s, while rank 6 at 6 (1,707,727) took 11.7 s and rank 1 at
+# 40 (1,330,680) 15.4 s.
+FERMION_WORK_LIMIT = 800_000
+
+
+def _fermion_work(rank, qorder, zorder):
+    """Estimated cost of one vacuum character, built and printed.
+
+    The unit is about one product of two coefficients.  The exponential
+    form takes its k-th power term times the argument, whose z-exponents
+    are even and at most zorder: C(Z + 2, 3) pairs of z-exponents in all,
+    Z = zorder // 2, each C(qorder + 2, 2) q-pairs plus an overhead of
+    about 3.  The character then multiplies in z_i, i = 2..rank, each a
+    product of C(qorder + 2, 2) zorder^i pairs whose keys have i + 1
+    entries (about rank^2 / 4 units of key handling in all), and prints
+    zorder^rank rows of about 3 units each.
+    """
+    pairs = comb(qorder + 2, 2)
+    # past 64 factors every zorder >= 2 is far over the limit; the cap
+    # keeps the powers small
+    n = min(rank, 64)
+    if zorder > 1:
+        products = sum(zorder**i for i in range(2, n + 1))
+    else:
+        products = max(rank - 1, 0) * zorder
+    return (
+        comb(zorder // 2 + 2, 3) * (pairs + 3)
+        + pairs * products
+        + 3 * zorder**n
+        + rank * rank // 4
+    )
+
+
 def _cmd_fermion(args):
     if _negative(args, "rank", "qorder", "zorder"):
+        return 2
+    if _over_limit(_fermion_work(args.rank, args.qorder, args.zorder), FERMION_WORK_LIMIT,
+                   f"--rank {args.rank} --qorder {args.qorder} --zorder {args.zorder} "
+                   "needs about", "coefficient products"):
         return 2
     ms = vacuum_character(args.rank, args.qorder, args.zorder)
     payload = {
@@ -851,6 +891,9 @@ def _cmd_check(args):
     if args.suite is not None and args.suite not in _SUITES:
         print(f"error: unknown suite '{args.suite}'", file=sys.stderr)
         print("known suites: " + ", ".join(_SUITES), file=sys.stderr)
+        return 2
+    if args.tol is not None and not 0 < args.tol < inf:  # nan fails both
+        print(f"error: --tol must be finite and > 0, got {args.tol}", file=sys.stderr)
         return 2
     names = [args.suite] if args.suite else list(_SUITES)
     reports = run_checks(names, args.seed, args.tol)

@@ -188,17 +188,6 @@ class GradedElement:
             return self * other
         return NotImplemented
 
-    def degree_part(self, n):
-        return GradedElement(
-            self.world,
-            {k: c for k, c in self.coeffs.items() if self.world.monomial_degree(k) == n},
-        )
-
-    def max_degree(self):
-        return max(
-            (self.world.monomial_degree(k) for k in self.coeffs), default=0
-        )
-
 
 class Derivation:
     """Graded derivation given by generator images; parity 0 even, 1 odd."""

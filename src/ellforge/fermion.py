@@ -31,7 +31,8 @@ whole tail step stays under 2 MB there.
 The raw window limit differs from the closed form by exp((S_a - S_b)/2)
 with S the sum of the component coordinates; pf_truncated_ratio removes
 that factor internally so its M -> infinity limit is exactly
-pf_closed(a) / pf_closed(b).
+pf_closed(a) / pf_closed(b).  The window kernels import numpy in their
+own bodies, so the exact side of the package loads without it.
 """
 from __future__ import annotations
 
@@ -39,8 +40,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .modforms import TWO_PI_I, Lattice, act
 from .series import MultiSeries, differing_terms
@@ -62,14 +61,6 @@ def sector_z(datum: SectorDatum, lat: Lattice) -> complex:
     """Exponential coordinate of the component on C/Lambda."""
     return TWO_PI_I * (
         complex(datum.alpha1) - lat.tau * complex(datum.alpha2) + datum.X / lat.lam2
-    )
-
-
-def weight_eigenvalue(datum: SectorDatum, n: int, m: int, lat: Lattice) -> complex:
-    return (math.pi / lat.covolume) * (
-        (n - complex(datum.alpha2)) * lat.lam1
-        + (m + complex(datum.alpha1)) * lat.lam2
-        + datum.X
     )
 
 
@@ -143,6 +134,8 @@ def _rescale(x, work=None) -> int:
     work, if given, is a (float, np.intc) pair of arrays of x's shape used
     as scratch, so a caller in a loop allocates nothing.
     """
+    import numpy as np
+
     mag, e = work if work is not None else (np.empty(x.shape), np.empty(x.shape, np.intc))
     np.abs(x, out=mag)
     np.frexp(mag, out=(mag, e))
@@ -158,6 +151,8 @@ def _scaled_prod(x) -> tuple[complex, int]:
     Multiplies blocks of _BLOCK entries level by level and rescales every
     level, so no partial product overflows or underflows.
     """
+    import numpy as np
+
     exp = 0
     while x.size > 1:
         x = np.concatenate((x, np.ones(-x.size % _BLOCK, dtype=complex)))
@@ -184,6 +179,8 @@ def _head_product(rows) -> tuple[complex, int]:
     into an accumulator of _CHUNK / _BLOCK entries, which is rescaled after
     every chunk.
     """
+    import numpy as np
+
     count = np.array([P0 for _, _, P0 in rows], dtype=np.int64)
     end = np.cumsum(count)
     start = end - count
@@ -252,6 +249,8 @@ def _tail_log_ratios(rows, P: int) -> list[complex]:
     with each power sum over m taken from _zeta_tail; all rows are one
     (rows x _EM_JMAX) array.
     """
+    import numpy as np
+
     k = np.arange(1, _EM_JMAX + 1, dtype=float)
     # numpy's vector pow rounds x ** -2 differently from Python's scalar pow
     # for about one integer in twenty, but for every integer x from 2 to

@@ -4,7 +4,8 @@ Conventions: a lattice is an ordered pair (lam1, lam2) of complex periods
 with Im(lam1/lam2) > 0, so tau = lam1/lam2 lies in the upper half plane
 and q = exp(2*pi*i*tau).  The double-cover action rescales both periods
 by mu^2 on top of an integral unimodular change of basis, and an object
-of weight w picks up mu^(-2w).
+of weight w picks up mu^(-2w).  Only the lattice-sum kernels use numpy,
+and they import it in their own bodies.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .series import TruncatedSeries, solve_exact
 
@@ -194,6 +193,8 @@ def _power_sum(k: int, lat: Lattice, n0: int, n1: int, m0: int, m1: int) -> comp
 
     omega^(-k) is (1/omega^2)^(k/2), formed by repeated multiplication.
     """
+    import numpy as np
+
     if n1 < n0 or m1 < m0:
         return 0j
     total = 0j
@@ -213,6 +214,8 @@ def _tile_power_sum(k: int, w) -> complex:
     A function of its own so that the tile and its power are freed on
     return, before the next tile is built.
     """
+    import numpy as np
+
     w *= w
     np.reciprocal(w, out=w)
     if k == 2:

@@ -486,9 +486,6 @@ class MultiSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def tdeg(self, e) -> int:
-        return sum(e[i] for i in self.tgroup)
-
     def map_coeffs(self, fn) -> "MultiSeries":
         return self._like({e: fn(c) for e, c in self.coeffs.items()})
 

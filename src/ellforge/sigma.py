@@ -453,9 +453,6 @@ class FormalGroupLaw:
             total += h * x**a * y**b
         return total
 
-    def q_zero_slice(self) -> MultiSeries:
-        return self.table.coeff_in("q", 0)
-
     def is_unital(self) -> bool:
         """F(x, 0) = x: the only y-free term of the table is x itself."""
         return {e: c for e, c in self.table.coeffs.items() if e[1] == 0} == {(1, 0, 0): 1}

@@ -9,6 +9,7 @@ break a traced benchmark run fails here.
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,6 +62,23 @@ def test_tracer_installs_over_the_workloads_and_uninstalls(tracer):
         t.uninstall()
     for ns, old in zip(namespaces, before):
         assert all(vars(ns)[k] is v for k, v in old.items()), ns
+
+
+def test_cartan_workload_never_imports_numpy():
+    # a fresh interpreter, since this one already holds numpy
+    path = str(PERFBENCH / "workloads.py")
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('workloads', {path!r})\n"
+        "workloads = importlib.util.module_from_spec(spec)\n"
+        "sys.modules['workloads'] = workloads\n"
+        "spec.loader.exec_module(workloads)\n"
+        "tasks = workloads.build('cartan', 1)\n"
+        "print(all([t.run() for t in tasks]), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.parametrize("workload", ["qseries", "cartan", "weil-sheaf"])

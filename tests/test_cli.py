@@ -122,6 +122,20 @@ def test_impossible_tolerance_fails_with_exit_one():
     assert b"FAIL" in proc.stdout
 
 
+@pytest.mark.parametrize("tol, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
+                                        ("-1", "-1.0")])
+def test_tolerance_must_be_finite_and_positive(tol, shown, capsys):
+    # inf would pass every float suite, and nan, 0 or -1 fail them unexplained
+    assert cli.main(["check", "pfaffian", "--tol", tol]) == 2
+    assert capsys.readouterr() == ("", f"error: --tol must be finite and > 0, got {shown}\n")
+
+
+def test_valid_tolerance_override_runs(capsys):
+    assert cli.main(["check", "group-law", "--tol", "1e-3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("group-law: PASS") and err == ""
+
+
 def test_applied_tolerance_is_reported():
     for argv, tol in ((("--tol", "1e-30"), "1e-30"), ((), "1e-09")):
         proc = run("check", "group-law", "--json", *argv)
@@ -425,6 +439,45 @@ def test_derham_basic_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("rank, qorder, zorder", [
+    (8, 8, 8), (5, 8, 8), (6, 6, 6), (2, 40, 40), (1, 40, 40), (2000, 0, 1), (3, 10**400, 1),
+])
+def test_fermion_refuses_work_past_the_limit(rank, qorder, zorder, capsys):
+    estimate = cli._fermion_work(rank, qorder, zorder)
+    assert estimate > cli.FERMION_WORK_LIMIT
+    argv = ["fermion", "--rank", str(rank), "--qorder", str(qorder), "--zorder", str(zorder)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: --rank {rank} --qorder {qorder} --zorder {zorder} needs about "
+        f"{estimate} coefficient products, over the limit of {cli.FERMION_WORK_LIMIT}\n"
+    )
+
+
+def test_fermion_work_grows_with_every_size():
+    base = cli._fermion_work(2, 6, 6)
+    assert base < min(cli._fermion_work(3, 6, 6), cli._fermion_work(2, 7, 6),
+                      cli._fermion_work(2, 6, 8))
+
+
+def test_fermion_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
+    """Rank 4 at q- and z-order 10 passes the guard and z-order 11 does not;
+    a small character stands in for its 6 s build."""
+    assert cli._fermion_work(4, 10, 10) <= cli.FERMION_WORK_LIMIT < cli._fermion_work(4, 10, 11)
+    built = []
+    real = cli.vacuum_character
+
+    def small_character(rank, qorder, zorder):
+        built.append((rank, qorder, zorder))
+        return real(rank, 1, 1)
+
+    monkeypatch.setattr(cli, "vacuum_character", small_character)
+    assert cli.main(["fermion", "--rank", "4", "--qorder", "10", "--zorder", "10"]) == 0
+    assert built == [(4, 10, 10)]
+    assert capsys.readouterr().err == ""
+
+
 def test_guard_messages_keep_their_bytes(capsys):
     cases = [
         (["fgl", "--coordinate", "sigma", "--degree", "50", "--qorder", "5"],
@@ -436,6 +489,9 @@ def test_guard_messages_keep_their_bytes(capsys):
         (["sheaf", "--weights", "0,0", "--anchor", "0,0", "--sections", "--degree", "9"],
          "error: --degree 9 on 2 fixed coordinates needs up to 27954 cochains, "
          "over the limit of 20000\n"),
+        (["fermion", "--rank", "8", "--qorder", "8", "--zorder", "8"],
+         "error: --rank 8 --qorder 8 --zorder 8 needs about 913160464 coefficient products, "
+         "over the limit of 800000\n"),
     ]
     for argv, err in cases:
         assert cli.main(argv) == 2
@@ -445,6 +501,43 @@ def test_guard_messages_keep_their_bytes(capsys):
 def test_sheaf_bad_anchor_is_usage_error():
     proc = run("sheaf", "--weights", "1,2", "--anchor", "1/x,0", "--sections")
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# numpy only where floats run
+
+
+def _loads_numpy(argv):
+    """Whether importing the CLI and running argv in a fresh interpreter
+    imports numpy; this process already holds it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from ellforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split()
+    assert code == "0", argv
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["derham", "--cohomology", "--weights", "1", "--degree", "2"],
+    ["fgl", "--coordinate", "sigma", "--degree", "6", "--qorder", "3"],
+    ["euler", "--roots", "2", "--nilpotency", "4", "--qorder", "2"],
+    ["sheaf", "--weights", "1,2", "--anchor", "1/2,0", "--sections", "--degree", "4"],
+    ["check", "derham"],
+])
+def test_exact_commands_never_import_numpy(argv):
+    assert not _loads_numpy(argv)
+
+
+def test_float_suite_imports_numpy():
+    # the property above is not vacuous: the float kernels do load it
+    assert _loads_numpy(["check", "pfaffian"])
 
 
 # ---------------------------------------------------------------------------

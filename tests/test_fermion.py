@@ -18,14 +18,13 @@ from ellforge.fermion import (
     sector_z,
     vacuum_character,
     vacuum_character_product,
-    weight_eigenvalue,
     weyl_defect,
     weyl_invariant,
 )
 from ellforge.modforms import Lattice
 from ellforge.series import MultiSeries
 from ellforge.sigma import sigma_num
-from test_oracles import loop_pf_truncated_ratio, row_pf_truncated_ratio
+from test_oracles import loop_pf_truncated_ratio, row_pf_truncated_ratio, weight_eigenvalue
 
 LAT = Lattice(2j, 1.0)
 A = [SectorDatum(Fraction(1, 3))]

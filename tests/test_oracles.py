@@ -15,7 +15,9 @@ dict calculus (partial derivatives, term-by-term evaluation) that the
 Chern-Weil checks ran on before they became a derivation and a ring map.  A 40-digit decimal evaluation of the
 window heads measures how far the float windows are from exact, and the
 circle complex's forms, taken over the support of each weight vector, are
-checked against the sweep over all 0/1 vectors.
+checked against the sweep over all 0/1 vectors.  The accessors that only
+tests call (a mode eigenvalue, the degree parts of a graded element, a
+series' counted degree and a law's q^0 slice) live here too.
 """
 from __future__ import annotations
 
@@ -498,9 +500,9 @@ def loop_multi_mul(a, b):
     if total is not None:
         by_a, by_b = {}, {}
         for e, c in a.coeffs.items():
-            by_a.setdefault(a.tdeg(e), []).append((e, c))
+            by_a.setdefault(tdeg(a, e), []).append((e, c))
         for e, c in b.coeffs.items():
-            by_b.setdefault(a.tdeg(e), []).append((e, c))
+            by_b.setdefault(tdeg(a, e), []).append((e, c))
         for da, items_a in by_a.items():
             for db, items_b in by_b.items():
                 if da + db <= total:
@@ -656,6 +658,39 @@ def multiseries_sides(law):
 def multiseries_defect(law):
     left, right = multiseries_sides(law)
     return left - right
+
+
+# ---------------------------------------- accessors only the tests call
+
+
+def weight_eigenvalue(datum, n, m, lat):
+    """The eigenvalue of the mode (n, m) of the component (see fermion)."""
+    return (math.pi / lat.covolume) * (
+        (n - complex(datum.alpha2)) * lat.lam1
+        + (m + complex(datum.alpha1)) * lat.lam2
+        + datum.X
+    )
+
+
+def degree_part(el, n):
+    """The terms of a graded element in cohomological degree n."""
+    world = el.world
+    return GradedElement(
+        world, {k: c for k, c in el.coeffs.items() if world.monomial_degree(k) == n}
+    )
+
+
+def max_degree(el):
+    return max((el.world.monomial_degree(k) for k in el.coeffs), default=0)
+
+
+def tdeg(series, e):
+    """The total degree of the exponent e, counted over the series' tgroup."""
+    return sum(e[i] for i in series.tgroup)
+
+
+def q_zero_slice(law):
+    return law.table.coeff_in("q", 0)
 
 
 # ------------------------------------- Gaussian rationals and F-basis Euler
