@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, log2
+from math import comb, inf, isqrt, log2
 
 from .equivderham import (
     basic_subspace,
@@ -237,8 +237,39 @@ def _negative(args, *flags):
     return False
 
 
+# The most work (as _modforms_work and _sigma_work count it) that modforms
+# and sigma build and print: about 10 s.  On a 2-vCPU VM (Python 3.11) the
+# largest sizes accepted at eight shapes took 6.3 to 10.9 s: modforms
+# --qorder 270221 and --delta --qorder 6665; sigma up to q-order 1648 at
+# z-order 20 and z-order 252 at q-order 4; sigma --form exponential up to
+# q-order 93 at z-order 20 and 3144 at 2, and z-order 113 at q-order 4 and
+# 213 at 0.  modforms --qorder 1000000 (61 s), sigma --qorder 2000
+# --zorder 20 (20 s) and sigma --form exponential at q- and z-order 40
+# (14-16 s) or at z-order 287 (about 30 s) are refused.
+SERIES_WORK_LIMIT = 100_000_000
+
+
+def _modforms_work(delta, k, qorder):
+    """Estimated steps of one modforms build and print.
+
+    Delta raises the q-Pochhammer product (qorder^2 / 2 int steps) to the
+    24th power by four squarings and two products of up to qorder^2 / 2
+    steps each, on ints that grow with n: about 3.5 qorder^2 int products,
+    near two-thirds of a step each.  G_k takes sigma_{k-1}(n) by trial
+    division up to sqrt(n), (2/3) qorder^1.5 steps in all, whose powers
+    d^(k-1) cost about k/60 more per step.  Each printed coefficient is
+    one more step.
+    """
+    if delta:
+        return 9 * (qorder + 1) ** 2 // 4 + qorder
+    return (60 + k) * qorder * isqrt(qorder) // 90 + qorder
+
+
 def _cmd_modforms(args):
     if _negative(args, "qorder"):
+        return 2
+    if _over_limit(_modforms_work(args.delta, args.k, args.qorder), SERIES_WORK_LIMIT,
+                   f"--qorder {args.qorder} needs about", "steps"):
         return 2
     if args.delta:
         series, label, weight = delta_q(args.qorder), "Delta", 12
@@ -264,8 +295,34 @@ def _cmd_modforms(args):
     return 0
 
 
+def _sigma_work(form, qorder, zorder):
+    """Estimated steps of one sigma build and print.
+
+    The product form multiplies out Z = zorder // 2 rows of
+    prod_n (1 - t sum_k k q^(nk)) over S = qorder + 1 slots, about
+    Z S^2 ln(S) / 2 steps.  It then sums each of the (zorder + 1) S table
+    entries over Z + 1 rows, after (zorder + 1)(Z + 1)^2 binomial terms;
+    their powers (i - j - 1)^d grow with zorder, and a term took about
+    (16 + zorder)^2 / 3072 steps.  The exponential form exponentiates an
+    argument of z-valuation 2, term by term: about (S + 1)^2 Z^3 / 12
+    Fraction products, each about (200 + zorder) 3/5 steps, as the
+    Bernoulli numbers in the argument lengthen with zorder.  Each printed
+    cell is one more step.
+    """
+    slots, cells = qorder + 1, (qorder + 1) * (zorder + 1)
+    jmax = zorder // 2
+    if form == "exponential":
+        return (slots + 1) ** 2 * jmax**3 * (200 + zorder) // 20 + cells
+    t_steps = jmax * slots * slots * slots.bit_length() // 3
+    table = (zorder + 1) * (jmax + 1) * (jmax + 1 + slots) * (16 + zorder) ** 2 // 3072
+    return t_steps + table + cells
+
+
 def _cmd_sigma(args):
     if _negative(args, "qorder", "zorder"):
+        return 2
+    if _over_limit(_sigma_work(args.form, args.qorder, args.zorder), SERIES_WORK_LIMIT,
+                   f"--qorder {args.qorder} --zorder {args.zorder} needs about", "steps"):
         return 2
     build = sigma_product if args.form == "product" else sigma_exponential
     ms = build(args.qorder, args.zorder)

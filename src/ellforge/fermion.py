@@ -14,25 +14,22 @@ every ratio this module computes, and only ratios are exposed.
 
 Ratios of infinite eigenvalue products are regularized by a rectangle
 window: |n| <= M rows, each row cut at |m| <= P with P = 4 M^2.  A row's
-head, |m| <= P0 with P0 about 3 |c| + 48 for its shift c, is multiplied
-out; the rest of the row up to P is an analytic Euler-Maclaurin tail.
-Heads pair the modes m and -m into one factor, so a row's head is
-ca/cb times P0 paired factors (see _head_product for the one or two
-pairs per row taken unpaired).  The paired factors of all rows form one
-sequence, cut into chunks of _CHUNK: at M = 800 the window holds about
-3.9 million of them, some 63 MB as one complex array, which would raise
-peak memory, while a chunk's few arrays take about 0.5 MB, as much as the
-tail step at M = 200.  Each chunk is multiplied down in blocks of _BLOCK
-and the running product is rescaled by exact powers of two, so no log is
-taken and nothing overflows.  Tails are cheap to batch: all rows' tails
-are one (rows x _EM_JMAX) complex array, about 0.6 MB at M = 800, and the
-whole tail step stays under 2 MB there.
+finite product is evaluated through Euler's product for the sine,
+
+    prod_{|m| <= P} (ca + m)/(cb + m)
+        = [sin(pi ca)/sin(pi cb)] / prod_{m > P} (1 - ca^2/m^2)/(1 - cb^2/m^2),
+
+in scalar cmath: one sine ratio and a few terms of a power series per row
+(see _row_log_ratio), so the cost is O(rows) rather than O(modes).  Only a
+row whose head cut P0, about 3 |c| + 48 for its shift c, reaches P (a
+caller's small P) is multiplied out.  The rows' logs are summed exactly
+and their signs counted as an int; nothing here uses numpy, so every bit
+of a window is independent of the CPU's SIMD dispatch.
 
 The raw window limit differs from the closed form by exp((S_a - S_b)/2)
 with S the sum of the component coordinates; pf_truncated_ratio removes
 that factor internally so its M -> infinity limit is exactly
-pf_closed(a) / pf_closed(b).  The window kernels import numpy in their
-own bodies, so the exact side of the package loads without it.
+pf_closed(a) / pf_closed(b).
 """
 from __future__ import annotations
 
@@ -46,8 +43,7 @@ from .series import MultiSeries, differing_terms
 from .sigma import sigma_exponential, sigma_num, sigma_product
 
 _EM_JMAX = 24
-_BLOCK = 16  # factors per block product in the window heads; a power of two
-_CHUNK = 1 << 13  # paired modes per chunk of the window heads
+_EXP_IM = 1.0  # |Im r| past which sin(pi r) is taken from e^(2 pi i r)
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,7 @@ def _row_shift(twists, n: int, tau: complex) -> complex:
 
 
 def _zeta_tail(s, x):
-    """sum_{m > x} m^-s by Euler-Maclaurin, x a large integer; s an integer
-    or an array of them, x a float or a column of them."""
+    """sum_{m > x} m^-s by Euler-Maclaurin, x a large integer."""
     y2 = x ** -2
     t = 1 - (s + 3) * (s + 4) * y2 / 42.0
     t = 1 - (s + 1) * (s + 2) * y2 / 60.0 * t
@@ -104,9 +99,10 @@ def _nearest_mode(c: complex, P0: int) -> tuple[int, float]:
 def _window_rows(sector_a, sector_b, lat: Lattice, M: int, P: int):
     """(ca, cb, P0) for every row in (component, n) order.
 
-    P0 is the row's head cut; beyond it, up to P, the row's tail is
-    analytic.  Raises on the first row, in that order, with a vanishing
-    eigenvalue inside its head.
+    P0 is the row's head cut: when it reaches P the row is multiplied out,
+    and otherwise P0 > 3 |c| bounds the power series beyond P.  Raises on
+    the first row, in that order, with a vanishing eigenvalue inside its
+    head.
     """
     tau = lat.tau
     rows = []
@@ -127,147 +123,73 @@ def _window_rows(sector_a, sector_b, lat: Lattice, M: int, P: int):
     return rows
 
 
-def _rescale(x, work=None) -> int:
-    """Scale the complex array x in place by exact powers of two, each entry
-    to a modulus in [1/2, 1); return the sum of the exponents taken out.
+def _log_sin(r: complex) -> complex:
+    """log sin(pi r), up to a multiple of 2 pi i, for any Im r: where |Im r|
+    passes _EXP_IM, sin(pi r) = (i s / 2) e^(-i pi s r) (1 - e^(2 pi i s r))
+    with s the sign of Im r, so nothing overflows."""
+    if abs(r.imag) <= _EXP_IM:
+        return cmath.log(cmath.sin(math.pi * r))
+    s = TWO_PI_I if r.imag > 0 else -TWO_PI_I
+    return cmath.log(s / (4 * math.pi) * (1 - cmath.exp(s * r))) - s / 2 * r
 
-    work, if given, is a (float, np.intc) pair of arrays of x's shape used
-    as scratch, so a caller in a loop allocates nothing.
+
+def _head_log(ca: complex, cb: complex, P: int) -> complex:
+    """log prod_{|m| <= P} (ca + m)/(cb + m), multiplied out mode by mode.
+
+    The modes m, -m are taken together as (ca - m)(ca + m)/((cb - m)(cb + m)),
+    each factor of which is rounded on its own, so a small ca - m or a
+    cb far larger than ca costs no precision.  A log is taken every 32
+    pairs, so no partial product overflows.
     """
-    import numpy as np
-
-    mag, e = work if work is not None else (np.empty(x.shape), np.empty(x.shape, np.intc))
-    np.abs(x, out=mag)
-    np.frexp(mag, out=(mag, e))
-    np.negative(e, out=e)
-    np.ldexp(x.real, e, out=x.real)
-    np.ldexp(x.imag, e, out=x.imag)
-    return -int(e.sum())
+    log, out = 0j, ca / cb
+    for m in range(1, P + 1):
+        out *= (ca - m) * (ca + m) / ((cb - m) * (cb + m))
+        if not m % 32:
+            log += cmath.log(out)
+            out = 1
+    return log + cmath.log(out)
 
 
-def _scaled_prod(x) -> tuple[complex, int]:
-    """prod(x) as (mantissa, exponent), the product being mantissa * 2**exponent.
+def _row_log_ratio(ca: complex, cb: complex, P0: int, P: int, zetas) -> tuple[complex, int]:
+    """(log, flips) with prod_{|m| <= P} (ca + m)/(cb + m) = (-1)^flips e^log.
 
-    Multiplies blocks of _BLOCK entries level by level and rescales every
-    level, so no partial product overflows or underflows.
+    A row whose head cut P0 reaches P is multiplied out (_head_log).  Any
+    other row is Euler's product for the sine,
+
+        [sin(pi ca)/sin(pi cb)] / prod_{m > P} (1 - ca^2/m^2)/(1 - cb^2/m^2).
+
+    c = k + r with k the integer nearest Re c, so sin(pi c) = (-1)^k sin(pi r)
+    and k_a - k_b is counted in flips; r is exact.  Where Im ra and Im rb are
+    both past _EXP_IM on one side, sin(pi ra)/sin(pi rb) is
+    e^(-i pi s (ra - rb)) (1 - e^(2 pi i s ra))/(1 - e^(2 pi i s rb)), with
+    ra - rb formed before it is scaled.  The log of the product beyond P is
+    -sum_k (ca^2k - cb^2k) zetas[k-1] / k, with zetas[k-1] = sum_{m > P} m^-2k.
+    Its k-th term is at most |ca^2 - cb^2| max(|ca|, |cb|)^(2k-2) zetas[k-1],
+    and the sum stops where that bound falls below 1e-20: P0 < P puts |c|
+    under P/3, so each next bound is less than a ninth of the last.
     """
-    import numpy as np
-
-    exp = 0
-    while x.size > 1:
-        x = np.concatenate((x, np.ones(-x.size % _BLOCK, dtype=complex)))
-        x = x.reshape(_BLOCK, -1).prod(axis=0)
-        exp += _rescale(x)
-    return (complex(x[0]) if x.size else complex(1)), exp
-
-
-def _head_product(rows) -> tuple[complex, int]:
-    """prod (ca + m)/(cb + m) over every row and |m| <= P0, as (mantissa, exponent).
-
-    A row contributes ca/cb for m = 0 and, for m = 1..P0, the pair m, -m
-    as 1 + (ca - cb)(ca + cb)/(cb^2 - m^2).  The form
-    (ca^2 - m^2)/(cb^2 - m^2) would share the rounding of ca^2 across every
-    mode of the row; here (ca - cb)(ca + cb) and cb^2 are rounded once per
-    row, and their rounding reaches a factor only through its correction,
-    which is small once m passes |cb|.  Only where ca - m or cb - m is
-    itself small does that rounding swamp the factor, so the pairs with m
-    nearest to |Re ca| and to |Re cb| are taken unpaired instead, as
-    (ca - m)(ca + m)/((cb - m)(cb + m)), and multiplied with the m = 0
-    ratios.  The other paired modes of all rows are one sequence, taken
-    _CHUNK at a time: a chunk is multiplied down in blocks of _BLOCK, each
-    block's product kept as its difference from 1 until the block is done,
-    into an accumulator of _CHUNK / _BLOCK entries, which is rescaled after
-    every chunk.
-    """
-    import numpy as np
-
-    count = np.array([P0 for _, _, P0 in rows], dtype=np.int64)
-    end = np.cumsum(count)
-    start = end - count
-    exact = [ca / cb for ca, cb, _ in rows]
-    skip = []
-    for (ca, cb, P0), first in zip(rows, start.tolist()):
-        for m in {round(abs(ca.real)), round(abs(cb.real))}:
-            if 1 <= m <= P0:
-                exact.append((ca - m) * (ca + m) / ((cb - m) * (cb + m)))
-                skip.append(first + m - 1)
-    mant, exp = _scaled_prod(np.array(exact, dtype=complex))
-    if not rows:
-        return mant, exp
-    skip = np.sort(np.array(skip, dtype=np.int64))
-    # per-row constants, in Python complex (see _tail_log_ratios)
-    d = np.array([(ca - cb) * (ca + cb) for ca, cb, _ in rows])
-    b2 = np.array([cb * cb for _, cb, _ in rows])
-    total = int(end[-1])
-    # each chunk's rows and skipped modes, found once for all chunks
-    chunks = np.arange(0, total, _CHUNK)
-    ends = np.minimum(chunks + _CHUNK, total)
-    first = np.searchsorted(end, chunks, side="right").tolist()
-    last = (np.searchsorted(end, ends - 1, side="right") + 1).tolist()
-    skips = np.searchsorted(skip, np.append(chunks, total)).tolist()
-    skip %= _CHUNK
-    x = np.empty(_CHUNK, dtype=complex)
-    cols = _CHUNK // _BLOCK
-    ab = np.empty((_BLOCK // 2, cols), dtype=complex)  # a * b of the halving tree
-    acc = np.ones(cols, dtype=complex)
-    work = (np.empty(cols), np.empty(cols, np.intc))
-    for c, (s, e) in enumerate(zip(chunks.tolist(), ends.tolist())):
-        # rows i0 .. i1 - 1 meet the chunk; n counts each one's modes in it
-        i0, i1 = first[c], last[c]
-        n = np.minimum(end[i0:i1], e) - np.maximum(start[i0:i1], s)
-        m = x.view(float)[: e - s]  # m^2 is dead before x is formed
-        np.subtract(np.arange(s + 1.0, e + 1), np.repeat(start[i0:i1], n), out=m)
-        m *= m
-        den = np.repeat(b2[i0:i1], n)
-        den.real -= m  # b2 - m^2 bit for bit, with no complex copy of m^2
-        np.divide(np.repeat(d[i0:i1], n), den, out=x[: e - s])
-        del den  # else it lives on while the next chunk builds its own
-        x[e - s :] = 0
-        x[skip[skips[c] : skips[c + 1]]] = 0  # taken unpaired
-        # each block's product less 1, by halves: (1 + a)(1 + b) - 1 =
-        # a + b + ab rounds relative to the corrections, not to 1; a is
-        # overwritten by the result, as a + ab equals ab + a bit for bit
-        g = x.reshape(_BLOCK, -1)
-        while len(g) > 1:
-            h = len(g) // 2
-            a, b = g[:h], g[h:]
-            np.multiply(a, b, out=ab[:h])
-            a += ab[:h]
-            a += b
-            g = a
-        g += 1
-        acc *= g[0]
-        exp += _rescale(acc, work)
-    tail_mant, tail_exp = _scaled_prod(acc)
-    return mant * tail_mant, exp + tail_exp
-
-
-def _tail_log_ratios(rows, P: int) -> list[complex]:
-    """Per row, sum log((ca^2 - m^2)/(cb^2 - m^2)) over P0 < m <= P.
-
-    The log is expanded in powers of ca^2/m^2 and cb^2/m^2 up to _EM_JMAX,
-    with each power sum over m taken from _zeta_tail; all rows are one
-    (rows x _EM_JMAX) array.
-    """
-    import numpy as np
-
-    k = np.arange(1, _EM_JMAX + 1, dtype=float)
-    # numpy's vector pow rounds x ** -2 differently from Python's scalar pow
-    # for about one integer in twenty, but for every integer x from 2 to
-    # 10^6 the difference reaches no bit of _zeta_tail's result
-    x = np.array([float(P0) for _, _, P0 in rows])[:, None]
-    sk = _zeta_tail(2 * k, x) - _zeta_tail(2 * k, float(P))
-    shape = (len(rows), _EM_JMAX)
-    # squares in Python complex: numpy's vector complex multiply rounds about
-    # a third of them differently
-    a2 = np.array([ca * ca for ca, _, _ in rows])[:, None]
-    b2 = np.array([cb * cb for _, cb, _ in rows])[:, None]
-    # in place, so at most two (rows x _EM_JMAX) complex arrays are alive
-    terms = np.cumprod(np.broadcast_to(a2, shape), axis=1)
-    terms -= np.cumprod(np.broadcast_to(b2, shape), axis=1)
-    terms /= k
-    terms *= sk
-    return terms.sum(axis=1).tolist()
+    if P0 == P:
+        return _head_log(ca, cb, P), 0
+    ka, kb = round(ca.real), round(cb.real)
+    ra, rb = ca - ka, cb - kb
+    ya, yb = ra.imag, rb.imag
+    if min(abs(ya), abs(yb)) > _EXP_IM and (ya > 0) == (yb > 0):
+        s = TWO_PI_I if ya > 0 else -TWO_PI_I
+        log = cmath.log((1 - cmath.exp(s * ra)) / (1 - cmath.exp(s * rb))) - s / 2 * (ra - rb)
+    else:
+        log = _log_sin(ra) - _log_sin(rb)
+    a, b = ca * ca, cb * cb
+    d = (ca - cb) * (ca + cb)
+    big = max(abs(a), abs(b))
+    dk, bk, bound = d, b, abs(d)  # a^k - b^k, b^k and |a - b| big^(k-1)
+    for k, z in enumerate(zetas, 1):
+        if bound * z < 1e-20:
+            break
+        log += dk * z / k
+        dk = a * dk + bk * d
+        bk *= b
+        bound *= big
+    return log, ka - kb
 
 
 def pf_truncated_ratio(
@@ -277,11 +199,9 @@ def pf_truncated_ratio(
 
     The error decays like 1/M; with the default P = 4 M^2 the relative
     deviation from the closed form drops below 1e-4 by M = 800 on
-    lattices with Im tau >= 1.  The heads of all rows are one product of
-    paired modes, carried as a mantissa and a power of two (see
-    _head_product); the tails of all rows are one (rows x _EM_JMAX) array.
-    Memory stays at a few chunk-sized arrays (see the module docstring).
-    Empty sectors give exactly 1.
+    lattices with Im tau >= 1.  Each row is one _row_log_ratio; the rows'
+    logs are summed exactly (math.fsum) and their sign flips counted as an
+    int.  Empty sectors give exactly 1.
     """
     if len(sector_a) != len(sector_b):
         raise ValueError("sectors must have equal dimension for a finite ratio")
@@ -290,12 +210,16 @@ def pf_truncated_ratio(
     if M < 1 or P < 1:
         raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
     rows = _window_rows(sector_a, sector_b, lat, M, P)
-    tail = sum(_tail_log_ratios([r for r in rows if r[2] < P], P))
-    mant, exp = _head_product(rows)
+    zetas = [_zeta_tail(2 * k, float(P)) for k in range(1, _EM_JMAX + 1)]
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
-    out = mant * cmath.exp(-tail - (s_a - s_b) / 2)
-    return complex(math.ldexp(out.real, exp), math.ldexp(out.imag, exp))
+    logs, flips = [-(s_a - s_b) / 2], 0
+    for ca, cb, P0 in rows:
+        log, f = _row_log_ratio(ca, cb, P0, P, zetas)
+        logs.append(log)
+        flips += f
+    out = cmath.exp(complex(math.fsum(x.real for x in logs), math.fsum(x.imag for x in logs)))
+    return -out if flips % 2 else out
 
 
 def pf_rowlimit_ratio(sector_a, sector_b, lat: Lattice, rows: int = 10) -> complex:

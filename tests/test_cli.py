@@ -478,6 +478,81 @@ def test_fermion_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["modforms", "--qorder", "270222"],
+    ["modforms", "--qorder", "1000000"],
+    ["modforms", "--delta", "--qorder", "6666"],
+    ["modforms", "--k", "12", "--qorder", str(10**400)],
+    ["sigma", "--qorder", "1649", "--zorder", "20"],
+    ["sigma", "--qorder", "2000", "--zorder", "20"],
+    ["sigma", "--qorder", "4", "--zorder", "253"],
+    ["sigma", "--form", "exponential", "--qorder", "94", "--zorder", "20"],
+    ["sigma", "--form", "exponential", "--qorder", "3145", "--zorder", "2"],
+    ["sigma", "--form", "exponential", "--qorder", "40", "--zorder", "40"],
+    ["sigma", "--form", "exponential", "--qorder", "4", "--zorder", "114"],
+    ["sigma", "--form", "exponential", "--qorder", "0", "--zorder", "214"],
+    ["sigma", "--form", "exponential", "--qorder", "0", "--zorder", "287"],
+    ["sigma", "--qorder", "0", "--zorder", str(10**400)],
+])
+def test_series_commands_refuse_work_past_the_limit(argv, capsys):
+    flags = dict(zip(argv[1:], argv[2:]))
+    if argv[0] == "modforms":
+        estimate = cli._modforms_work("--delta" in argv, int(flags.get("--k", 4)),
+                                      int(flags["--qorder"]))
+    else:
+        estimate = cli._sigma_work(flags.get("--form", "product"), int(flags["--qorder"]),
+                                   int(flags["--zorder"]))
+    assert estimate > cli.SERIES_WORK_LIMIT
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"needs about {estimate} steps, over the limit of {cli.SERIES_WORK_LIMIT}\n")
+
+
+def test_series_work_grows_with_every_size():
+    assert cli._modforms_work(False, 4, 100) < cli._modforms_work(False, 4, 101)
+    assert cli._modforms_work(False, 4, 100) < cli._modforms_work(False, 12, 100)
+    assert cli._modforms_work(True, 4, 100) < cli._modforms_work(True, 4, 101)
+    for form in ("product", "exponential"):
+        base = cli._sigma_work(form, 20, 20)
+        assert base < min(cli._sigma_work(form, 21, 20), cli._sigma_work(form, 20, 22))
+
+
+@pytest.mark.parametrize("argv, builder, call, small", [
+    (["modforms", "--qorder", "270221"], "eisenstein_q", (4, 270221), (4, 2)),
+    (["modforms", "--delta", "--qorder", "6665"], "delta_q", (6665,), (2,)),
+    (["sigma", "--qorder", "1648", "--zorder", "20"], "sigma_product", (1648, 20), (2, 2)),
+    (["sigma", "--qorder", "4", "--zorder", "252"], "sigma_product", (4, 252), (2, 2)),
+    (["sigma", "--form", "exponential", "--qorder", "93", "--zorder", "20"],
+     "sigma_exponential", (93, 20), (2, 2)),
+    (["sigma", "--form", "exponential", "--qorder", "3144", "--zorder", "2"],
+     "sigma_exponential", (3144, 2), (2, 2)),
+    (["sigma", "--form", "exponential", "--qorder", "4", "--zorder", "113"],
+     "sigma_exponential", (4, 113), (2, 2)),
+    (["sigma", "--form", "exponential", "--qorder", "0", "--zorder", "213"],
+     "sigma_exponential", (0, 213), (2, 2)),
+])
+def test_series_commands_accept_the_size_next_to_the_limit(
+    argv, builder, call, small, monkeypatch, capsys
+):
+    """Each size is the largest its guard lets through (one more is refused
+    above); a small series stands in for its 10 s build and no table is
+    printed."""
+    built = []
+    real = getattr(cli, builder)
+
+    def small_build(*args):
+        built.append(args)
+        return real(*small)
+
+    monkeypatch.setattr(cli, builder, small_build)
+    monkeypatch.setattr(cli, "_print_table", lambda headers, rows: None)
+    assert cli.main(argv) == 0
+    assert built == [call]
+    assert capsys.readouterr().err == ""
+
+
 def test_guard_messages_keep_their_bytes(capsys):
     cases = [
         (["fgl", "--coordinate", "sigma", "--degree", "50", "--qorder", "5"],
@@ -492,6 +567,11 @@ def test_guard_messages_keep_their_bytes(capsys):
         (["fermion", "--rank", "8", "--qorder", "8", "--zorder", "8"],
          "error: --rank 8 --qorder 8 --zorder 8 needs about 913160464 coefficient products, "
          "over the limit of 800000\n"),
+        (["modforms", "--qorder", "1000000"],
+         "error: --qorder 1000000 needs about 712111111 steps, over the limit of 100000000\n"),
+        (["sigma", "--qorder", "2000", "--zorder", "20"],
+         "error: --qorder 2000 --zorder 20 needs about 147051466 steps, "
+         "over the limit of 100000000\n"),
     ]
     for argv, err in cases:
         assert cli.main(argv) == 2
@@ -530,14 +610,25 @@ def _loads_numpy(argv):
     ["euler", "--roots", "2", "--nilpotency", "4", "--qorder", "2"],
     ["sheaf", "--weights", "1,2", "--anchor", "1/2,0", "--sections", "--degree", "4"],
     ["check", "derham"],
+    ["check"],
 ])
 def test_exact_commands_never_import_numpy(argv):
     assert not _loads_numpy(argv)
 
 
 def test_float_suite_imports_numpy():
-    # the property above is not vacuous: the float kernels do load it
-    assert _loads_numpy(["check", "pfaffian"])
+    # the property above is not vacuous: the lattice sums, the one numpy
+    # user left, do load it (a fresh interpreter, since this one holds it)
+    script = (
+        "import sys\n"
+        "from ellforge.modforms import Lattice, eisenstein_num\n"
+        "print('numpy' in sys.modules, end=' ')\n"
+        "eisenstein_num(4, Lattice(1.2j, 1.0), 8)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ellforge
 from ellforge.fermion import (
     MultiplierCheck,
     SectorDatum,
@@ -230,11 +234,12 @@ def test_looijenga_labels_and_types():
 
 
 def test_pf_truncated_ratio_is_pinned_bit_for_bit():
-    # the row shifts convert each datum's twists once and the heads pair the
-    # modes m, -m; the float expression and so every bit of the result must
-    # stay as it is.  The 40-digit heads of test_oracles put this value
-    # 2.0e-15 from exact, where the block-log kernel's 0x1.495a5ef14f152p-6
-    # was 2.7e-13 away.
+    # the row shifts convert each datum's twists once and each row is
+    # Euler's sine product with the power-series tail beyond P; the float
+    # expression and so every bit of the result must stay as it is.  The
+    # exact window of test_oracles (50-digit log-gamma) puts this value
+    # 3.4e-15 from exact, where the paired-mode kernel's
+    # 0x1.495a5ef152028p-6 was 3.0e-14 away.
     a = [SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.1 + 0.05j), SectorDatum(Fraction(-2, 7))]
     b = [
         SectorDatum(Fraction(1, 4), Fraction(-2, 7), 0.02j),
@@ -242,6 +247,51 @@ def test_pf_truncated_ratio_is_pinned_bit_for_bit():
     ]
     lat = Lattice((0.3 + 1.2j) * (1.1 - 0.1j), 1.1 - 0.1j)
     v = pf_truncated_ratio(a, b, lat, 60)
-    assert (v.real.hex(), v.imag.hex()) == ("0x1.495a5ef152028p-6", "-0x1.77d7f1f05a610p-3")
+    assert (v.real.hex(), v.imag.hex()) == ("0x1.495a5ef15214ep-6", "-0x1.77d7f1f05a6d6p-3")
     w = pf_rowlimit_ratio(a, b, lat, 8)
     assert (w.real.hex(), w.imag.hex()) == ("0x1.443b71d4bfa90p-6", "-0x1.76ca2ea4b817bp-3")
+
+
+# the x86 dispatch levels from X86_V3 up, under which numpy's complex
+# kernels use fused multiply-add
+_NARROW_DISPATCH = "X86_V3 X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
+
+
+def _pins_in_fresh_interpreter(narrow):
+    """Both pinned values from a fresh interpreter, as hex, and whether
+    numpy was loaded after pf_truncated_ratio."""
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from ellforge.fermion import SectorDatum, pf_rowlimit_ratio, pf_truncated_ratio\n"
+        "from ellforge.modforms import Lattice\n"
+        "a = [SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.1 + 0.05j), SectorDatum(Fraction(-2, 7))]\n"
+        "b = [SectorDatum(Fraction(1, 4), Fraction(-2, 7), 0.02j), SectorDatum(Fraction(3, 5), Fraction(1, 2))]\n"
+        "lat = Lattice((0.3 + 1.2j) * (1.1 - 0.1j), 1.1 - 0.1j)\n"
+        "v = pf_truncated_ratio(a, b, lat, 60)\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "w = pf_rowlimit_ratio(a, b, lat, 8)\n"
+        "print(v.real.hex(), v.imag.hex(), w.real.hex(), w.imag.hex(), loaded)\n"
+    )
+    env = dict(os.environ)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if narrow:
+        env["NPY_DISABLE_CPU_FEATURES"] = _NARROW_DISPATCH
+    src = os.path.dirname(os.path.dirname(ellforge.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_pins_do_not_depend_on_the_numpy_dispatch():
+    # the window kernel runs on scalar cmath and math.fsum and never loads
+    # numpy, so a narrower SIMD dispatch cannot move a bit of either pin
+    default = _pins_in_fresh_interpreter(narrow=False)
+    assert default == [
+        "0x1.495a5ef15214ep-6", "-0x1.77d7f1f05a6d6p-3",
+        "0x1.443b71d4bfa90p-6", "-0x1.76ca2ea4b817bp-3", "False",
+    ]
+    assert _pins_in_fresh_interpreter(narrow=True) == default

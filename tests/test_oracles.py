@@ -1,23 +1,25 @@
 """The sparse elimination, one-pass joint kernels, key-level derivations,
-block-product and paired-mode Pfaffian windows, integer q-Pochhammer
-product, bucketed series kernels, Lagrange reversion, integral
-formal-group-law engine, weight-basis circle complex and U(2) torus
-reduction, integer t-product of the sigma product form, dict-level ring
-map, the circle differential carried to real coordinates and the Weil
-relations checked on generators against the dense, object-building,
-per-ratio, per-row, factor-by-factor, per-term, per-degree, z-reversion,
-product-by-product, real-coordinate and monomial-sweep code they replaced,
-kept here as oracles; so is the whole-meshgrid and row-by-row Eisenstein
-lattice sum that the half-lattice tiles replaced, and so are the Gaussian
-rationals, the Euler classes built over them in F (the library builds
-them in y = iF), the series ``log`` the library no longer needs and the
-dict calculus (partial derivatives, term-by-term evaluation) that the
-Chern-Weil checks ran on before they became a derivation and a ring map.  A 40-digit decimal evaluation of the
-window heads measures how far the float windows are from exact, and the
-circle complex's forms, taken over the support of each weight vector, are
-checked against the sweep over all 0/1 vectors.  The accessors that only
-tests call (a mode eigenvalue, the degree parts of a graded element, a
-series' counted degree and a law's q^0 slice) live here too.
+Pfaffian windows, integer q-Pochhammer product, bucketed series kernels,
+Lagrange reversion, integral formal-group-law engine, weight-basis circle
+complex and U(2) torus reduction, integer t-product of the sigma product
+form, dict-level ring map, the circle differential carried to real
+coordinates and the Weil relations checked on generators against the
+dense, object-building, per-ratio, per-row, factor-by-factor, per-term,
+per-degree, z-reversion, product-by-product, real-coordinate and
+monomial-sweep code they replaced, kept here as oracles; so is the
+whole-meshgrid and row-by-row Eisenstein lattice sum that the
+half-lattice tiles replaced, and so are the Gaussian rationals, the Euler
+classes built over them in F (the library builds them in y = iF), the
+series ``log`` the library no longer needs and the dict calculus (partial
+derivatives, term-by-term evaluation) that the Chern-Weil checks ran on
+before they became a derivation and a ring map.  A 50-digit log-gamma
+evaluation of the whole window (checked once against every mode
+multiplied out in 40-digit decimal) measures how far the float windows
+are from exact, row by row and in all, and the circle complex's forms,
+taken over the support of each weight vector, are checked against the
+sweep over all 0/1 vectors.  The accessors that only tests call (a mode
+eigenvalue, the degree parts of a graded element, a series' counted
+degree and a law's q^0 slice) live here too.
 """
 from __future__ import annotations
 
@@ -31,9 +33,10 @@ from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from ellforge import equivderham
 from ellforge.equivderham import (
@@ -75,12 +78,11 @@ from ellforge.equivderham import (
     _splice,
 )
 from ellforge.fermion import (
-    _BLOCK,
     _EM_JMAX,
     SectorDatum,
     _nearest_mode,
+    _row_log_ratio,
     _row_shift,
-    _tail_log_ratios,
     _twists,
     _window_rows,
     _zeta_tail,
@@ -307,7 +309,10 @@ def loop_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     return cmath.exp(total - (s_a - s_b) / 2)
 
 
-def _row_log_ratio(ca, cb, P, k, zeta_P, j, n):
+_BLOCK = 16  # ratios per block product of the block-log kernel
+
+
+def block_row_log_ratio(ca, cb, P, k, zeta_P, j, n):
     """One row: its own mode range, block-product head and tail."""
     P0 = int(3 * max(abs(ca), abs(cb))) + 48
     if P0 >= P:
@@ -335,7 +340,7 @@ def _row_log_ratio(ca, cb, P, k, zeta_P, j, n):
 def row_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The block-product window one row at a time, tail included: one
     complex division per mode and one complex log per _BLOCK ratios (the
-    replaced kernel)."""
+    block-log kernel)."""
     if len(sector_a) != len(sector_b):
         raise ValueError("sectors must have equal dimension for a finite ratio")
     if P is None:
@@ -348,10 +353,38 @@ def row_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
         for n in range(-M, M + 1):
             ca = _row_shift(ta, n, lat.tau)
             cb = _row_shift(tb, n, lat.tau)
-            total += _row_log_ratio(ca, cb, P, k, zeta_P, j, n)
+            total += block_row_log_ratio(ca, cb, P, k, zeta_P, j, n)
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
     return cmath.exp(total - (s_a - s_b) / 2)
+
+
+def exact_row_log_ratio(ca, cb, P):
+    """log prod_{|m| <= P} (ca + m)/(cb + m) at 50 digits, as an mpc, from
+    prod_{|m| <= P} (c + m) = Gamma(c + P + 1)/Gamma(c - P).  The float
+    shifts are held exactly; the log is right up to a multiple of 2 pi i."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(ca), mpmath.mpc(cb)
+        return (mpmath.loggamma(a + P + 1) - mpmath.loggamma(a - P)) - (
+            mpmath.loggamma(b + P + 1) - mpmath.loggamma(b - P)
+        )
+
+
+def exact_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
+    """The window itself, every mode |m| <= P of every row, at 50 digits.
+
+    The row shifts are the library's floats (_window_rows); from there on
+    nothing is rounded to a double until the end, so this measures the
+    whole of a kernel's error: its heads, its tails and its sum.
+    """
+    if P is None:
+        P = 4 * M * M
+    rows = _window_rows(sector_a, sector_b, lat, M, P)
+    s_a = sum(sector_z(d, lat) for d in sector_a)
+    s_b = sum(sector_z(d, lat) for d in sector_b)
+    with mpmath.workdps(50):
+        total = mpmath.fsum(exact_row_log_ratio(ca, cb, P) for ca, cb, _ in rows)
+        return complex(mpmath.exp(total - mpmath.mpc(s_a - s_b) / 2))
 
 
 def _decimal_mul(x, y):
@@ -360,28 +393,27 @@ def _decimal_mul(x, y):
 
 
 def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
-    """The window with its heads multiplied out in 40-digit decimal.
+    """The window multiplied out mode by mode in 40-digit decimal.
 
-    The row shifts (_window_rows) and the tails (_tail_log_ratios) are the
-    library's floats; every head factor (ca^2 - m^2)/(cb^2 - m^2) is formed
-    from those floats, which Decimal holds exactly, so the heads' rounding
-    is some 1e-35.  The exponent range is unbounded: the numerator and
-    denominator products reach about 10^10^6 at M = 200.
+    Every factor (ca^2 - m^2)/(cb^2 - m^2), 1 <= m <= P, and ca/cb is
+    formed from the library's float row shifts, which Decimal holds
+    exactly, so the rounding is some 1e-35.  The exponent range is
+    unbounded: the numerator and denominator products reach about
+    10^10^5 at M = 30.
     """
     if P is None:
         P = 4 * M * M
     rows = _window_rows(sector_a, sector_b, lat, M, P)
-    tail = sum(_tail_log_ratios([r for r in rows if r[2] < P], P))
     with localcontext() as ctx:
         ctx.prec = 40
         ctx.Emax, ctx.Emin = 10**15, -(10**15)
         num = den = (Decimal(1), Decimal(0))
-        for ca, cb, P0 in rows:
+        for ca, cb, _ in rows:
             a = Decimal(ca.real), Decimal(ca.imag)
             b = Decimal(cb.real), Decimal(cb.imag)
             a2, b2 = _decimal_mul(a, a), _decimal_mul(b, b)
             num, den = _decimal_mul(num, a), _decimal_mul(den, b)
-            for m in range(1, P0 + 1):
+            for m in range(1, P + 1):
                 mm = m * m
                 num = _decimal_mul(num, (a2[0] - mm, a2[1]))
                 den = _decimal_mul(den, (b2[0] - mm, b2[1]))
@@ -390,7 +422,7 @@ def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
         head = complex(float(real / norm), float(imag / norm))
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
-    return head * cmath.exp(-tail - (s_a - s_b) / 2)
+    return head * cmath.exp(-(s_a - s_b) / 2)
 
 
 def meshgrid_eisenstein_num(k, lat, M):
@@ -1943,14 +1975,17 @@ _TWISTED_B = [SectorDatum(Fraction(1, 4), Fraction(-1, 6), -0.05 + 0.11j)]
         (_PINNED_A, _PINNED_B, Lattice((0.3 + 1.2j) * (1.1 - 0.1j), 1.1 - 0.1j), 60),
         (_THIRD, _QUARTER, Lattice(2j, 1.0), 100),
         (_TWISTED_A, _TWISTED_B, Lattice(0.3 + 1.2j, 1.0), 100),
+        (_THIRD, _QUARTER, Lattice(2j, 1.0), 400),
     ],
-    ids=["pinned-M60", "tau-2i-M100", "tau-0.3+1.2i-M100"],
+    ids=["pinned-M60", "tau-2i-M100", "tau-0.3+1.2i-M100", "tau-2i-M400"],
 )
 def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
-    """Within 1e-13 of the 40-digit heads, and no farther than the replaced
-    block-log kernel; pairing m, -m as (ca^2 - m^2)/(cb^2 - m^2) instead
-    misses the bound at tau = 2i."""
-    want = decimal_pf_truncated_ratio(sector_a, sector_b, lat, M)
+    """Within 1e-13 of the exact window (every mode |m| <= P, at 50
+    digits), and no farther than the block-log kernel.  The paired-mode
+    kernel this replaced missed the bound through its float tails between
+    each head cut and P: 1.5e-13 at tau = 2i, M = 100 and 2.7e-12 at
+    M = 400."""
+    want = exact_pf_truncated_ratio(sector_a, sector_b, lat, M)
     got = abs(pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
     old = abs(row_pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
     assert got <= 1e-13
@@ -1961,14 +1996,86 @@ def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
 @pytest.mark.parametrize("side", ["numerator", "denominator"])
 def test_pf_truncated_ratio_keeps_near_vanishing_eigenvalues(side, gap):
     """An eigenvalue gap from zero (ca = 1 + gap or cb = 2 + gap in row 0)
-    cancels in the paired factor's 1 + x; the window must still be within
-    1e-13 of the 40-digit heads (pairing those modes missed it by 1e-9 at
-    gap 1e-7)."""
+    sits in sin(pi r) with r the gap itself; the window must still be
+    within 1e-13 of the exact window (pairing those modes as
+    1 + (ca - cb)(ca + cb)/(cb^2 - m^2) missed it by 1e-9 at gap 1e-7)."""
     near = [SectorDatum(Fraction(1 if side == "numerator" else 2), Fraction(0), gap)]
     case = (near, _QUARTER) if side == "numerator" else (_QUARTER, near)
     lat = Lattice(2j, 1.0)
-    want = decimal_pf_truncated_ratio(*case, lat, 30)
+    want = exact_pf_truncated_ratio(*case, lat, 30)
     assert abs(pf_truncated_ratio(*case, lat, 30) - want) <= 1e-13 * abs(want)
+
+
+def test_log_gamma_window_is_the_literal_product():
+    # the 50-digit log-gamma window against every mode multiplied out in
+    # 40-digit decimal: both are far below a double's rounding, and the
+    # decimal one rounds once more, in its float factor e^(-(S_a - S_b)/2)
+    lat = Lattice(2j, 1.0)
+    for case in ((_THIRD, _QUARTER), (_PINNED_A, _PINNED_B)):
+        want = decimal_pf_truncated_ratio(*case, lat, 30)
+        assert abs(exact_pf_truncated_ratio(*case, lat, 30) - want) <= 2**-52 * abs(want)
+
+
+def _row_zetas(P):
+    return [_zeta_tail(2 * k, float(P)) for k in range(1, _EM_JMAX + 1)]
+
+
+# row shifts: |Im c| small, moderate or far past where sin(pi c) overflows,
+# Re c up to 40 and within 1e-9 of an integer
+_im_parts = st.one_of(
+    st.floats(-1.5, 1.5), st.floats(-30, 30), st.floats(200, 2000), st.floats(-2000, -200)
+)
+_re_parts = st.one_of(
+    st.floats(-40, 40),
+    st.builds(lambda k, e: k + e, st.integers(-40, 40), st.floats(-1e-9, 1e-9)),
+)
+_row_shifts = st.builds(complex, _re_parts, _im_parts)
+
+
+def _head_cut(ca, cb, P):
+    """A row's head cut, as _window_rows sets it."""
+    return min(int(3 * max(abs(ca), abs(cb))) + 48, P)
+
+
+@st.composite
+def row_cases(draw):
+    ca = draw(_row_shifts)
+    # cb in the same row as ca (a bounded difference, as in a window), or
+    # anywhere: Im cb may take the other sign
+    cb = draw(st.one_of(
+        st.builds(lambda d: ca + d, st.complex_numbers(max_magnitude=8)), _row_shifts
+    ))
+    # P from the smallest (the whole row multiplied out) to 4 M^2 at M = 800
+    P = draw(st.one_of(st.integers(1, 200), st.integers(200, 2_560_000)))
+    P0 = _head_cut(ca, cb, P)
+    for c in (ca, cb):
+        assume(_nearest_mode(c, P0)[1] >= 1e-12)
+        # c + P + 1 and c - P are poles of Gamma there, though the row is not
+        assume(not (c.imag == 0 and c.real == round(c.real) < -P))
+    return ca, cb, P
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(row_cases())
+@example((0.3 + 1e-12j, 0.25 - 1e-12j, 50))
+@example((1.0 + 1e-9 + 800j, 0.25 + 800j, 640_000))
+@example((0.5 + 1500j, -0.5 - 1500j, 2_560_000))
+@example((3.2j, 3.2 + 0j, 58))  # ca^4 = cb^4: the tail's second term is 0
+def test_row_log_ratio_matches_the_exact_row(case):
+    """One row by Euler's sine product (or multiplied out, when its head
+    cut reaches P) against the 50-digit log-gamma row, in the log, up to
+    2 pi i.  Terms of the log as large as pi |c| are rounded once each,
+    and a multiplied-out row rounds each of its P factors; over 1000
+    examples the error stayed under a third of this bound."""
+    ca, cb, P = case
+    P0 = _head_cut(ca, cb, P)
+    log, flips = _row_log_ratio(ca, cb, P0, P, _row_zetas(P))
+    want = exact_row_log_ratio(ca, cb, P)
+    with mpmath.workdps(50):
+        diff = mpmath.mpc(log) + mpmath.pi * 1j * flips - want
+        turns = mpmath.nint(diff.imag / (2 * mpmath.pi))
+        err = abs(complex(diff - 2j * mpmath.pi * turns))
+    assert err <= 2**-50 * (16 + math.pi * (abs(ca) + abs(cb)) + (P0 == P) * P)
 
 
 # two lattices with real lam2 and one with lam2 tilted off the real axis;
