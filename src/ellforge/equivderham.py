@@ -414,13 +414,12 @@ def _compositions(total, slots):
 
 
 def _operator_rows(op, world, src_keys, dst_keys):
-    """Matrix rows of a linear operator between monomial blocks."""
-    dst_index = {k: i for i, k in enumerate(dst_keys)}
-    rows = [[0] * len(src_keys) for _ in dst_keys]
+    """Dict rows {source column: c} of a linear operator between monomial blocks."""
+    rows = {k: {} for k in dst_keys}
     for j, key in enumerate(src_keys):
         for k, c in op(_element(world, {key: 1})).coeffs.items():
-            rows[dst_index[k]][j] = c
-    return rows
+            rows[k][j] = c
+    return list(rows.values())
 
 
 def joint_nullspace(row_blocks, ncols):
@@ -516,13 +515,8 @@ def basic_subspace(lie: LieAlgebra, degree: int):
         )
         la = lie_operator(d, io)
         row_blocks.append(_operator_rows(la, world, keys, keys))
-    vectors = joint_nullspace(row_blocks, len(keys))
-    basis = []
-    for v in vectors:
-        basis.append(
-            GradedElement(world, {k: c for k, c in zip(keys, v) if c != 0})
-        )
-    return basis
+    return [_element(world, {keys[j]: c for j, c in v.items()})
+            for v in joint_nullspace(row_blocks, len(keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +599,10 @@ def circle_d(action, world: GradedWorld) -> Derivation:
 class CircleBlock:
     """One charge-0 block: its monomials keys[deg] for deg 0..degree_bound + 1,
     and for deg <= degree_bound the matrix rows d[deg] of d from keys[deg] to
-    keys[deg + 1] and the canonical basis cocycles[deg] of its kernel."""
+    keys[deg + 1] and the canonical basis cocycles[deg] of its kernel.  Both
+    are sparse, as in series.rref: a row of d[deg] is a dict {index into
+    keys[deg]: c}, one row per key of keys[deg + 1], and a cocycle is a
+    dict vector {index into keys[deg]: c}."""
 
     w: int
     n: tuple
@@ -788,13 +785,7 @@ def _swap_fixed(keys):
 def _span_rank(vectors):
     """Rank of the span of coefficient dicts."""
     cols = {}
-    for v in vectors:
-        for key in v:
-            cols.setdefault(key, len(cols))
-    rows = [[0] * len(cols) for _ in vectors]
-    for row, v in zip(rows, vectors):
-        for key, c in v.items():
-            row[cols[key]] = c
+    rows = [{cols.setdefault(key, len(cols)): c for key, c in v.items()} for v in vectors]
     return matrix_rank(rows, len(cols))
 
 
@@ -873,7 +864,7 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
         keys = _gl2_keys(xdeg, fdeg, udeg, (0, 0))
         rows = [_operator_rows(la, world, keys, _gl2_keys(xdeg, fdeg, udeg, c))
                 for la, c in lies]
-        group = [{k: c for k, c in zip(keys, v) if c} for v in joint_nullspace(rows, len(keys))]
+        group = [{keys[j]: c for j, c in v.items()} for v in joint_nullspace(rows, len(keys))]
         return group, _swap_fixed(filter(_on_torus, keys))
 
     group_dims = {}

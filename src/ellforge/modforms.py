@@ -330,12 +330,15 @@ def homogeneous_fit(series: TruncatedSeries, weight: int):
         return None
     g4, g6 = eisenstein_q(4, order), eisenstein_q(6, order)
     cols = [TruncatedSeries.one("q", order) * g4 ** a * g6 ** b for _, a, b in monos]
-    rows = [[col.coeff(e) for col in cols] for e in range(order + 1)]
+    rows = [{} for _ in range(order + 1)]
+    for j, col in enumerate(cols):
+        for e, c in col.coeffs.items():
+            rows[e][j] = c
     rhs = [series.coeff(e) for e in range(order + 1)]
-    sol = solve_exact(rows, rhs)
+    sol = solve_exact(rows, rhs, len(monos))
     if sol is None:
         return None
-    return {m: s for m, s in zip(monos, sol) if s != 0}
+    return {monos[j]: s for j, s in sol.items()}
 
 
 def g2_anomaly_samples(count: int = 10, seed: int = 1, qorder: int = 40):

@@ -842,12 +842,12 @@ class MultiSeries:
 
 # ------------------------------------------------------------------ exact
 # linear algebra over the rationals, used by the modular-fit solvers,
-# kernel computations, and rank checks.
+# kernel computations, and rank checks.  A row or vector is a dict
+# {column: nonzero int or Fraction}, with the zeros left out.
 
 # ELLFORGE_TRACE=1 writes one stderr line per elimination: caller, shape,
 # input nonzeros, rank and seconds.  Standard output is never touched.
 _TRACE = os.environ.get("ELLFORGE_TRACE") == "1"
-_ZERO = Fraction(0)
 
 
 def _subtract(row, f, piv):
@@ -863,21 +863,21 @@ def _subtract(row, f, piv):
 
 
 def rref(rows, ncols: int):
-    """Reduced row echelon form; returns (matrix, pivots).
+    """Reduced row echelon form of dict rows; returns (matrix, pivots).
 
-    Only the first ncols columns take pivots; wider rows (an augmented
-    right-hand side) are carried along.  The returned matrix lists the
-    pivot rows in increasing pivot column, then the other rows, which
-    vanish in the first ncols columns.  Elimination runs on sparse dict
-    rows: each row is reduced by the pivot rows at its leading column,
-    and a full back-substitution makes the result the unique RREF.
+    Only the columns below ncols take pivots; entries at ncols and beyond
+    (an augmented right-hand side) are carried along.  The returned matrix
+    holds dict rows: the pivot rows in increasing pivot column, then the
+    other rows, which vanish in the first ncols columns.  Each row is
+    reduced by the pivot rows at its leading column, and a full
+    back-substitution makes the result the unique RREF.
     """
     start = time.perf_counter()
     piv = {}  # pivot column -> row with 1 there, zeros at earlier pivots
     rest = []
     nnz = 0
-    for dense in rows:
-        row = {j: x for j, x in enumerate(dense) if x != 0}
+    for row in rows:
+        row = dict(row)
         nnz += len(row)
         while True:
             lead = min((j for j in row if j < ncols), default=None)
@@ -894,12 +894,6 @@ def rref(rows, ncols: int):
         row = piv[c]
         for k in [k for k in row if k != c and k in piv]:
             _subtract(row, row[k], piv[k])
-    width = max((len(r) for r in rows), default=ncols)
-    mat = []
-    for row in [piv[c] for c in pivots] + rest:
-        mat.append([_ZERO] * width)
-        for j, x in row.items():
-            mat[-1][j] = x
     if _TRACE:
         frame = sys._getframe(1)
         while frame.f_code in _ELIMINATION_CODES:
@@ -910,7 +904,7 @@ def rref(rows, ncols: int):
             f"seconds={time.perf_counter() - start:.6f}",
             file=sys.stderr,
         )
-    return mat, pivots
+    return [piv[c] for c in pivots] + rest, pivots
 
 
 def matrix_rank(rows, ncols: int) -> int:
@@ -920,54 +914,41 @@ def matrix_rank(rows, ncols: int) -> int:
     return len(pivots)
 
 
-def solve_exact(rows, rhs):
-    """Exact solution of an (overdetermined) consistent system, else None."""
-    if not rows:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug, ncols)
-    # inconsistent if a row without pivot has a nonzero last entry
-    for row in mat[len(pivots):]:
-        if row[ncols] != 0:
-            return None
-    sol = [_ZERO] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = mat[r][ncols]
+def solve_exact(rows, rhs, ncols: int):
+    """Exact solution of an (overdetermined) consistent system, else None.
+
+    The solution is a dict vector with the free columns at zero.
+    """
+    mat, pivots = rref([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)], ncols)
+    # inconsistent if a row without pivot keeps an entry, which is right of the bar
+    if any(mat[len(pivots):]):
+        return None
+    sol = {c: row[ncols] for c, row in zip(pivots, mat) if ncols in row}
     # verify (guards against free columns hiding inconsistency)
-    for row_in, b in zip(rows, rhs):
-        acc = 0
-        for a, x in zip(row_in, sol):
-            acc = acc + a * x
-        if acc != b:
+    for row, b in zip(rows, rhs):
+        if sum(a * sol[j] for j, a in row.items() if j in sol) != b:
             return None
     return sol
 
 
 def nullspace(rows, ncols: int):
-    """Basis of the right kernel, one vector per free column of the RREF.
+    """Basis of the right kernel, one dict vector per free column of the RREF.
 
     The vector of free column f has 1 at f, 0 at the other free columns
     and minus the RREF's column f at the pivots: the canonical reduced
-    basis, unique for the kernel and the column order.
+    basis, unique for the kernel and the column order.  Its columns come
+    in increasing order, since the RREF vanishes left of each pivot.
     """
-    if not rows:
-        return [
-            [Fraction(1) if i == j else _ZERO for i in range(ncols)]
-            for j in range(ncols)
-        ]
     mat, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivot_set:
-            continue
-        vec = [_ZERO] * ncols
-        vec[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -mat[r][fcol]
-        basis.append(vec)
-    return basis
+    taken = set(pivots)
+    basis = {f: {} for f in range(ncols) if f not in taken}
+    for pcol, row in zip(pivots, mat):
+        for j, x in row.items():
+            if j in basis:
+                basis[j][pcol] = -x
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
+    return list(basis.values())
 
 
 def row_basis(rows, ncols: int):
@@ -976,8 +957,10 @@ def row_basis(rows, ncols: int):
     That basis of the row space has unit vectors on the last independent
     columns: it is the RREF with the column order reversed, read backwards.
     """
-    mat, pivots = rref([row[:ncols][::-1] for row in rows], ncols)
-    return [row[::-1] for row in reversed(mat[:len(pivots)])]
+    last = ncols - 1
+    mat, pivots = rref([{last - j: x for j, x in row.items()} for row in rows], ncols)
+    return [{last - j: row[j] for j in sorted(row, reverse=True)}
+            for row in reversed(mat[:len(pivots)])]
 
 
 # callers that the trace looks past, to name who asked for the elimination

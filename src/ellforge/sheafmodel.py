@@ -144,8 +144,9 @@ def _real_basis(els, world, images):
     parts = [part for el in els for part in _fold(substitute(el, world, images).coeffs)]
     # the real block's key order: form degree, then exponents, then forms
     keys = sorted({k for p in parts for k in p}, key=lambda k: (len(k[1]), k))
-    rows = [[p.get(k, 0) for k in keys] for p in parts]
-    return [GradedElement(world, {k: c for k, c in zip(keys, v) if c})
+    cols = {k: j for j, k in enumerate(keys)}
+    rows = [{cols[k]: c for k, c in p.items()} for p in parts]
+    return [GradedElement(world, {keys[j]: c for j, c in v.items()})
             for v in row_basis(rows, len(keys))]
 
 
@@ -177,7 +178,7 @@ def local_sections(space, h, degree_bound, wmax=None):
     basis = {deg: [] for deg in range(degree_bound + 1)}
     for deg in basis:
         for _, group in itertools.groupby(blocks, key=lambda b: b.w):
-            els = [GradedElement(cworld, dict(zip(b.keys[deg], v)))
+            els = [GradedElement(cworld, {b.keys[deg][j]: c for j, c in v.items()})
                    for b in group for v in b.cocycles[deg]]
             if els:
                 basis[deg] += _real_basis(els, world, images)
@@ -412,10 +413,15 @@ def localized_transition_rank(space, h, hp, degree_bound=8, wmax=None):
             if any(b.n[i] or b.m[i] for i in range(k) if i not in keep):
                 continue
             t = targets[tuple(b.n[i] for i in keep), tuple(b.m[i] for i in keep)]
-            rows = [dict(zip(map(restrict, b.keys[deg]), v)) for v in b.cocycles[deg]]
-            rows = [[r.get(key, 0) for key in t.keys[deg]] for r in rows]
-            if deg:  # the target boundaries, as the images of its basis
-                rows += map(list, zip(*t.d[deg - 1]))
+            index = {key: j for j, key in enumerate(t.keys[deg])}
+            moved = [index[restrict(key)] for key in b.keys[deg]]
+            rows = [{moved[j]: c for j, c in v.items()} for v in b.cocycles[deg]]
+            if deg:  # the target boundaries: the columns of its d, as rows
+                cols = [{} for _ in t.keys[deg - 1]]
+                for i, row in enumerate(t.d[deg - 1]):
+                    for j, c in row.items():
+                        cols[j][i] = c
+                rows += cols
             rank += matrix_rank(rows, len(t.keys[deg])) - t.rank(deg - 1)
         ranks.append(rank)
     return LocalizationReport(degree_bound, up_dims, down_dims, ranks)

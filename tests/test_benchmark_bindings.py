@@ -88,3 +88,15 @@ def test_every_benchmark_task_passes_at_full_size(workload):
     tasks = _load("workloads").build(workload, seed=1, size="full")
     assert tasks
     assert [t.name for t in tasks if not t.run()] == []
+
+
+def test_a_traced_pass_holds_and_counts_eliminations(tracer):
+    # the tracer's elimination hooks read the rows of every rref call, so
+    # one traced pass shows that they still suit the row type
+    workloads = _load("workloads")
+    tasks = [t for name in ("cartan", "weil-sheaf") for t in workloads.build(name, seed=1)]
+    with tracer.Tracer() as t:
+        t.install(extra_modules=(workloads,))
+        failed = [task.name for task in tasks if not t.task(task.name, task.run)]
+    assert failed == []
+    assert t.metrics()["series.rref.calls"] > 0

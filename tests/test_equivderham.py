@@ -430,7 +430,7 @@ def test_circle_blocks_are_charge_zero_subcomplexes():
                 assert set(d(el).coeffs) <= set(b.keys[deg + 1])
                 assert d(d(el)).is_zero()
             for v in b.cocycles[deg]:
-                assert d(GradedElement(world, dict(zip(b.keys[deg], v)))).is_zero()
+                assert d(GradedElement(world, {b.keys[deg][j]: c for j, c in v.items()})).is_zero()
 
 
 def test_circle_differential_has_integer_coefficients():

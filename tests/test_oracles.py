@@ -135,6 +135,16 @@ from ellforge.series import (
 # ---------------------------------------------------------------- oracles
 
 
+def as_dicts(rows):
+    """Dense rows as the eliminator's dict rows, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+
+
+def as_dense(vectors, ncols):
+    """The eliminator's dict vectors as dense rows of width ncols."""
+    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in vectors]
+
+
 def dense_rref(rows, ncols):
     """Column-by-column Gauss-Jordan on dense rows (the replaced code)."""
     mat = [list(r) for r in rows]
@@ -178,11 +188,8 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
-def dense_solve(rows, rhs):
+def dense_solve(rows, rhs, ncols):
     """Particular solution with the free variables at zero, else None."""
-    if not rows:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(rows[0])
     mat, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
     if any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in mat):
         return None
@@ -1205,14 +1212,14 @@ def cartan_block(lie: LieAlgebra, world: GradedWorld, ambient, xdeg, fdeg, udeg)
 
 
 def invariant_vectors(lie, world, ambient, keys, matrices=None):
-    """Basis of the joint kernel of all L_a on the span of the given monomials."""
+    """Basis of the joint kernel of all L_a on the span of keys, as dense vectors."""
     if not keys:
         return []
     row_blocks = []
     for a in range(lie.dim):
         la = cartan_lie(lie, world, a, matrices)
         row_blocks.append(_operator_rows(la, world, keys, keys))
-    return joint_nullspace(row_blocks, len(keys))
+    return as_dense(joint_nullspace(row_blocks, len(keys)), len(keys))
 
 
 def _w_blocks(w, deg, ambient):
@@ -1232,12 +1239,7 @@ def _image_rank(d, world, elems, dst_keys):
     if not elems or not dst_keys:
         return 0
     dst_index = {k: i for i, k in enumerate(dst_keys)}
-    rows = []
-    for elem in elems:
-        row = [0] * len(dst_keys)
-        for k, c in d(elem).coeffs.items():
-            row[dst_index[k]] = c
-        rows.append(row)
+    rows = [{dst_index[k]: c for k, c in d(elem).coeffs.items()} for elem in elems]
     return matrix_rank(rows, len(dst_keys))
 
 
@@ -1328,7 +1330,7 @@ def _w_complex(ws, w, degree_bound):
             [cols[j][i] for j in range(len(vecs))]
             for i in range(len(keys[deg + 1]))
         ]
-        for combo in nullspace(rows, len(vecs)):
+        for combo in as_dense(nullspace(as_dicts(rows), len(vecs)), len(vecs)):
             vec = [
                 sum(combo[j] * vecs[j][i] for j in range(len(vecs)))
                 for i in range(len(keys[deg]))
@@ -1371,7 +1373,7 @@ def _rank_of(vectors, width):
     if not vectors:
         return 0
     rows = [[v[i] for v in vectors] for i in range(width)]
-    return matrix_rank(rows, len(vectors))
+    return matrix_rank(as_dicts(rows), len(vectors))
 
 
 def real_cartan_dims(weights, degree_bound, wmax):
@@ -1386,7 +1388,7 @@ def real_cartan_dims(weights, degree_bound, wmax):
         keys = cartan_block(lie, world, ambient, xdeg, fdeg, udeg)
         if weights:
             return keys, invariant_vectors(lie, world, ambient, keys, mats)
-        return keys, nullspace([], len(keys))
+        return keys, as_dense(nullspace([], len(keys)), len(keys))
 
     return _truncated_cohomology(d, lie, world, ambient, degree_bound, wmax, basis)
 
@@ -1521,7 +1523,7 @@ def real_torus_reduction_check(degree_bound, poly_bound):
                     lambda x: product_substitute(x, tworld, swap_images) - x,
                     tworld, tkeys, tkeys,
                 ))
-                tvecs = joint_nullspace(row_blocks, len(tkeys))
+                tvecs = as_dense(joint_nullspace(row_blocks, len(tkeys)), len(tkeys))
                 td += len(tvecs)
                 gsolved[xdeg, fdeg, udeg] = (gkeys, gvecs)
                 tsolved[xdeg, fdeg, udeg] = (tkeys, tvecs)
@@ -1529,7 +1531,7 @@ def real_torus_reduction_check(degree_bound, poly_bound):
                 # injectivity of restriction on the invariants
                 if gvecs:
                     rows = restricted(gkeys, gvecs, tkeys)
-                    if matrix_rank(rows, len(tkeys)) != len(gvecs):
+                    if matrix_rank(as_dicts(rows), len(tkeys)) != len(gvecs):
                         injective = False
         group_dims[deg] = gd
         torus_dims[deg] = td
@@ -1552,7 +1554,7 @@ def real_torus_reduction_check(degree_bound, poly_bound):
     t3_vec = [0] * len(tkeys)
     t3_vec[tkeys.index(((0, 1, 0, 0, 0, 0), ()))] = 1
     rows = [[col[i] for col in cols] for i in range(len(tkeys))]
-    witness_excluded = solve_exact(rows, t3_vec) is None
+    witness_excluded = solve_exact(as_dicts(rows), t3_vec, len(cols)) is None
 
     return ReductionReport(
         degree_bound,
@@ -1597,46 +1599,55 @@ def is_exact(x):
 
 
 def test_integer_input_stays_exact():
-    mat, pivots = rref([[2, 1], [1, 1]], 2)
+    mat, pivots = rref([{0: 2, 1: 1}, {0: 1, 1: 1}], 2)
     assert pivots == [0, 1]
-    assert mat == [[1, 0], [0, 1]]
-    assert all(type(x) is Fraction for row in mat for x in row)
-    (vec,) = nullspace([[2, 1]], 2)
-    assert vec == [Fraction(-1, 2), 1]
-    assert all(type(x) is Fraction for x in vec)
-    sol = solve_exact([[2, 0], [0, 4]], [1, 1])
-    assert sol == [Fraction(1, 2), Fraction(1, 4)]
-    assert all(type(x) is Fraction for x in sol)
+    assert mat == [{0: 1}, {1: 1}]
+    assert all(type(x) is Fraction for row in mat for x in row.values())
+    (vec,) = nullspace([{0: 2, 1: 1}], 2)
+    assert vec == {0: Fraction(-1, 2), 1: 1}
+    assert all(type(x) is Fraction for x in vec.values())
+    sol = solve_exact([{0: 2}, {1: 4}], [1, 1], 2)
+    assert sol == {0: Fraction(1, 2), 1: Fraction(1, 4)}
+    assert all(type(x) is Fraction for x in sol.values())
 
 
 def test_empty_input():
     assert rref([], 3) == ([], [])
     assert matrix_rank([], 3) == 0
-    assert nullspace([], 2) == [[1, 0], [0, 1]]
-    assert solve_exact([], []) == []
+    units = nullspace([], 2)
+    assert units == [{0: 1}, {1: 1}]
+    assert all(type(x) is Fraction for v in units for x in v.values())
+    assert solve_exact([], [], 3) == {}
+
+
+def stored_nonzero_in_column_order(vectors):
+    """Each dict vector leaves its zeros out and lists its columns in order."""
+    return all(all(x != 0 for x in v.values()) and list(v) == sorted(v) for v in vectors)
 
 
 @settings(max_examples=150, derandomize=True)
 @given(matrices())
 def test_rref_matches_dense(case):
     rows, n = case
-    mat, pivots = rref(rows, n)
+    mat, pivots = rref(as_dicts(rows), n)
     want, want_pivots = dense_rref(rows, n)
     assert pivots == want_pivots
     assert len(mat) == len(rows)
-    assert mat[: len(pivots)] == want[: len(pivots)]
-    assert all(x == 0 for row in mat[len(pivots):] for x in row)
-    assert all(is_exact(x) for row in mat for x in row)
-    assert matrix_rank(rows, n) == len(want_pivots)
+    assert as_dense(mat[: len(pivots)], n) == want[: len(pivots)]
+    assert all(x != 0 for row in mat for x in row.values())
+    assert not any(mat[len(pivots):])
+    assert all(is_exact(x) for row in mat for x in row.values())
+    assert matrix_rank(as_dicts(rows), n) == len(want_pivots)
 
 
 @settings(max_examples=150, derandomize=True)
 @given(matrices())
 def test_nullspace_matches_dense(case):
     rows, n = case
-    basis = nullspace(rows, n)
-    assert basis == dense_nullspace(rows, n)
-    assert all(is_exact(x) for v in basis for x in v)
+    basis = nullspace(as_dicts(rows), n)
+    assert as_dense(basis, n) == dense_nullspace(rows, n)
+    assert stored_nonzero_in_column_order(basis)
+    assert all(is_exact(x) for v in basis for x in v.values())
 
 
 @settings(max_examples=150, derandomize=True)
@@ -1648,9 +1659,10 @@ def test_nullspace_matches_dense(case):
 @example(([[1, 2], [3, 4], [5, 6]], 2))
 def test_row_basis_is_the_double_nullspace(case):
     rows, n = case
-    basis = row_basis(rows, n)
-    assert basis == nullspace(nullspace(rows, n), n)
-    assert all(is_exact(x) for v in basis for x in v)
+    basis = row_basis(as_dicts(rows), n)
+    assert basis == nullspace(nullspace(as_dicts(rows), n), n)
+    assert stored_nonzero_in_column_order(basis)
+    assert all(is_exact(x) for v in basis for x in v.values())
 
 
 @settings(max_examples=150, derandomize=True)
@@ -1659,7 +1671,9 @@ def test_augmented_rows_and_solve_match_dense(case, data):
     rows, n = case
     rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     aug = [row + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = rref(aug, n)
+    mat, pivots = rref(as_dicts(aug), n)
+    assert all(x != 0 for row in mat for x in row.values())
+    mat = as_dense(mat, n + 1)
     want, want_pivots = dense_rref(aug, n)
     assert pivots == want_pivots
     r = len(pivots)
@@ -1672,10 +1686,13 @@ def test_augmented_rows_and_solve_match_dense(case, data):
     assert all(row[n] == 0 for row in mat[r:]) == consistent
     if consistent:
         assert mat[:r] == want[:r]
-    sol = solve_exact(rows, rhs)
-    assert sol == dense_solve(rows, rhs)
+    sol = solve_exact(as_dicts(rows), rhs, n)
+    want_sol = dense_solve(rows, rhs, n)
+    assert (sol is None) == (want_sol is None)
     if sol is not None:
-        assert all(is_exact(x) for x in sol)
+        assert as_dense([sol], n) == [want_sol]
+        assert stored_nonzero_in_column_order([sol])
+        assert all(is_exact(x) for x in sol.values())
 
 
 @settings(max_examples=100, derandomize=True)
@@ -1685,7 +1702,8 @@ def test_joint_nullspace_matches_restrict_and_recombine(n, data):
         matrices(elements=real_entries, max_rows=5, ncols=n).map(lambda c: c[0]),
         max_size=4,
     ))
-    assert joint_nullspace(blocks, n) == restrict_and_recombine(blocks, n)
+    joint = joint_nullspace([as_dicts(rows) for rows in blocks], n)
+    assert as_dense(joint, n) == restrict_and_recombine(blocks, n)
 
 
 # ---------------------------------------------------------------- derivations
@@ -2563,7 +2581,7 @@ def test_substitute_matches_products(ws, h, degree):
     for b in blocks:
         for deg in range(degree + 1):
             for v in b.cocycles[deg]:
-                el = GradedElement(cworld, dict(zip(b.keys[deg], v)))
+                el = GradedElement(cworld, {b.keys[deg][j]: c for j, c in v.items()})
                 assert substitute(el, world, forward) == product_substitute(el, world, forward)
     basis = [el for els in local_sections(space, h, degree).basis.values() for el in els]
     for size in range(k):
