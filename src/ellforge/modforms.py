@@ -59,36 +59,27 @@ def eisenstein_q(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries("q", order, table)
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists, truncated to len(a)."""
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(len(a) - i):
-                out[i + j] += x * b[j]
-    return out
-
-
 def qpochhammer(order: int, power: int = 1) -> TruncatedSeries:
-    """prod_{n>=1} (1 - q^n)^power as a q-expansion.
+    """prod_{n>=1} (1 - q^n)^power as a q-expansion, for a power of either sign.
 
-    The product and its power are taken on integer coefficient lists and
-    converted to Fraction once; a negative power inverts the positive one.
+    Miller's recurrence for P = B^power, with b_0 = 1:
+    n P_n = sum_{j=1..n} ((power + 1) j - n) b_j P_{n-j}, over the nonzero
+    b_j of B = prod (1 - q^n), which sit at Euler's pentagonal numbers
+    k(3k -+ 1)/2 with sign (-1)^k.  The P_n are integers, converted to
+    Fraction once.
     """
-    base = [1] + [0] * order
+    b = []
+    for k in range(1, math.isqrt(order) + 2):
+        b += [(j, (-1) ** k) for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if j <= order]
+    p = [1] + [0] * order
     for n in range(1, order + 1):
-        for e in range(order, n - 1, -1):
-            base[e] -= base[e - n]
-    out = [1] + [0] * order
-    k = abs(power)
-    while k:
-        if k & 1:
-            out = _int_mul(out, base)
-        k >>= 1
-        if k:
-            base = _int_mul(base, base)
-    series = TruncatedSeries("q", order, dict(enumerate(out)))
-    return series.inverse() if power < 0 else series
+        s = 0
+        for j, c in b:
+            if j > n:
+                break
+            s += ((power + 1) * j - n) * c * p[n - j]
+        p[n] = s // n
+    return TruncatedSeries("q", order, dict(enumerate(p)))
 
 
 def delta_q(order: int) -> TruncatedSeries:

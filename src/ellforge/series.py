@@ -11,6 +11,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le
 
 # Hard lower bound on Laurent exponents.  Nothing in the library needs
@@ -70,19 +71,10 @@ class TruncatedSeries:
     def const(cls, var: str, trunc: int, c) -> "TruncatedSeries":
         return cls(var, trunc, {0: c})
 
-    @classmethod
-    def gen(cls, var: str, trunc: int) -> "TruncatedSeries":
-        return cls(var, trunc, {1: 1})
-
     # ---- accessors ----
 
     def coeff(self, e: int):
         return self.coeffs.get(e, Fraction(0))
-
-    def valuation(self) -> int:
-        if not self.coeffs:
-            return self.trunc + 1
-        return min(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -137,9 +129,6 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries) else -_coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return TruncatedSeries(
             self.var, self.trunc, {e: -c for e, c in self.coeffs.items()}, self.minexp
@@ -158,20 +147,18 @@ class TruncatedSeries:
         minexp = self.minexp + other.minexp
         if minexp < LAURENT_FLOOR:
             raise ValueError("product crosses the Laurent floor")
-        # the constructor drops the zeros; get() keeps first terms off
-        # Fraction's mixed int path
+        # integer numerators over one denominator per operand; the
+        # constructor drops the zeros
+        (na, da), (nb, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        den = (da or 1) * (db or 1)
         table = {}
         get = table.get
-        items = other.coeffs.items()
-        for e1, c1 in self.coeffs.items():
+        for e1, c1 in na.items():
             room = trunc - e1
-            for e2, c2 in items:
-                if e2 > room:
-                    continue
-                e = e1 + e2
-                p = c1 * c2
-                s = get(e)
-                table[e] = p if s is None else s + p
+            for e2, c2 in nb.items():
+                if e2 <= room:
+                    table[e1 + e2] = get(e1 + e2, 0) + c1 * c2
+        table = {e: Fraction(s, den) for e, s in table.items() if s}
         return TruncatedSeries(self.var, trunc, table, max(minexp, LAURENT_FLOOR))
 
     __rmul__ = __mul__
@@ -183,9 +170,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -205,7 +189,7 @@ class TruncatedSeries:
         """Multiplicative inverse; the leading term may sit at any exponent."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero series")
-        v = self.valuation()
+        v = min(self.coeffs)
         if -v < LAURENT_FLOOR:
             raise ValueError("inverse crosses the Laurent floor")
         lead = self.coeffs[v]
@@ -225,21 +209,7 @@ class TruncatedSeries:
         table = {e - v: c for e, c in b.items()}
         return TruncatedSeries(self.var, n - v, table, min(-v, 0))
 
-    # ---- transcendental-style operations ----
-
-    def exp(self) -> "TruncatedSeries":
-        if self.minexp < 0 and any(e < 0 for e in self.coeffs):
-            raise ValueError("exp of a series with negative exponents")
-        if self.coeff(0) != 0:
-            raise ValueError("exp requires zero constant term")
-        out = TruncatedSeries.one(self.var, self.trunc)
-        term = TruncatedSeries.one(self.var, self.trunc)
-        for k in range(1, self.trunc + 1):
-            term = term * self / k
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+    # ---- composition and reversion ----
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner); inner must have zero constant term."""
@@ -276,13 +246,6 @@ class TruncatedSeries:
             if err != 0:
                 g = g + TruncatedSeries(self.var, n, {k: -err / c1})
         return g
-
-    def derivative(self) -> "TruncatedSeries":
-        table = {e - 1: e * c for e, c in self.coeffs.items() if e != 0}
-        m = min(self.minexp - 1, 0)
-        if m < LAURENT_FLOOR:
-            m = LAURENT_FLOOR
-        return TruncatedSeries(self.var, self.trunc - 1, table, m)
 
     # ---- numerics and serialization ----
 
@@ -365,6 +328,42 @@ def differing_terms(a: dict, b: dict) -> int:
     return sum(1 for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
 
 
+def _accumulate(table: dict, left, right, lim) -> None:
+    """table[a + b] += x * y over the bucket pairs whose keys add within lim."""
+    get = table.get
+    for ka, items_a in left:
+        room = lim[0] - ka[0]
+        for kb, items_b in right:
+            if kb[0] > room:
+                break
+            if not all(map(le, map(add, ka, kb), lim)):
+                continue
+            for e1, c1 in items_a:
+                for e2, c2 in items_b:
+                    e = tuple(map(add, e1, e2))
+                    p = c1 * c2
+                    s = get(e)
+                    table[e] = p if s is None else s + p
+
+
+def _numerators(coeffs: dict):
+    """(numerators, d): the table as ints over the lcm d of its denominators.
+
+    d is None for a table of ints alone, returned as it is; the result is
+    None for a table holding anything but ints and Fractions.
+    """
+    dens = set()
+    for c in coeffs.values():
+        if type(c) is Fraction:
+            dens.add(c.denominator)
+        elif type(c) is not int:
+            return None
+    if not dens:
+        return coeffs, None
+    d = lcm(*dens)
+    return {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}, d
+
+
 def _nonzero(table: dict) -> dict:
     return {e: c for e, c in table.items() if not _is_zero_coeff(c)}
 
@@ -402,25 +401,26 @@ def _buckets(coeffs: dict, key) -> list:
 class MultiSeries:
     """Sparse exact series in several variables.
 
-    Truncation policy: an optional per-variable cap vector and an optional
-    total-degree bound, the latter counted over a chosen subset of the
-    variables (``tgroup``, default all).  At least one bound must be set.
-    Coefficients may be int, Fraction, or TruncatedSeries in an auxiliary
-    variable, so the same class covers integral and rational group-law
-    tables, box-truncated (q, z) data, and nilpotent root algebras over
-    the q-expansion ring.  Integer coefficients are kept as
-    ints, so integral series stay integral through every ring operation.
+    Truncation: an optional per-variable cap vector and an optional total
+    degree, counted over a chosen subset of the variables (``tgroup``,
+    default all); at least one must be set.  Coefficients may be int,
+    Fraction or TruncatedSeries in an auxiliary variable: integral and
+    rational group-law tables, box-truncated (q, z) data and nilpotent
+    root algebras over the q-expansion ring.  Operands of one operation
+    must count their totals over the same ``tgroup``, and ``subs``
+    targets must share one truncation: otherwise the result would hold
+    terms some input leaves unknown.
 
-    Operands of one operation must count their totals over the same
-    ``tgroup``, and ``subs`` targets must share one truncation: otherwise
-    the result would hold terms some input leaves unknown.  ``__mul__``
-    and ``subs`` test the bounds once per pair of buckets, a bucket being
-    the terms with one counted degree and one exponent at each cap the
-    total does not imply (see ``_layout``); the terms of a bucket pair
-    that passes are all kept.  ``subs`` raises each mixed (multi-term)
-    target to a power once per group of terms with the same exponents at
-    the mixed targets.  Both accumulate all contributions first and drop
-    the coefficients that cancelled to zero once, at the end.
+    ``__mul__``, ``subs`` and ``exp`` test the bounds once per pair of
+    buckets (``_layout``), keep every term of a pair that passes and drop
+    the coefficients that cancelled once, at the end.  ``subs`` raises
+    each mixed (multi-term) target to a power once per group of terms
+    with the same exponents at the mixed targets.  ``__mul__`` clears each
+    rational operand to int numerators over its common denominator and
+    builds each product coefficient once, as a Fraction over the two.
+    Type rule: the product of two tables of ints alone holds ints; if
+    either operand holds a Fraction, every product coefficient is a
+    Fraction.  Other coefficients multiply as they are.
     """
 
     __slots__ = ("vars", "caps", "total", "tgroup", "coeffs")
@@ -486,9 +486,6 @@ class MultiSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def map_coeffs(self, fn) -> "MultiSeries":
-        return self._like({e: fn(c) for e, c in self.coeffs.items()})
-
     # ---- ring operations ----
 
     def _compat(self, other: "MultiSeries"):
@@ -540,9 +537,6 @@ class MultiSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         # negation keeps every exponent and nonzero coefficient: no re-check
         res = MultiSeries(self.vars, None, self.caps, self.total, self.tgroup)
@@ -563,32 +557,20 @@ class MultiSeries:
         caps, total = self._merged_bounds(other)
         res = MultiSeries(self.vars, None, caps, total, self.tgroup)
         key, lim = _layout(caps, total, self.tgroup)
-        right = _buckets(other.coeffs, key)
+        a, b = _numerators(self.coeffs), _numerators(other.coeffs)
+        if a is None or b is None:  # a ring beyond Q: no denominators to clear
+            a, b = (self.coeffs, None), (other.coeffs, None)
+        (na, da), (nb, db) = a, b
         table = {}
-        get = table.get
-        for ka, items_a in _buckets(self.coeffs, key):
-            room = lim[0] - ka[0]
-            for kb, items_b in right:
-                if kb[0] > room:
-                    break
-                if not all(map(le, map(add, ka, kb), lim)):
-                    continue
-                for e1, c1 in items_a:
-                    for e2, c2 in items_b:
-                        e = tuple(map(add, e1, e2))
-                        p = c1 * c2
-                        s = get(e)
-                        table[e] = p if s is None else s + p
-        res.coeffs = _nonzero(table)
+        _accumulate(table, _buckets(na, key), _buckets(nb, key), lim)
+        if da is None and db is None:
+            res.coeffs = _nonzero(table)
+        else:
+            den = (da or 1) * (db or 1)
+            res.coeffs = {e: Fraction(s, den) for e, s in table.items() if s}
         return res
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return self.map_coeffs(lambda x: x / c)
-        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -603,15 +585,6 @@ class MultiSeries:
         return out
 
     # ---- structural operations ----
-
-    def truncate(self, caps=None, total=None) -> "MultiSeries":
-        new_caps = self.caps if caps is None else tuple(caps)
-        new_total = self.total if total is None else int(total)
-        if self.caps is not None and new_caps is not None:
-            new_caps = tuple(min(a, b) for a, b in zip(self.caps, new_caps))
-        if self.total is not None and new_total is not None:
-            new_total = min(self.total, new_total)
-        return MultiSeries(self.vars, self.coeffs, new_caps, new_total, self.tgroup)
 
     def rename(self, mapping: dict) -> "MultiSeries":
         """Rename variables; exponent layout is unchanged."""
@@ -695,7 +668,6 @@ class MultiSeries:
         for e, c in self.coeffs.items():
             groups.setdefault(tuple(e[j] for j, _ in mixed), []).append((e, c))
         table = {}
-        get = table.get
         for powers, terms in groups.items():
             prod = None
             for (_, plist), k in zip(mixed, powers):
@@ -704,7 +676,7 @@ class MultiSeries:
                         plist.append(plist[-1] * plist[1])
                     prod = plist[k] if prod is None else prod * plist[k]
             if prod is None:  # no mixed target: one pseudo-bucket, factor 1
-                buckets = [((0,) * len(lim), [(zero_key, None)])]
+                buckets = [((0,) * len(lim), [(zero_key, 1)])]
             else:
                 buckets = _buckets(prod.coeffs, key)
                 if not buckets:
@@ -718,42 +690,65 @@ class MultiSeries:
                         for i, x in enumerate(me):
                             shift[i] += k * x
                         scal = scal * mc**k
-                if _is_zero_coeff(scal):
-                    continue
-                ks = key(shift)
-                room = lim[0] - ks[0]
-                for kb, items in buckets:
-                    if kb[0] > room:
-                        break
-                    if not all(map(le, map(add, kb, ks), lim)):
-                        continue
-                    for pk, pv in items:
-                        out_e = tuple(map(add, pk, shift))
-                        val = scal if pv is None else pv * scal
-                        s0 = get(out_e)
-                        table[out_e] = val if s0 is None else s0 + val
+                if not _is_zero_coeff(scal):
+                    _accumulate(table, [(key(shift), [(shift, scal)])], buckets, lim)
         res.coeffs = _nonzero(table)
         return res
 
     def exp(self) -> "MultiSeries":
+        """exp(A) for A with zero constant term, one degree layer at a time.
+
+        The Euler operator of a grading gives |e| E_e = sum_{a+b=e} |a| A_a
+        E_b for E = exp(A).  |e| counts the variables that every term of A
+        holds (all of them if none is), so every term of A has positive
+        degree and the layers are few.  From A's int numerators over D,
+        layer d is built as int numerators over one denominator, reduced by
+        their gcd: D^d d! would grow without bound.  Other coefficients are
+        their own numerators, with D = 1.  The truncation must bound every
+        term of A, or exp(A) would not be finite.
+        """
         zero_key = (0,) * len(self.vars)
         if not _is_zero_coeff(self.coeffs.get(zero_key, Fraction(0))):
             raise ValueError("exp requires zero constant term")
-        bound = self._nilpotency_bound()
-        out = MultiSeries.one(self.vars, self.caps, self.total, self.tgroup)
-        term = out
-        for k in range(1, bound + 1):
-            term = term * self / k
-            if term.is_zero():
-                break
-            out = out + term
-        return out
-
-    def _nilpotency_bound(self) -> int:
-        # any series with zero constant term vanishes beyond this power
+        if self.caps is None and any(not any(e[i] for i in self.tgroup) for e in self.coeffs):
+            raise ValueError("exp of a term that no bound truncates")
+        key, lim = _layout(self.caps, self.total, self.tgroup)
+        cleared = _numerators(self.coeffs)
+        num, den = cleared or (self.coeffs, None)
+        den = den or 1
+        n = len(self.vars)
+        grade = [i for i in range(n) if all(e[i] for e in num)] or range(n)
+        arg = {}  # degree -> buckets of A's numerators of that degree
+        for e, c in num.items():
+            arg.setdefault(sum(e[i] for i in grade), {})[e] = c
+        arg = {k: _buckets(t, key) for k, t in arg.items()}
+        # a kept term's degree: at most the graded caps' sum, or the total if
+        # that counts every graded variable, or else that of total factors of A
         if self.caps is not None:
-            return sum(self.caps) + 1
-        return self.total + 1
+            dmax = sum(self.caps[i] for i in grade)
+        else:
+            dmax = self.total * (1 if set(grade) <= set(self.tgroup) else max(arg, default=0))
+        layers = [(_buckets({zero_key: 1}, key), 1)]  # (buckets, denominator)
+        out = {zero_key: 1}
+        for d in range(1, dmax + 1):
+            below = [(k, buckets, *layers[d - k]) for k, buckets in arg.items()
+                     if k <= d and layers[d - k][0]]
+            lden = lcm(*(d * den * lden_b for *_, lden_b in below))
+            table = {}
+            for k, buckets, layer, lden_b in below:
+                w = k * (lden // (d * den * lden_b))
+                weighted = [(ka, [(e, w * c) for e, c in items]) for ka, items in buckets]
+                _accumulate(table, weighted, layer, lim)
+            table = _nonzero(table)
+            if cleared is not None and (g := gcd(lden, *table.values())) > 1:
+                lden //= g
+                table = {e: c // g for e, c in table.items()}
+            layers.append((_buckets(table, key), lden))
+            scale = Fraction(1, lden)
+            out.update((e, c * scale) for e, c in table.items())
+        res = MultiSeries(self.vars, None, self.caps, self.total, self.tgroup)
+        res.coeffs = out
+        return res
 
     def reversion(self) -> "MultiSeries":
         """Compositional inverse in the first variable; any others are parameters.

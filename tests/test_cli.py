@@ -64,6 +64,30 @@ def test_vacuum_character_residuals_count_differing_coefficients(monkeypatch):
     assert (report.status, report.residuals) == ("fail", [5.0, 0.0])
 
 
+def test_first_diff_finds_the_one_mutated_coefficient():
+    table = cli.sigma_product(4, 6).coeffs
+    e = sorted(table)[len(table) // 2]
+    assert cli._first_diff(table, {**table, e: table[e] + 1}) == e
+    assert cli._first_diff(table, dict(table)) is None
+    assert cli._first_diff({k: c for k, c in table.items() if k != e}, table) == e
+
+
+def test_check_json_reports_the_first_differing_exponent(monkeypatch):
+    reports = cli.run_checks(["sigma-identity", "vacuum-character", "derham"], 0, None)
+    assert [r.to_json().get("first_diff", "absent") for r in reports] == [None, None, "absent"]
+    sigma, char = cli.sigma_exponential, cli.vacuum_character_product
+    monkeypatch.setattr(cli, "sigma_exponential", lambda q, z: _perturbed(sigma(q, z), 3))
+    monkeypatch.setattr(
+        cli, "vacuum_character_product", lambda n, q, z: _perturbed(char(n, q, z), 5)
+    )
+    got = [r.to_json()["first_diff"] for r in cli.run_checks(
+        ["sigma-identity", "vacuum-character"], 0, None)]
+    assert got == [min(sigma(6, 8).coeffs), min(char(2, 4, 4).coeffs)]
+    payload = json.loads(json.dumps([r.to_json() for r in cli.run_checks(
+        ["sigma-identity"], 0, None)]))
+    assert payload[0]["first_diff"] == list(min(sigma(6, 8).coeffs))
+
+
 def test_derham_residual_counts_wrong_degrees(monkeypatch):
     assert cli.run_checks(["derham"], 0, None)[0].residuals == [0.0]
     wrong = SimpleNamespace(dims=[0, 0, 2, 0, 1])

@@ -8,7 +8,9 @@ dense, object-building, per-ratio, per-row, factor-by-factor, per-term,
 per-degree, z-reversion, product-by-product, real-coordinate and
 monomial-sweep code they replaced, kept here as oracles; so is the
 whole-meshgrid and row-by-row Eisenstein lattice sum that the
-half-lattice tiles replaced, and so are the Gaussian rationals, the Euler
+half-lattice tiles replaced, the term-by-term exp loops (the
+multivariate one gave way to a degree-layer recurrence), and so are the
+Gaussian rationals, the Euler
 classes built over them in F (the library builds them in y = iF), the
 series ``log`` the library no longer needs and the dict calculus (partial
 derivatives, term-by-term evaluation) that the Chern-Weil checks ran on
@@ -19,7 +21,7 @@ are from exact, row by row and in all, and the circle complex's forms,
 taken over the support of each weight vector, are checked against the
 sweep over all 0/1 vectors.  The accessors that only tests call (a mode
 eigenvalue, the degree parts of a graded element, a series' counted
-degree and a law's q^0 slice) live here too.
+degree, a law's q^0 slice and a series' derivative) live here too.
 """
 from __future__ import annotations
 
@@ -123,6 +125,7 @@ from ellforge.sigma import (
     z_coefficients,
 )
 from ellforge.series import (
+    LAURENT_FLOOR,
     MultiSeries,
     TruncatedSeries,
     matrix_rank,
@@ -564,6 +567,23 @@ def loop_multi_mul(a, b):
     return res
 
 
+def loop_multi_exp(a):
+    """exp(a) as the sum of term = term * a / k, to the nilpotency bound."""
+    zero_key = (0,) * len(a.vars)
+    if not is_zero_coeff(a.coeffs.get(zero_key, Fraction(0))):
+        raise ValueError("exp requires zero constant term")
+    # any series with zero constant term vanishes beyond this power
+    bound = (sum(a.caps) if a.caps is not None else a.total) + 1
+    out = MultiSeries.one(a.vars, a.caps, a.total, a.tgroup)
+    term = out
+    for k in range(1, bound + 1):
+        term = term * a * Fraction(1, k)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
 def loop_multi_subs(series, args):
     """One power product and one keep() per term of ``series``."""
     proto = next(iter(args.values()))
@@ -876,6 +896,29 @@ def log(s):
         power = power * u
         out = out + power * Fraction((-1) ** (k + 1), k)
     return out
+
+
+def truncated_exp(s):
+    """exp s = sum_k s^k / k! for a power series s with zero constant term."""
+    if s.minexp < 0 and any(e < 0 for e in s.coeffs):
+        raise ValueError("exp of a series with negative exponents")
+    if s.coeff(0) != 0:
+        raise ValueError("exp requires zero constant term")
+    out = TruncatedSeries.one(s.var, s.trunc)
+    term = TruncatedSeries.one(s.var, s.trunc)
+    for k in range(1, s.trunc + 1):
+        term = term * s / k
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def derivative(s):
+    """d/dx of a TruncatedSeries, known one degree less far."""
+    table = {e - 1: e * c for e, c in s.coeffs.items() if e != 0}
+    minexp = max(min(s.minexp - 1, 0), LAURENT_FLOOR)
+    return TruncatedSeries(s.var, s.trunc - 1, table, minexp)
 
 
 # The Euler classes in the roots F_j with z_j = 2 i F_j, over the
@@ -2162,11 +2205,20 @@ def test_coordinate_w_matches_factor_products(degree, qorder):
 # ------------------------------------------------------------------- series
 
 ring_kinds = st.sampled_from(["fraction", "gaussian", "series"])
+# rational tables that the products clear to int numerators: ints alone,
+# integral Fractions alone, and ints mixed with Fractions
+rational_kinds = st.sampled_from(["int", "integral", "mixed"])
 
 
 def ring_element(kind, qtrunc):
     """A nonzero-or-zero element of the coefficient ring named by ``kind``."""
     unit = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    if kind == "int":
+        return st.integers(-3, 3)
+    if kind == "integral":
+        return st.integers(-3, 3).map(Fraction)
+    if kind == "mixed":
+        return st.one_of(st.integers(-3, 3), small_fracs)
     if kind == "fraction":
         return st.one_of(unit, small_fracs)
     if kind == "gaussian":
@@ -2232,10 +2284,10 @@ def multi_series(draw, vars, bounds, kind, qtrunc, max_terms=7, constant=True):
 
 
 @st.composite
-def products(draw):
+def products(draw, kinds=ring_kinds):
     n = draw(st.integers(2, 3))
     vars = ("x", "y", "z")[:n]
-    kind, qtrunc = draw(ring_kinds), draw(st.integers(0, 3))
+    kind, qtrunc = draw(kinds), draw(st.integers(0, 3))
     a_bounds = draw(layouts(n))
     b_bounds = dict(a_bounds)
     if draw(st.booleans()):  # a looser or tighter operand of the same layout
@@ -2255,6 +2307,58 @@ def test_multi_mul_matches_per_term_loop(case):
     a, b = case
     assert_same(a * b, loop_multi_mul(a, b))
     assert_same(b * a, loop_multi_mul(b, a))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(products(rational_kinds))
+def test_multi_mul_keeps_the_type_rule(case):
+    """Ints times ints stay ints; a Fraction in either operand makes every
+    product coefficient a Fraction, integral ones included."""
+    a, b = case
+    for x, y in ((a, b), (b, a)):
+        got, want = x * y, loop_multi_mul(x, y)
+        assert got == want
+        assert (got.caps, got.total, got.tgroup) == (want.caps, want.total, want.tgroup)
+        held = {type(c) for c in [*x.coeffs.values(), *y.coeffs.values()]}
+        kind = Fraction if Fraction in held else int
+        assert all(type(c) is kind for c in got.coeffs.values())
+
+
+@st.composite
+def exp_args(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.one_of(ring_kinds, rational_kinds))
+    bounds = draw(layouts(n))
+    return draw(multi_series(("x", "y", "z")[:n], bounds, kind, draw(st.integers(0, 3)),
+                             constant=False))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(exp_args())
+def test_multi_exp_matches_term_loop(a):
+    if a.caps is None and any(not any(e[i] for i in a.tgroup) for e in a.coeffs):
+        # no bound truncates that term, so exp(a) is not finite; the loop
+        # returned the sum of its first total + 1 powers instead
+        with pytest.raises(ValueError):
+            a.exp()
+        return
+    got = a.exp()
+    assert_same(got, loop_multi_exp(a))
+    assert type(got.coeffs[(0,) * len(a.vars)]) is int
+
+
+def test_multi_exp_of_zero_and_of_series_coefficients():
+    kw = dict(caps=(3, 2), total=4, tgroup=(0,))
+    assert_same(MultiSeries.zero(("x", "q"), **kw).exp(), MultiSeries.one(("x", "q"), **kw))
+    g = TruncatedSeries("q", 3, {0: Fraction(1, 3), 2: -1})
+    a = MultiSeries(("x", "q"), {(1, 0): g, (2, 1): g * g, (0, 2): Fraction(5, 7)}, **kw)
+    assert_same(a.exp(), loop_multi_exp(a))
+    with pytest.raises(ValueError):
+        MultiSeries(("x",), {(0,): 1}, caps=(3,)).exp()
+    # graded by x and y, which every term holds; only x is counted
+    b = MultiSeries(("x", "y"), {(1, 1): Fraction(1, 3), (1, 2): -2}, total=2, tgroup=(0,))
+    assert_same(b.exp(), loop_multi_exp(b))
+    assert (2, 4) in b.exp().coeffs
 
 
 @st.composite
@@ -2343,6 +2447,25 @@ def test_truncated_mul_matches_pair_loop(case):
     assert {e: type(c) for e, c in got.coeffs.items()} == {
         e: type(c) for e, c in want.coeffs.items()
     }
+
+
+@st.composite
+def truncated_operands(draw):
+    """Laurent series with ints and Fractions over many denominators."""
+    minexp = draw(st.integers(-3, 0))
+    trunc = draw(st.integers(minexp, 10))
+    coeff = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=60))
+    table = draw(st.dictionaries(st.integers(minexp, trunc), coeff, max_size=8))
+    return TruncatedSeries("q", trunc, table, minexp)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(truncated_operands(), truncated_operands())
+def test_truncated_mul_over_common_denominators(a, b):
+    got, want = a * b, loop_truncated_mul(a, b)
+    assert got == want
+    assert (got.trunc, got.minexp) == (want.trunc, want.minexp)
+    assert all(type(c) is Fraction for c in got.coeffs.values())
 
 
 # ------------------------------------------------------ reversion and laws
