@@ -92,18 +92,25 @@ def _scalar_json(c, imaginary=False):
         if imaginary:
             out["coeffs"] = [[n, "0", x] for n, x in out["coeffs"]]
         return out
-    if isinstance(c, (int, Fraction)):
-        return ["0", str(c)] if imaginary else str(c)
-    z = complex(c)
-    return [_sig17(z.real), _sig17(z.imag)]
+    return ["0", str(c)] if imaginary else str(c)
 
 
-def _series_json(ms: MultiSeries, turn=False) -> dict:
+def _class_json(ms: MultiSeries, names) -> dict:
+    """An euler class over (q, y1..ym), printed in F: one q-series per
+    root monomial, and a constant root-free term as a bare scalar."""
+    terms = []
+    for e, s in sorted(ms.slices("q").items()):
+        c, imaginary = _turned(e, s, True)
+        if not any(e) and c.coeffs.keys() <= {0}:
+            c = c.coeff(0)
+        terms.append([list(e), _scalar_json(c, imaginary)])
+    return {"vars": list(names), "terms": terms, "total": ms.total}
+
+
+def _series_json(ms: MultiSeries) -> dict:
     out = {
         "vars": list(ms.vars),
-        "terms": [
-            [list(e), _scalar_json(*_turned(e, c, turn))] for e, c in sorted(ms.coeffs.items())
-        ],
+        "terms": [[list(e), _scalar_json(c)] for e, c in sorted(ms.coeffs.items())],
     }
     if ms.caps is not None:
         out["caps"] = list(ms.caps)
@@ -175,44 +182,23 @@ def _reemit(args):
     return _emit_json(payload)
 
 
-def _grid(ms: MultiSeries, row_idx, q_idx):
-    """Rows labelled by the non-q exponents, one column per q power."""
-    names = ms.vars
-    qmax = 0
-    table = {}
-    for e, c in ms.coeffs.items():
-        rkey = tuple(e[i] for i in row_idx)
-        qe = e[q_idx]
-        qmax = max(qmax, qe)
-        table.setdefault(rkey, {})[qe] = c
+def _grid(ms: MultiSeries, names=None, qmax=None, turn=False):
+    """Rows labelled by the exponents other than q's, one column per q power.
+
+    The columns run to qmax, by default the largest q power present.
+    ``turn`` prints each row in F (``_turned``), by its own exponents.
+    """
+    slices = ms.slices("q")
+    if names is None:
+        names = [v for v in ms.vars if v != "q"]
+    if qmax is None:
+        qmax = max((max(s.coeffs) for s in slices.values()), default=0)
     headers = ["term"] + [f"q^{n}" for n in range(qmax + 1)]
     rows = []
-    rnames = [names[i] for i in row_idx]
-    for rkey in sorted(table):
-        cells = [_mono_text(rnames, rkey)]
-        for n in range(qmax + 1):
-            c = table[rkey].get(n)
-            cells.append(_scalar_text(c) if c is not None else "0")
-        rows.append(cells)
-    return headers, rows
-
-
-def _qseries_grid(ms: MultiSeries, qorder, turn=False):
-    """Same layout when the coefficients are themselves q-series."""
-
-    def qc(c, n):
-        if isinstance(c, TruncatedSeries):
-            return c.coeff(n)
-        return c if n == 0 else Fraction(0)
-
-    headers = ["term"] + [f"q^{n}" for n in range(qorder + 1)]
-    rows = []
-    for e in sorted(ms.coeffs):
-        c, imaginary = _turned(e, ms.coeffs[e], turn)
-        cells = [_mono_text(ms.vars, e)]
-        for n in range(qorder + 1):
-            cells.append(_scalar_text(qc(c, n), imaginary))
-        rows.append(cells)
+    for e, s in sorted(slices.items()):
+        c, imaginary = _turned(e, s, turn)
+        cells = [_scalar_text(c.coeffs.get(n, 0), imaginary) for n in range(qmax + 1)]
+        rows.append([_mono_text(names, e), *cells])
     return headers, rows
 
 
@@ -337,7 +323,7 @@ def _cmd_sigma(args):
     if args.json:
         return _emit_json(payload)
     print(f"sigma {args.form} form, q-order {args.qorder}, z-order {args.zorder}")
-    headers, rows = _grid(ms, (1,), 0)
+    headers, rows = _grid(ms)
     _print_table(headers, rows)
     return 0
 
@@ -388,20 +374,9 @@ def _cmd_fgl(args):
     if args.json:
         return _emit_json(payload)
     print(f"formal group law, {args.coordinate} coordinate, degree {args.degree}, q-order {args.qorder}")
-    headers, rows = _qseries_grid(fgl_table_as_xy(fgl), args.qorder)
+    headers, rows = _grid(fgl.table, qmax=args.qorder)
     _print_table(headers, rows)
     return 0
-
-
-def fgl_table_as_xy(fgl) -> MultiSeries:
-    """Collapse the (x, y, q) table to (x, y) with q-series coefficients."""
-    out = {}
-    for (a, b, e), c in fgl.table.coeffs.items():
-        out.setdefault((a, b), {})[e] = c
-    coeffs = {
-        k: TruncatedSeries("q", fgl.qorder, v) for k, v in sorted(out.items())
-    }
-    return MultiSeries(("x", "y"), coeffs, total=fgl.degree)
 
 
 # The most work (as _fermion_work counts it) that fermion builds and prints:
@@ -458,7 +433,7 @@ def _cmd_fermion(args):
     if args.json:
         return _emit_json(payload)
     print(f"vacuum character, rank {args.rank}, q-order {args.qorder}, z-order {args.zorder}")
-    headers, rows = _grid(ms, tuple(range(1, args.rank + 1)), 0)
+    headers, rows = _grid(ms)
     _print_table(headers, rows)
     return 0
 
@@ -471,15 +446,16 @@ def _cmd_euler(args):
     co = corrected_euler(m, deg, qo)
     lin = linear_anomaly(m, deg, qo)
     g2a = g2_anomaly(m, deg, qo)
+    names = [f"F{j}" for j in range(1, m + 1)]
     payload = {
         "command": "euler",
         "roots": m,
         "nilpotency": deg,
         "qorder": qo,
-        "twisted": _series_json(tw, turn=True),
-        "corrected": _series_json(co, turn=True),
-        "linear_anomaly": _series_json(lin, turn=True),
-        "g2_anomaly": _series_json(g2a, turn=True),
+        "twisted": _class_json(tw, names),
+        "corrected": _class_json(co, names),
+        "linear_anomaly": _class_json(lin, names),
+        "g2_anomaly": _class_json(g2a, names),
         "factorization_exact": anomaly_factorization_ok(m, deg, qo),
     }
     if args.json:
@@ -493,7 +469,7 @@ def _cmd_euler(args):
     ):
         print()
         print(label)
-        headers, rows = _qseries_grid(ms, qo, turn=True)
+        headers, rows = _grid(ms, names, qo, turn=True)
         _print_table(headers, rows)
     print()
     print(f"factorization exact: {'yes' if payload['factorization_exact'] else 'no'}")

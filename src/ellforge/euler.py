@@ -1,13 +1,14 @@
 """Twisted Euler classes with nilpotent Chern roots and their anomalies.
 
 A rank-m bundle contributes formal roots F_1..F_m, nilpotent beyond a
-chosen total degree.  Polynomials in the roots live in MultiSeries with
-q-expansion coefficients; the second period is normalized to 1 and each
-root enters the coordinate at z_j = 2 i F_j.  The classes are built in the
-rescaled roots y_j = i F_j, so z_j = 2 y_j and every coefficient is a
-rational q-series; the variables keep the names F1..Fm.  The coefficient
-of F^e is i^|e| times the stored coefficient of y^e, and the command line
-applies that power of i when it prints a class.
+chosen total degree; the second period is normalized to 1 and each root
+enters the coordinate at z_j = 2 i F_j.  The classes are built in the
+rescaled roots y_j = i F_j, so z_j = 2 y_j and every coefficient is
+rational.  A class is a flat table over (q, y1..ym), laid out as sigma's
+(q, z): q is capped at the q-order and the total degree counts the roots
+alone.  The coefficient of F^e is i^|e| times the q-series of y^e, and the
+command line applies that power of i, and the names F1..Fm, when it
+prints a class.
 
 The twisted class is the coordinate itself over the roots; the corrected
 class keeps only the honestly modular part of the exponential (weights
@@ -21,70 +22,65 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .modforms import eisenstein_q, homogeneous_fit, weight_monomials
-from .series import MultiSeries, TruncatedSeries
+from .series import MultiSeries
 from .sigma import exp_weight, sigma_product
 
 
 def root_vars(m: int):
-    return tuple(f"F{j}" for j in range(1, m + 1))
+    return tuple(f"y{j}" for j in range(1, m + 1))
 
 
-def _unit_exp(v, name, k, m):
-    e = [0] * m
-    e[v.index(name)] = k
-    return tuple(e)
+def _bounds(m: int, degree: int, qorder: int) -> dict:
+    return dict(caps=(qorder,) + (degree,) * m, total=degree, tgroup=tuple(range(1, m + 1)))
+
+
+def _class(m: int, degree: int, qorder: int, table) -> MultiSeries:
+    return MultiSeries(("q",) + root_vars(m), table, **_bounds(m, degree, qorder))
+
+
+def _on_root(m: int, j: int, terms: dict) -> dict:
+    """The terms {(n, k): c} of c q^n y^k as terms in the root y_(j+1)."""
+    return {(n,) + (0,) * j + (k,) + (0,) * (m - j - 1): c for (n, k), c in terms.items()}
 
 
 def twisted_euler(m: int, degree: int, qorder: int) -> MultiSeries:
-    """prod_j sigma(2 y_j), assembled from the product-form z-slices."""
-    v = root_vars(m)
-    sigma = sigma_product(qorder, degree)
-    slices = [sigma.coeff_in("z", k).as_univariate() for k in range(degree + 1)]
-    out = MultiSeries.one(v, total=degree)
-    for name in v:
-        table = {}
-        for k in range(1, degree + 1):
-            c = slices[k]
-            if c.is_zero():
-                continue
-            table[_unit_exp(v, name, k, m)] = c * 2**k
-        out = out * MultiSeries(v, table, total=degree)
+    """prod_j sigma(2 y_j), from one product-form (q, z) table."""
+    sigma = {(n, d): c * 2**d for (n, d), c in sigma_product(qorder, degree).coeffs.items()}
+    out = _class(m, degree, qorder, {(0,) * (m + 1): 1})
+    for j in range(m):
+        out = out * _class(m, degree, qorder, _on_root(m, j, sigma))
     return out
 
 
 def corrected_euler(m: int, degree: int, qorder: int) -> MultiSeries:
     """prod_j 2 y_j exp(sum_{k>=2} w_k G_2k 4^k y_j^{2k}): the modular part."""
-    v = root_vars(m)
-    one_q = TruncatedSeries.one("q", qorder)
-    out = MultiSeries.one(v, total=degree)
-    for name in v:
-        arg = MultiSeries.zero(v, total=degree)
-        for k in range(2, degree // 2 + 1):
-            coeff = eisenstein_q(2 * k, qorder) * (exp_weight(k) * 4**k)
-            arg = arg + MultiSeries(v, {_unit_exp(v, name, 2 * k, m): coeff}, total=degree)
-        lead = MultiSeries(v, {_unit_exp(v, name, 1, m): one_q * 2}, total=degree)
-        out = out * lead * arg.exp()
+    arg = {
+        (n, 2 * k): c * (exp_weight(k) * 4**k)
+        for k in range(2, degree // 2 + 1)
+        for n, c in eisenstein_q(2 * k, qorder).coeffs.items()
+    }
+    out = _class(m, degree, qorder, {(0,) * (m + 1): 1})
+    for j in range(m):
+        lead = _class(m, degree, qorder, _on_root(m, j, {(0, 1): 2}))
+        out = out * lead * _class(m, degree, qorder, _on_root(m, j, arg)).exp()
     return out
 
 
 def linear_anomaly(m: int, degree: int, qorder: int) -> MultiSeries:
     """exp(-(1/2) sum z_j) = exp(-sum y_j)."""
-    v = root_vars(m)
-    minus_one = TruncatedSeries.const("q", qorder, -1)
-    arg = MultiSeries(
-        v, {_unit_exp(v, name, 1, m): minus_one for name in v}, total=degree
-    )
-    return arg.exp()
+    arg = {}
+    for j in range(m):
+        arg.update(_on_root(m, j, {(0, 1): -1}))
+    return _class(m, degree, qorder, arg).exp()
 
 
 def g2_anomaly(m: int, degree: int, qorder: int) -> MultiSeries:
     """exp(-G_2 sum z_j^2) = exp(-4 G_2 sum y_j^2)."""
-    v = root_vars(m)
-    g2 = eisenstein_q(2, qorder) * -4
-    arg = MultiSeries(
-        v, {_unit_exp(v, name, 2, m): g2 for name in v}, total=degree
-    )
-    return arg.exp()
+    g2 = {(n, 2): c * -4 for n, c in eisenstein_q(2, qorder).coeffs.items()}
+    arg = {}
+    for j in range(m):
+        arg.update(_on_root(m, j, g2))
+    return _class(m, degree, qorder, arg).exp()
 
 
 def anomaly_factorization_ok(m: int, degree: int, qorder: int) -> bool:
@@ -115,8 +111,7 @@ def g2_free_certificate(cls: MultiSeries, rank: int) -> CertificateReport:
     """
     failures = []
     checked = 0
-    for e in sorted(cls.coeffs):
-        s = cls.coeffs[e]
+    for e, s in sorted(cls.slices("q").items()):
         k_total = sum(e)
         weight = k_total - rank
         checked += 1
@@ -133,24 +128,13 @@ def g2_free_certificate(cls: MultiSeries, rank: int) -> CertificateReport:
 
 def whitney_defect(m1: int, m2: int, degree: int, qorder: int) -> MultiSeries:
     """e(V + W) minus e(V) e(W) in the joint root algebra; zero when multiplicative."""
-    v = root_vars(m1 + m2)
-    total = twisted_euler(m1 + m2, degree, qorder)
-    left = twisted_euler(m1, degree, qorder).lift(v, total=degree)
+    m = m1 + m2
+    v, bounds = ("q",) + root_vars(m), _bounds(m, degree, qorder)
+    total = twisted_euler(m, degree, qorder)
+    left = twisted_euler(m1, degree, qorder).lift(v, **bounds)
     right = (
         twisted_euler(m2, degree, qorder)
-        .rename({f"F{j}": f"F{m1 + j}" for j in range(1, m2 + 1)})
-        .lift(v, total=degree)
+        .rename({f"y{j}": f"y{m1 + j}" for j in range(1, m2 + 1)})
+        .lift(v, **bounds)
     )
     return total - left * right
-
-
-def reduce_su_type(cls: MultiSeries) -> MultiSeries:
-    """Quotient a rank-2 class by the ideal (F1 + F2, F1^2 + F2^2).
-
-    In the quotient F2 = -F1 and F1^2 = 0, which kills both anomaly
-    factors; only the constant and linear terms survive.
-    """
-    if cls.vars != ("F1", "F2"):
-        raise ValueError("su-type reduction expects roots (F1, F2)")
-    f = MultiSeries.gen(("F1",), "F1", caps=(1,))
-    return cls.subs({"F1": f, "F2": -f})

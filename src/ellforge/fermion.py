@@ -90,39 +90,6 @@ def _zeta_tail(s, x):
     return x ** -s * (x / (s - 1) - 0.5 + s / (12.0 * x) * t)
 
 
-def _nearest_mode(c: complex, P0: int) -> tuple[int, float]:
-    """The m in [-P0, P0] minimising |c + m|, and that minimum."""
-    m = min(max(round(-c.real), -P0), P0)
-    return m, abs(c + m)
-
-
-def _window_rows(sector_a, sector_b, lat: Lattice, M: int, P: int):
-    """(ca, cb, P0) for every row in (component, n) order.
-
-    P0 is the row's head cut: when it reaches P the row is multiplied out,
-    and otherwise P0 > 3 |c| bounds the power series beyond P.  Raises on
-    the first row, in that order, with a vanishing eigenvalue inside its
-    head.
-    """
-    tau = lat.tau
-    rows = []
-    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
-        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
-        for n in range(-M, M + 1):
-            ca = _row_shift(ta, n, tau)
-            cb = _row_shift(tb, n, tau)
-            P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
-            ma, small_a = _nearest_mode(ca, P0)
-            mb, small_b = _nearest_mode(cb, P0)
-            if min(small_a, small_b) < 1e-12:
-                raise ValueError(
-                    f"vanishing eigenvalue in component {j} at "
-                    f"(n={n}, m={mb if small_b < small_a else ma})"
-                )
-            rows.append((ca, cb, P0))
-    return rows
-
-
 def _log_sin(r: complex) -> complex:
     """log sin(pi r), up to a multiple of 2 pi i, for any Im r: where |Im r|
     passes _EXP_IM, sin(pi r) = (i s / 2) e^(-i pi s r) (1 - e^(2 pi i s r))
@@ -150,7 +117,9 @@ def _head_log(ca: complex, cb: complex, P: int) -> complex:
     return log + cmath.log(out)
 
 
-def _row_log_ratio(ca: complex, cb: complex, P0: int, P: int, zetas) -> tuple[complex, int]:
+def _row_log_ratio(
+    ca: complex, cb: complex, ka: int, kb: int, P0: int, P: int, zetas
+) -> tuple[complex, int]:
     """(log, flips) with prod_{|m| <= P} (ca + m)/(cb + m) = (-1)^flips e^log.
 
     A row whose head cut P0 reaches P is multiplied out (_head_log).  Any
@@ -158,9 +127,9 @@ def _row_log_ratio(ca: complex, cb: complex, P0: int, P: int, zetas) -> tuple[co
 
         [sin(pi ca)/sin(pi cb)] / prod_{m > P} (1 - ca^2/m^2)/(1 - cb^2/m^2).
 
-    c = k + r with k the integer nearest Re c, so sin(pi c) = (-1)^k sin(pi r)
-    and k_a - k_b is counted in flips; r is exact.  Where Im ra and Im rb are
-    both past _EXP_IM on one side, sin(pi ra)/sin(pi rb) is
+    c = k + r with k the integer nearest Re c (ka, kb), so sin(pi c) =
+    (-1)^k sin(pi r) and k_a - k_b is counted in flips; r is exact.  Where
+    Im ra and Im rb are both past _EXP_IM on one side, sin(pi ra)/sin(pi rb) is
     e^(-i pi s (ra - rb)) (1 - e^(2 pi i s ra))/(1 - e^(2 pi i s rb)), with
     ra - rb formed before it is scaled.  The log of the product beyond P is
     -sum_k (ca^2k - cb^2k) zetas[k-1] / k, with zetas[k-1] = sum_{m > P} m^-2k.
@@ -170,7 +139,6 @@ def _row_log_ratio(ca: complex, cb: complex, P0: int, P: int, zetas) -> tuple[co
     """
     if P0 == P:
         return _head_log(ca, cb, P), 0
-    ka, kb = round(ca.real), round(cb.real)
     ra, rb = ca - ka, cb - kb
     ya, yb = ra.imag, rb.imag
     if min(abs(ya), abs(yb)) > _EXP_IM and (ya > 0) == (yb > 0):
@@ -202,6 +170,13 @@ def pf_truncated_ratio(
     lattices with Im tau >= 1.  Each row is one _row_log_ratio; the rows'
     logs are summed exactly (math.fsum) and their sign flips counted as an
     int.  Empty sectors give exactly 1.
+
+    A row's head cut P0 is P, where the row is multiplied out, or else
+    above 3 |c|, which bounds the power series beyond P.  The integer k
+    nearest Re c is formed once: c - k is the eigenvalue nearest zero
+    (clamped to the modes |m| <= P when P0 = P; below, |k| < P0), and
+    k_a - k_b the row's sign flips.  The first row, in (component, n)
+    order, with a vanishing eigenvalue raises.
     """
     if len(sector_a) != len(sector_b):
         raise ValueError("sectors must have equal dimension for a finite ratio")
@@ -209,15 +184,29 @@ def pf_truncated_ratio(
         P = 4 * M * M
     if M < 1 or P < 1:
         raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
-    rows = _window_rows(sector_a, sector_b, lat, M, P)
+    tau = lat.tau
     zetas = [_zeta_tail(2 * k, float(P)) for k in range(1, _EM_JMAX + 1)]
+    logs, flips = [], 0
+    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
+        for n in range(-M, M + 1):
+            ca, cb = _row_shift(ta, n, tau), _row_shift(tb, n, tau)
+            P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
+            ka, kb = round(ca.real), round(cb.real)
+            if P0 == P:
+                ka, kb = min(max(ka, -P), P), min(max(kb, -P), P)
+            gap_a, gap_b = abs(ca - ka), abs(cb - kb)
+            if min(gap_a, gap_b) < 1e-12:
+                raise ValueError(
+                    f"vanishing eigenvalue in component {j} at "
+                    f"(n={n}, m={-kb if gap_b < gap_a else -ka})"
+                )
+            log, f = _row_log_ratio(ca, cb, ka, kb, P0, P, zetas)
+            logs.append(log)
+            flips += f
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
-    logs, flips = [-(s_a - s_b) / 2], 0
-    for ca, cb, P0 in rows:
-        log, f = _row_log_ratio(ca, cb, P0, P, zetas)
-        logs.append(log)
-        flips += f
+    logs.append(-(s_a - s_b) / 2)
     out = cmath.exp(complex(math.fsum(x.real for x in logs), math.fsum(x.imag for x in logs)))
     return -out if flips % 2 else out
 

@@ -298,21 +298,6 @@ class TruncatedSeries:
         return " + ".join(parts) + f" + O({self.var}^{self.trunc + 1})"
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, TruncatedSeries):
-        return c.is_zero()
-    return c == 0
-
-
-def _ring_inverse(c):
-    if isinstance(c, TruncatedSeries):
-        return c.inverse()
-    if isinstance(c, int):
-        # the units of Z stay integers; any other integer inverts exactly
-        return c if c in (1, -1) else Fraction(1, c)
-    return Fraction(1) / c
-
-
 def _exact_div(c, n: int):
     """c / n, kept an integer for integers and raising if that is inexact."""
     if isinstance(c, int):
@@ -364,10 +349,6 @@ def _numerators(coeffs: dict):
     return {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}, d
 
 
-def _nonzero(table: dict) -> dict:
-    return {e: c for e, c in table.items() if not _is_zero_coeff(c)}
-
-
 def _layout(caps, total, tgroup):
     """Bucket key function and its limits for one truncation.
 
@@ -403,13 +384,13 @@ class MultiSeries:
 
     Truncation: an optional per-variable cap vector and an optional total
     degree, counted over a chosen subset of the variables (``tgroup``,
-    default all); at least one must be set.  Coefficients may be int,
-    Fraction or TruncatedSeries in an auxiliary variable: integral and
-    rational group-law tables, box-truncated (q, z) data and nilpotent
-    root algebras over the q-expansion ring.  Operands of one operation
-    must count their totals over the same ``tgroup``, and ``subs``
-    targets must share one truncation: otherwise the result would hold
-    terms some input leaves unknown.
+    default all); at least one must be set.  Coefficients are scalars: int,
+    Fraction or another exact field's elements; a TruncatedSeries raises
+    TypeError.  A series over the q-expansion ring is flat, with q one more
+    capped variable, and ``slices`` reads back its q-series per monomial.
+    Operands of one operation must count their totals over the same
+    ``tgroup``, and ``subs`` targets must share one truncation: otherwise
+    the result would hold terms some input leaves unknown.
 
     ``__mul__``, ``subs`` and ``exp`` test the bounds once per pair of
     buckets (``_layout``), keep every term of a pair that passes and drop
@@ -420,7 +401,7 @@ class MultiSeries:
     builds each product coefficient once, as a Fraction over the two.
     Type rule: the product of two tables of ints alone holds ints; if
     either operand holds a Fraction, every product coefficient is a
-    Fraction.  Other coefficients multiply as they are.
+    Fraction.  Coefficients of another field multiply as they are.
     """
 
     __slots__ = ("vars", "caps", "total", "tgroup", "coeffs")
@@ -444,9 +425,11 @@ class MultiSeries:
                     raise ValueError("exponent arity mismatch")
                 if any(x < 0 for x in e):
                     raise ValueError("negative exponent in MultiSeries")
+                if isinstance(c, TruncatedSeries):
+                    raise TypeError(f"series coefficient {c!r}: make q a capped variable")
                 if not self._keep(e):
                     continue
-                if not _is_zero_coeff(c):
+                if c:
                     table[e] = c
         self.coeffs = table
 
@@ -510,7 +493,7 @@ class MultiSeries:
         return caps, total
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedSeries)):
+        if isinstance(other, (int, Fraction)):
             z = (0,) * len(self.vars)
             other = self._like({z: other})
         if not isinstance(other, MultiSeries):
@@ -525,10 +508,10 @@ class MultiSeries:
                     continue
                 s = table.get(e)
                 s = c if s is None else s + c
-                if _is_zero_coeff(s):
-                    table.pop(e, None)
-                else:
+                if s:
                     table[e] = s
+                else:
+                    table.pop(e, None)
         res.coeffs = table
         return res
 
@@ -544,12 +527,12 @@ class MultiSeries:
         return res
 
     def scale(self, c) -> "MultiSeries":
-        if _is_zero_coeff(c):
+        if not c:
             return self._like(None)
         return self._like({e: x * c for e, x in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedSeries)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
             return NotImplemented
@@ -564,7 +547,7 @@ class MultiSeries:
         table = {}
         _accumulate(table, _buckets(na, key), _buckets(nb, key), lim)
         if da is None and db is None:
-            res.coeffs = _nonzero(table)
+            res.coeffs = {e: c for e, c in table.items() if c}
         else:
             den = (da or 1) * (db or 1)
             res.coeffs = {e: Fraction(s, den) for e, s in table.items() if s}
@@ -644,7 +627,7 @@ class MultiSeries:
                 raise ValueError("substitution targets disagree on truncation")
         zero_key = (0,) * len(proto.vars)
         for s in targets:
-            if not _is_zero_coeff(s.coeffs.get(zero_key, Fraction(0))):
+            if zero_key in s.coeffs:
                 raise ValueError("substitution target has nonzero constant term")
         for v in self.vars:
             if v not in args:
@@ -690,9 +673,9 @@ class MultiSeries:
                         for i, x in enumerate(me):
                             shift[i] += k * x
                         scal = scal * mc**k
-                if not _is_zero_coeff(scal):
+                if scal:
                     _accumulate(table, [(key(shift), [(shift, scal)])], buckets, lim)
-        res.coeffs = _nonzero(table)
+        res.coeffs = {e: c for e, c in table.items() if c}
         return res
 
     def exp(self) -> "MultiSeries":
@@ -708,7 +691,7 @@ class MultiSeries:
         term of A, or exp(A) would not be finite.
         """
         zero_key = (0,) * len(self.vars)
-        if not _is_zero_coeff(self.coeffs.get(zero_key, Fraction(0))):
+        if zero_key in self.coeffs:
             raise ValueError("exp requires zero constant term")
         if self.caps is None and any(not any(e[i] for i in self.tgroup) for e in self.coeffs):
             raise ValueError("exp of a term that no bound truncates")
@@ -739,7 +722,7 @@ class MultiSeries:
                 w = k * (lden // (d * den * lden_b))
                 weighted = [(ka, [(e, w * c) for e, c in items]) for ka, items in buckets]
                 _accumulate(table, weighted, layer, lim)
-            table = _nonzero(table)
+            table = {e: c for e, c in table.items() if c}
             if cleared is not None and (g := gcd(lden, *table.values())) > 1:
                 lden //= g
                 table = {e: c // g for e, c in table.items()}
@@ -762,7 +745,7 @@ class MultiSeries:
         """
         unit = (1,) + (0,) * (len(self.vars) - 1)
         c1 = self.coeffs.get(unit)
-        if c1 is None or _is_zero_coeff(c1):
+        if c1 is None:
             raise ValueError("reversion requires an invertible linear coefficient")
         if any(e[0] == 0 for e in self.coeffs):
             raise ValueError("reversion requires zero constant term")
@@ -781,7 +764,9 @@ class MultiSeries:
         u.coeffs = {(e[0] - 1,) + e[1:]: c for e, c in self.coeffs.items()}
         zero_key = (0,) * len(self.vars)
         one = u._like({zero_key: 1})
-        r = u._like({zero_key: _ring_inverse(c1)})
+        # the units of Z stay integers; anything else inverts exactly
+        inv = c1 if type(c1) is int and c1 in (1, -1) else Fraction(1) / c1
+        r = u._like({zero_key: inv})
         while True:
             err = one - u * r
             if err.is_zero():
@@ -797,6 +782,14 @@ class MultiSeries:
             if k < n:
                 power = power * r
         return self._like(table)
+
+    def slices(self, name: str = "q") -> dict:
+        """{exponents of the other variables: their series in name, cut at its cap}."""
+        i = self.vars.index(name)
+        rows = {}
+        for e, c in self.coeffs.items():
+            rows.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = c
+        return {k: TruncatedSeries(name, self.caps[i], row) for k, row in rows.items()}
 
     def as_univariate(self) -> "TruncatedSeries":
         if len(self.vars) != 1:
@@ -825,13 +818,11 @@ class MultiSeries:
         if not self.coeffs:
             return "0"
         parts = []
-        for e in sorted(self.coeffs, key=lambda t: (sum(t), t)):
-            c = self.coeffs[e]
+        for e, c in sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0])):
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k
             )
-            cs = f"({c})" if isinstance(c, TruncatedSeries) else str(c)
-            parts.append(f"{cs}*{mono}" if mono else cs)
+            parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts)
 
 

@@ -430,11 +430,8 @@ class FormalGroupLaw:
     table: MultiSeries  # vars (x, y, q); total degree bound counts x, y only
 
     def coefficient(self, i: int, j: int) -> TruncatedSeries:
-        out = {}
-        for (a, b, e), c in self.table.coeffs.items():
-            if a == i and b == j:
-                out[e] = c
-        return TruncatedSeries("q", self.qorder, out)
+        zero = TruncatedSeries.zero("q", self.qorder)
+        return self.table.slices("q").get((i, j), zero)
 
     def evaluate(self, x: complex, y: complex, q: complex) -> complex:
         """F(x, y) at a point, each x^i y^j coefficient by Horner in q.
@@ -442,14 +439,11 @@ class FormalGroupLaw:
         The terms are summed in sorted (i, j) order, so the float result
         depends on the law alone, not on the order the table was built in.
         """
-        rows = {}
-        for (a, b, e), c in self.table.coeffs.items():
-            rows.setdefault((a, b), {})[e] = c
         total = 0j
-        for (a, b), row in sorted(rows.items()):
+        for (a, b), s in sorted(self.table.slices("q").items()):
             h = 0j
-            for e in range(max(row), -1, -1):
-                h = h * q + row.get(e, 0)
+            for e in range(max(s.coeffs), -1, -1):
+                h = h * q + s.coeff(e)
             total += h * x**a * y**b
         return total
 
@@ -491,10 +485,10 @@ class FormalGroupLaw:
         return self.associativity_defect().is_zero()
 
     def to_json(self) -> dict:
-        entries = []
-        seen = sorted({(a, b) for (a, b, _) in self.table.coeffs})
-        for a, b in seen:
-            entries.append({"i": a, "j": b, "series": self.coefficient(a, b).to_json()})
+        entries = [
+            {"i": a, "j": b, "series": s.to_json()}
+            for (a, b), s in sorted(self.table.slices("q").items())
+        ]
         return {
             "kind": self.kind,
             "degree": self.degree,

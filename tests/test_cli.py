@@ -669,7 +669,17 @@ EMIT_CASES = [
     (["euler", "--roots", "3", "--nilpotency", "5", "--qorder", "3"], "euler_r3_n5_q3.txt"),
     (["euler", "--roots", "2", "--nilpotency", "4", "--qorder", "2", "--json"],
      "euler_r2_n4_q2.json"),
+    (["euler", "--roots", "0", "--nilpotency", "3", "--qorder", "2", "--json"],
+     "euler_r0_n3_q2.json"),
+    (["euler", "--roots", "1", "--nilpotency", "6", "--qorder", "4", "--json"],
+     "euler_r1_n6_q4.json"),
     (["fgl", "--coordinate", "additive", "--degree", "3", "--json"], "fgl_additive_d3.json"),
+    # q columns run to the q-order, past the last q power the table holds
+    (["fgl", "--coordinate", "additive", "--degree", "3", "--qorder", "4"],
+     "fgl_additive_d3_q4.txt"),
+    (["fgl", "--coordinate", "sigma", "--degree", "6", "--qorder", "3"], "fgl_sigma_d6_q3.txt"),
+    (["fgl", "--coordinate", "sigma", "--degree", "6", "--qorder", "3", "--json"],
+     "fgl_sigma_d6_q3.json"),
     (["sigma", "--qorder", "3", "--zorder", "4", "--json"], "sigma_q3_z4.json"),
     (
         ["sheaf", "--weights", "1,2", "--anchor", "1/2,0", "--sections", "--degree", "4"],

@@ -11,33 +11,35 @@ from ellforge.euler import (
     g2_anomaly,
     g2_free_certificate,
     linear_anomaly,
-    reduce_su_type,
     root_vars,
     twisted_euler,
     whitney_defect,
 )
 from ellforge.modforms import eisenstein_q, homogeneous_fit
 from ellforge.series import MultiSeries, TruncatedSeries
-from test_oracles import factor_sigma_product
+from test_oracles import factor_sigma_product, reduce_su_type
 
 
 # The classes live in y_j = i F_j with z_j = 2 y_j, so their coefficients
-# are rational; the coefficient of F^e is i^|e| times that of y^e.
+# are rational; the coefficient of F^e is i^|e| times that of y^e.  A class
+# is a flat table over (q, y1..ym); slices() reads each root monomial's
+# q-series.
 
 
 def test_twisted_leading_term_is_product_of_roots():
     # (2 y_1)(2 y_2) = -4 F_1 F_2
     tw = twisted_euler(2, 4, 3)
-    lead = tw.coeffs[(1, 1)]
+    assert tw.vars == ("q", "y1", "y2")
+    lead = tw.slices()[(1, 1)]
     assert lead == TruncatedSeries.const("q", 3, Fraction(4))
 
 
 def test_twisted_cubic_cross_term():
     # c_1 c_2 2^3 with c_2 = -1/2 from the coordinate expansion: -4 y_1 y_2^2,
     # which is 4i F_1 F_2^2
-    tw = twisted_euler(2, 4, 3)
-    assert tw.coeffs[(1, 2)] == TruncatedSeries.const("q", 3, Fraction(-4))
-    assert tw.coeffs[(1, 2)] == tw.coeffs[(2, 1)]
+    tw = twisted_euler(2, 4, 3).slices()
+    assert tw[(1, 2)] == TruncatedSeries.const("q", 3, Fraction(-4))
+    assert tw[(1, 2)] == tw[(2, 1)]
 
 
 def test_twisted_builds_the_product_form_once(monkeypatch):
@@ -56,7 +58,7 @@ def test_twisted_builds_the_product_form_once(monkeypatch):
 def test_corrected_rank_one_support():
     # first correction enters at z^4, so only exponents 1 mod 4 appear
     co = corrected_euler(1, 10, 8)
-    assert sorted(co.coeffs) == [(1,), (5,), (7,), (9,)]
+    assert sorted(co.slices()) == [(1,), (5,), (7,), (9,)]
 
 
 def test_factorization_small():
@@ -68,14 +70,14 @@ def test_factorization_larger():
 
 
 def test_linear_anomaly_coefficient():
-    la = linear_anomaly(2, 4, 3)
-    assert la.coeffs[(1, 0)] == TruncatedSeries.const("q", 3, Fraction(-1))
-    assert la.coeffs[(0, 1)] == la.coeffs[(1, 0)]
+    la = linear_anomaly(2, 4, 3).slices()
+    assert la[(1, 0)] == TruncatedSeries.const("q", 3, Fraction(-1))
+    assert la[(0, 1)] == la[(1, 0)]
 
 
 def test_g2_anomaly_coefficient():
-    g = g2_anomaly(2, 4, 3)
-    assert g.coeffs[(2, 0)] == eisenstein_q(2, 3) * Fraction(-4)
+    g = g2_anomaly(2, 4, 3).slices()
+    assert g[(2, 0)] == eisenstein_q(2, 3) * Fraction(-4)
 
 
 def test_certificate_accepts_corrected():
@@ -88,11 +90,11 @@ def test_certificate_accepts_corrected():
 
 def test_certificate_fit_values():
     # normalized y^5 coefficient is exactly -G_4/12
-    co = corrected_euler(1, 10, 8)
-    r5 = co.coeffs[(5,)] / 2**5
+    co = corrected_euler(1, 10, 8).slices()
+    r5 = co[(5,)] / 2**5
     assert homogeneous_fit(r5, 4) == {(0, 1, 0): Fraction(-1, 12)}
     # the y^9 coefficient needs the weight-8 relation G_8 = 120 G_4^2
-    r9 = co.coeffs[(9,)] / 2**9
+    r9 = co[(9,)] / 2**9
     assert homogeneous_fit(r9, 8) == {(0, 2, 0): Fraction(-5, 2016)}
 
 
@@ -117,7 +119,7 @@ def test_whitney_rank_two_plus_line():
 
 
 def test_su_reduction_kills_anomalies():
-    one = MultiSeries(("F1",), {(0,): TruncatedSeries.one("q", 4)}, caps=(1,))
+    one = MultiSeries(("q", "f"), {(0, 0): 1}, caps=(4, 1))
     assert reduce_su_type(linear_anomaly(2, 6, 4)) == one
     assert reduce_su_type(g2_anomaly(2, 6, 4)) == one
 
@@ -134,4 +136,4 @@ def test_su_reduction_requires_rank_two():
 
 
 def test_root_vars():
-    assert root_vars(3) == ("F1", "F2", "F3")
+    assert root_vars(3) == ("y1", "y2", "y3")

@@ -82,11 +82,9 @@ from ellforge.equivderham import (
 from ellforge.fermion import (
     _EM_JMAX,
     SectorDatum,
-    _nearest_mode,
     _row_log_ratio,
     _row_shift,
     _twists,
-    _window_rows,
     _zeta_tail,
     pf_truncated_ratio,
     sector_z,
@@ -95,7 +93,6 @@ from ellforge.euler import (
     corrected_euler,
     g2_anomaly,
     linear_anomaly,
-    root_vars,
     twisted_euler,
 )
 from ellforge.modforms import Lattice, eisenstein_num, eisenstein_q, qpochhammer
@@ -322,13 +319,27 @@ def loop_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
 _BLOCK = 16  # ratios per block product of the block-log kernel
 
 
+def nearest_mode(c, P0):
+    """The m in [-P0, P0] minimising |c + m|, and that minimum."""
+    m = min(max(round(-c.real), -P0), P0)
+    return m, abs(c + m)
+
+
+def window_shifts(sector_a, sector_b, lat, M):
+    """(ca, cb) for every row of the window, in (component, n) order."""
+    for da, db in zip(sector_a, sector_b):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
+        for n in range(-M, M + 1):
+            yield _row_shift(ta, n, lat.tau), _row_shift(tb, n, lat.tau)
+
+
 def block_row_log_ratio(ca, cb, P, k, zeta_P, j, n):
     """One row: its own mode range, block-product head and tail."""
     P0 = int(3 * max(abs(ca), abs(cb))) + 48
     if P0 >= P:
         P0 = P
-    ma, small_a = _nearest_mode(ca, P0)
-    mb, small_b = _nearest_mode(cb, P0)
+    ma, small_a = nearest_mode(ca, P0)
+    mb, small_b = nearest_mode(cb, P0)
     if min(small_a, small_b) < 1e-12:
         raise ValueError(
             f"vanishing eigenvalue in component {j} at "
@@ -383,17 +394,17 @@ def exact_row_log_ratio(ca, cb, P):
 def exact_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The window itself, every mode |m| <= P of every row, at 50 digits.
 
-    The row shifts are the library's floats (_window_rows); from there on
+    The row shifts are the library's floats (window_shifts); from there on
     nothing is rounded to a double until the end, so this measures the
     whole of a kernel's error: its heads, its tails and its sum.
     """
     if P is None:
         P = 4 * M * M
-    rows = _window_rows(sector_a, sector_b, lat, M, P)
+    rows = window_shifts(sector_a, sector_b, lat, M)
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
     with mpmath.workdps(50):
-        total = mpmath.fsum(exact_row_log_ratio(ca, cb, P) for ca, cb, _ in rows)
+        total = mpmath.fsum(exact_row_log_ratio(ca, cb, P) for ca, cb in rows)
         return complex(mpmath.exp(total - mpmath.mpc(s_a - s_b) / 2))
 
 
@@ -413,12 +424,12 @@ def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """
     if P is None:
         P = 4 * M * M
-    rows = _window_rows(sector_a, sector_b, lat, M, P)
+    rows = window_shifts(sector_a, sector_b, lat, M)
     with localcontext() as ctx:
         ctx.prec = 40
         ctx.Emax, ctx.Emin = 10**15, -(10**15)
         num = den = (Decimal(1), Decimal(0))
-        for ca, cb, _ in rows:
+        for ca, cb in rows:
             a = Decimal(ca.real), Decimal(ca.imag)
             b = Decimal(cb.real), Decimal(cb.imag)
             a2, b2 = _decimal_mul(a, a), _decimal_mul(b, b)
@@ -513,10 +524,6 @@ def keep(s, e):
     return True
 
 
-def is_zero_coeff(c):
-    return c.is_zero() if isinstance(c, TruncatedSeries) else c == 0
-
-
 def loop_truncated_mul(a, b):
     """Every pair of terms, one zero test per product term."""
     trunc = min(a.trunc, b.trunc)
@@ -559,7 +566,7 @@ def loop_multi_mul(a, b):
         p = c1 * c2
         s = table.get(e)
         s = p if s is None else s + p
-        if is_zero_coeff(s):
+        if s == 0:
             table.pop(e, None)
         else:
             table[e] = s
@@ -570,7 +577,7 @@ def loop_multi_mul(a, b):
 def loop_multi_exp(a):
     """exp(a) as the sum of term = term * a / k, to the nilpotency bound."""
     zero_key = (0,) * len(a.vars)
-    if not is_zero_coeff(a.coeffs.get(zero_key, Fraction(0))):
+    if a.coeffs.get(zero_key, 0) != 0:
         raise ValueError("exp requires zero constant term")
     # any series with zero constant term vanishes beyond this power
     bound = (sum(a.caps) if a.caps is not None else a.total) + 1
@@ -619,7 +626,7 @@ def loop_multi_subs(series, args):
                     dead = True
                     break
                 prod = plist[k] if prod is None else prod * plist[k]
-        if dead or is_zero_coeff(scal):
+        if dead or scal == 0:
             continue
         terms = [((0,) * nv, None)] if prod is None else prod.coeffs.items()
         for pk, pv in terms:
@@ -629,46 +636,43 @@ def loop_multi_subs(series, args):
             val = scal if pv is None else pv * scal
             s0 = table.get(key)
             table[key] = val if s0 is None else s0 + val
-    res.coeffs = {k: v for k, v in table.items() if not is_zero_coeff(v)}
+    res.coeffs = {k: v for k, v in table.items() if v != 0}
     return res
 
 
 def loop_reversion(series):
-    """One full substitution per degree, correcting one coefficient each."""
-    c1 = series.coeffs[(1,)]
-    inv1 = c1.inverse() if isinstance(c1, TruncatedSeries) else Fraction(1) / c1
+    """One full substitution per degree, correcting one degree each.
+
+    The series is reverted in its first variable; any others are
+    parameters, substituted by themselves, and the linear coefficient must
+    be a scalar.
+    """
+    unit = (1,) + (0,) * (len(series.vars) - 1)
+    if any(e[0] == 1 and e != unit for e in series.coeffs):
+        raise ValueError("linear coefficient must be a scalar")
+    inv1 = Fraction(1) / series.coeffs[unit]
     n = series.caps[0] if series.caps is not None else series.total
-    g = series._like({(1,): inv1})
+    bounds = series.caps, series.total, series.tgroup
+    params = {v: MultiSeries.gen(series.vars, v, *bounds) for v in series.vars[1:]}
+    g = series._like({unit: inv1})
     for k in range(2, n + 1):
-        err = series.subs({series.vars[0]: g}).coeffs.get((k,))
-        if err is not None and not is_zero_coeff(err):
-            g = g + series._like({(k,): -(err * inv1)})
+        comp = series.subs({series.vars[0]: g, **params})
+        err = {e: c for e, c in comp.coeffs.items() if e[0] == k}
+        if err:
+            g = g + series._like({e: -(c * inv1) for e, c in err.items()})
     return g
 
 
 def z_coordinate_series(kind, degree, qorder):
-    """The coordinate as a z-series with q-expansion coefficients."""
-    one = TruncatedSeries.one("q", qorder)
+    """The coordinate as a series in z with q a capped parameter."""
     if kind == "additive":
-        table = {(1,): one}
+        table = {(1, 0): 1}
     elif kind == "multiplicative":
-        table = {(k,): one * Fraction(1, math.factorial(k)) for k in range(1, degree + 1)}
+        table = {(k, 0): Fraction(1, math.factorial(k)) for k in range(1, degree + 1)}
     else:
         coeffs = z_coefficients(qorder, degree)
-        table = {(k,): c for k, c in enumerate(coeffs) if k and not c.is_zero()}
-    return MultiSeries(("z",), table, caps=(degree,))
-
-
-def flatten(ring_series, gen, degree, qorder):
-    """One-variable series over the q-ring -> rational series in (x, y, q)."""
-    i = XYQ.index(gen)
-    table = {}
-    for (k,), c in ring_series.coeffs.items():
-        for e, f in c.coeffs.items():
-            key = [0, 0, e]
-            key[i] = k
-            table[tuple(key)] = f
-    return MultiSeries(XYQ, table, caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
+        table = {(k, e): f for k, c in enumerate(coeffs) if k for e, f in c.coeffs.items()}
+    return MultiSeries(("z", "q"), table, caps=(degree, qorder))
 
 
 def zreversion_fgl(kind, degree, qorder):
@@ -676,14 +680,15 @@ def zreversion_fgl(kind, degree, qorder):
     kw = dict(caps=(degree, degree, qorder), total=degree, tgroup=(0, 1))
     c = z_coordinate_series(kind, degree, qorder)
     cinv = loop_reversion(c)
-    s = flatten(cinv, "x", degree, qorder) + flatten(cinv.rename({"z": "y"}), "y", degree, qorder)
+    s = cinv.rename({"z": "x"}).lift(XYQ, **kw) + cinv.rename({"z": "y"}).lift(XYQ, **kw)
+    cq = c.slices("q")
     acc = MultiSeries.zero(XYQ, **kw)
     p = MultiSeries.one(XYQ, **kw)
     for k in range(1, degree + 1):
         p = p * s
-        ck = c.coeffs.get((k,))
-        if ck is not None:
-            acc = acc + p * MultiSeries(XYQ, {(0, 0, e): f for e, f in ck.coeffs.items()}, **kw)
+        if (k,) in cq:
+            ck = {(0, 0, e): f for e, f in cq[(k,)].coeffs.items()}
+            acc = acc + p * MultiSeries(XYQ, ck, **kw)
     return acc
 
 
@@ -922,10 +927,13 @@ def derivative(s):
 
 
 # The Euler classes in the roots F_j with z_j = 2 i F_j, over the
-# Gaussian rationals.  A TruncatedSeries cannot hold a Gaussian q-series,
-# so q is one more MultiSeries variable here: a class is a series in
-# (F1..Fm, q), total degree counted in the roots and q capped at the
-# q-order.
+# Gaussian rationals.  As in the library's y-basis classes, q is one more
+# MultiSeries variable: a class is a series in (F1..Fm, q), total degree
+# counted in the roots and q capped at the q-order.
+
+
+def f_vars(m):
+    return tuple(f"F{j}" for j in range(1, m + 1))
 
 
 def _fq(m, degree, qorder):
@@ -940,7 +948,7 @@ def _root_terms(m, j, k, series, unit):
 
 def gaussian_twisted_euler(m, degree, qorder):
     """prod_j sigma(2 i F_j)."""
-    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     sigma = sigma_product(qorder, degree)
     out = MultiSeries.one(v, **kw)
     for j in range(m):
@@ -953,7 +961,7 @@ def gaussian_twisted_euler(m, degree, qorder):
 
 def gaussian_corrected_euler(m, degree, qorder):
     """prod_j (2 i F_j) exp(sum_{k>=2} w_k G_2k (2 i F_j)^{2k})."""
-    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     one_q = TruncatedSeries.one("q", qorder)
     out = MultiSeries.one(v, **kw)
     for j in range(m):
@@ -968,7 +976,7 @@ def gaussian_corrected_euler(m, degree, qorder):
 
 def gaussian_linear_anomaly(m, degree, qorder):
     """exp(-i sum F_j)."""
-    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     one_q = TruncatedSeries.one("q", qorder)
     arg = {}
     for j in range(m):
@@ -978,24 +986,34 @@ def gaussian_linear_anomaly(m, degree, qorder):
 
 def gaussian_g2_anomaly(m, degree, qorder):
     """exp(4 G_2 sum F_j^2)."""
-    v, kw = root_vars(m) + ("q",), _fq(m, degree, qorder)
+    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     arg = {}
     for j in range(m):
         arg.update(_root_terms(m, j, 2, eisenstein_q(2, qorder), 4))
     return MultiSeries(v, arg, **kw).exp()
 
 
-def rotated(cls, qorder):
-    """A class in y = iF with q-series coefficients, read in F over (F1..Fm, q).
+def rotated(cls):
+    """A class over (q, y1..ym), read in F over (F1..Fm, q).
 
-    c y^e is i^|e| c F^e.
+    c q^n y^e is i^|e| c q^n F^e.
     """
-    m = len(cls.vars)
-    table = {}
-    for e, c in cls.coeffs.items():
-        series = c if isinstance(c, TruncatedSeries) else TruncatedSeries.const("q", qorder, c)
-        table.update({e + (n,): x * I ** sum(e) for n, x in series.coeffs.items()})
-    return MultiSeries(cls.vars + ("q",), table, **_fq(m, cls.total, qorder))
+    m = len(cls.vars) - 1
+    table = {e[1:] + e[:1]: c * I ** sum(e[1:]) for e, c in cls.coeffs.items()}
+    return MultiSeries(f_vars(m) + ("q",), table, **_fq(m, cls.total, cls.caps[0]))
+
+
+def reduce_su_type(cls):
+    """Quotient a rank-2 class over (q, y1, y2) by the ideal (y1 + y2, y1^2 + y2^2).
+
+    In the quotient y2 = -y1 and y1^2 = 0, as F2 = -F1 and F1^2 = 0 for
+    y = iF, which kills both anomaly factors; only the constant and linear
+    terms survive, over (q, f) with f the image of y1.
+    """
+    if cls.vars != ("q", "y1", "y2"):
+        raise ValueError("su-type reduction expects roots (y1, y2)")
+    q, f = (MultiSeries.gen(("q", "f"), v, caps=(cls.caps[0], 1)) for v in ("q", "f"))
+    return cls.subs({"q": q, "y1": f, "y2": -f})
 
 
 # ------------------------------------------------------ Weil monomial sweep
@@ -2094,7 +2112,7 @@ _row_shifts = st.builds(complex, _re_parts, _im_parts)
 
 
 def _head_cut(ca, cb, P):
-    """A row's head cut, as _window_rows sets it."""
+    """A row's head cut, as pf_truncated_ratio sets it."""
     return min(int(3 * max(abs(ca), abs(cb))) + 48, P)
 
 
@@ -2110,7 +2128,7 @@ def row_cases(draw):
     P = draw(st.one_of(st.integers(1, 200), st.integers(200, 2_560_000)))
     P0 = _head_cut(ca, cb, P)
     for c in (ca, cb):
-        assume(_nearest_mode(c, P0)[1] >= 1e-12)
+        assume(nearest_mode(c, P0)[1] >= 1e-12)
         # c + P + 1 and c - P are poles of Gamma there, though the row is not
         assume(not (c.imag == 0 and c.real == round(c.real) < -P))
     return ca, cb, P
@@ -2130,7 +2148,8 @@ def test_row_log_ratio_matches_the_exact_row(case):
     examples the error stayed under a third of this bound."""
     ca, cb, P = case
     P0 = _head_cut(ca, cb, P)
-    log, flips = _row_log_ratio(ca, cb, P0, P, _row_zetas(P))
+    ka, kb = round(ca.real), round(cb.real)
+    log, flips = _row_log_ratio(ca, cb, ka, kb, P0, P, _row_zetas(P))
     want = exact_row_log_ratio(ca, cb, P)
     with mpmath.workdps(50):
         diff = mpmath.mpc(log) + mpmath.pi * 1j * flips - want
@@ -2204,13 +2223,13 @@ def test_coordinate_w_matches_factor_products(degree, qorder):
 
 # ------------------------------------------------------------------- series
 
-ring_kinds = st.sampled_from(["fraction", "gaussian", "series"])
+ring_kinds = st.sampled_from(["fraction", "gaussian"])
 # rational tables that the products clear to int numerators: ints alone,
 # integral Fractions alone, and ints mixed with Fractions
 rational_kinds = st.sampled_from(["int", "integral", "mixed"])
 
 
-def ring_element(kind, qtrunc):
+def ring_element(kind):
     """A nonzero-or-zero element of the coefficient ring named by ``kind``."""
     unit = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
     if kind == "int":
@@ -2221,23 +2240,15 @@ def ring_element(kind, qtrunc):
         return st.one_of(st.integers(-3, 3), small_fracs)
     if kind == "fraction":
         return st.one_of(unit, small_fracs)
-    if kind == "gaussian":
-        return st.one_of(
-            unit,
-            st.builds(
-                lambda re, im: Gaussian(re, im) if im else re, small_fracs, small_fracs
-            ),
-        )
-    return st.dictionaries(st.integers(0, qtrunc), unit, max_size=3).map(
-        lambda d: TruncatedSeries("q", qtrunc, d)
+    return st.one_of(
+        unit,
+        st.builds(lambda re, im: Gaussian(re, im) if im else re, small_fracs, small_fracs),
     )
 
 
 def shape(series):
-    """Exponent -> (coefficient type, q-truncation of a series coefficient)."""
-    return {
-        e: (type(c), getattr(c, "trunc", None)) for e, c in series.coeffs.items()
-    }
+    """Exponent -> coefficient type."""
+    return {e: type(c) for e, c in series.coeffs.items()}
 
 
 def assert_same(got, want):
@@ -2274,11 +2285,11 @@ def layouts(draw, n):
 
 
 @st.composite
-def multi_series(draw, vars, bounds, kind, qtrunc, max_terms=7, constant=True):
+def multi_series(draw, vars, bounds, kind, max_terms=7, constant=True):
     lo = 0 if constant else 1
     exps = st.tuples(*[st.integers(0, 3)] * len(vars)).filter(lambda e: sum(e) >= lo)
     table = draw(
-        st.dictionaries(exps, ring_element(kind, qtrunc), max_size=max_terms)
+        st.dictionaries(exps, ring_element(kind), max_size=max_terms)
     )
     return MultiSeries(vars, table, **bounds)
 
@@ -2287,7 +2298,7 @@ def multi_series(draw, vars, bounds, kind, qtrunc, max_terms=7, constant=True):
 def products(draw, kinds=ring_kinds):
     n = draw(st.integers(2, 3))
     vars = ("x", "y", "z")[:n]
-    kind, qtrunc = draw(kinds), draw(st.integers(0, 3))
+    kind = draw(kinds)
     a_bounds = draw(layouts(n))
     b_bounds = dict(a_bounds)
     if draw(st.booleans()):  # a looser or tighter operand of the same layout
@@ -2296,8 +2307,8 @@ def products(draw, kinds=ring_kinds):
             b_bounds["caps"] = tuple(max(c, 0) for c in b_bounds["caps"])
         if a_bounds.get("total") is not None:
             b_bounds["total"] = max(a_bounds["total"] + draw(st.integers(-1, 1)), 0)
-    a = draw(multi_series(vars, a_bounds, kind, qtrunc))
-    b = draw(multi_series(vars, b_bounds, kind, qtrunc))
+    a = draw(multi_series(vars, a_bounds, kind))
+    b = draw(multi_series(vars, b_bounds, kind))
     return a, b
 
 
@@ -2329,8 +2340,7 @@ def exp_args(draw):
     n = draw(st.integers(1, 3))
     kind = draw(st.one_of(ring_kinds, rational_kinds))
     bounds = draw(layouts(n))
-    return draw(multi_series(("x", "y", "z")[:n], bounds, kind, draw(st.integers(0, 3)),
-                             constant=False))
+    return draw(multi_series(("x", "y", "z")[:n], bounds, kind, constant=False))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -2349,9 +2359,13 @@ def test_multi_exp_matches_term_loop(a):
 
 def test_multi_exp_of_zero_and_of_series_coefficients():
     kw = dict(caps=(3, 2), total=4, tgroup=(0,))
-    assert_same(MultiSeries.zero(("x", "q"), **kw).exp(), MultiSeries.one(("x", "q"), **kw))
-    g = TruncatedSeries("q", 3, {0: Fraction(1, 3), 2: -1})
-    a = MultiSeries(("x", "q"), {(1, 0): g, (2, 1): g * g, (0, 2): Fraction(5, 7)}, **kw)
+    assert_same(MultiSeries.zero(("x", "u"), **kw).exp(), MultiSeries.one(("x", "u"), **kw))
+    # g = 1/3 - q^2 in q capped at 3, a parameter outside the total
+    V, kw = ("x", "u", "q"), dict(caps=(3, 2, 3), total=4, tgroup=(0,))
+    x, u = (MultiSeries.gen(V, v, **kw) for v in "xu")
+    g = MultiSeries(V, {(0, 0, 0): Fraction(1, 3), (0, 0, 2): -1}, **kw)
+    a = g * x + g * g * x * x * u + u * u * Fraction(5, 7)
+    assert (2, 1, 2) in a.coeffs and (2, 1, 4) not in a.coeffs  # q^4 is cut
     assert_same(a.exp(), loop_multi_exp(a))
     with pytest.raises(ValueError):
         MultiSeries(("x",), {(0,): 1}, caps=(3,)).exp()
@@ -2367,8 +2381,8 @@ def substitutions(draw):
     m = draw(st.integers(1, 3))
     src_vars = ("x", "y", "q")[:n]
     dst_vars = ("u", "v", "w")[:m]
-    kind, qtrunc = draw(ring_kinds), draw(st.integers(0, 3))
-    series = draw(multi_series(src_vars, draw(layouts(n)), kind, qtrunc))
+    kind = draw(ring_kinds)
+    series = draw(multi_series(src_vars, draw(layouts(n)), kind))
     bounds = draw(layouts(m))
     args = {}
     for v in src_vars:
@@ -2377,7 +2391,7 @@ def substitutions(draw):
             args[v] = MultiSeries.zero(dst_vars, **bounds)
         else:
             size = 1 if which == "mono" else draw(st.integers(2, 4))
-            target = draw(multi_series(dst_vars, bounds, kind, qtrunc, size, False))
+            target = draw(multi_series(dst_vars, bounds, kind, size, False))
             args[v] = target
     return series, args
 
@@ -2408,9 +2422,9 @@ def test_multi_mul_cancels_to_zero():
     a, b = x + y, x - y
     assert_same(a * b, loop_multi_mul(a, b))
     assert (a * b).coeffs == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
-    q2 = TruncatedSeries("q", 3, {2: 1})
-    c = MultiSeries(("x", "y"), {(1, 0): q2, (0, 1): q2 * Fraction(-1, 2)}, **kw)
-    assert (c * c).is_zero()  # every coefficient is a multiple of q^4
+    kw = dict(caps=(2, 2, 3), total=2, tgroup=(0, 1))
+    c = MultiSeries(("x", "y", "q"), {(1, 0, 2): 1, (0, 1, 2): Fraction(-1, 2)}, **kw)
+    assert (c * c).is_zero()  # every term is a multiple of q^4, past q's cap
     assert_same(c * c, loop_multi_mul(c, c))
 
 
@@ -2430,7 +2444,7 @@ def laurent_pairs(draw):
         minexp = draw(st.integers(-3, 0))
         trunc = draw(st.integers(minexp, 8))
         table = draw(st.dictionaries(
-            st.integers(minexp, trunc), ring_element("fraction", 0), max_size=6,
+            st.integers(minexp, trunc), ring_element("fraction"), max_size=6,
         ))
         return TruncatedSeries("q", trunc, table, minexp)
 
@@ -2474,14 +2488,12 @@ def test_truncated_mul_over_common_denominators(a, b):
 @st.composite
 def revertible(draw):
     """A one-variable series whose linear coefficient is a unit of its ring."""
-    kind, qtrunc = draw(ring_kinds), draw(st.integers(0, 3))
+    kind = draw(ring_kinds)
     n = draw(st.integers(1, 6))
     bounds = draw(st.sampled_from([dict(caps=(n,)), dict(total=n)]))
-    table = draw(st.dictionaries(st.integers(2, 6), ring_element(kind, qtrunc), max_size=4))
+    table = draw(st.dictionaries(st.integers(2, 6), ring_element(kind), max_size=4))
     unit = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]))
-    if kind == "series":
-        unit = TruncatedSeries("q", qtrunc, {0: unit, 1: draw(small_fracs)})
-    elif kind == "gaussian" and draw(st.booleans()):
+    if kind == "gaussian" and draw(st.booleans()):
         unit = Gaussian(unit, 1)
     table[1] = unit
     return MultiSeries(("z",), {(e,): c for e, c in table.items()}, **bounds)
@@ -2532,6 +2544,36 @@ def test_integral_fgl_matches_zreversion(kind, degree, qorder):
 
 def test_integral_fgl_matches_zreversion_at_12_8():
     assert fgl_from_coordinate("sigma", 12, 8).table == zreversion_fgl("sigma", 12, 8)
+
+
+def scanned_coefficient(law, i, j):
+    """The x^i y^j q-series by one scan of the flat (x, y, q) table."""
+    out = {}
+    for (a, b, e), c in law.table.coeffs.items():
+        if a == i and b == j:
+            out[e] = c
+    return TruncatedSeries("q", law.qorder, out)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["additive", "multiplicative", "sigma"]),
+    st.integers(1, 9),
+    st.integers(0, 5),
+)
+def test_q_slices_match_the_per_coefficient_scan(kind, degree, qorder):
+    law = fgl_from_coordinate(kind, degree, qorder)
+    slices = law.table.slices("q")
+    zero = TruncatedSeries.zero("q", qorder)
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            want = scanned_coefficient(law, i, j)
+            assert law.coefficient(i, j) == want
+            assert slices.get((i, j), zero) == want
+    assert all(s.trunc == qorder and not s.is_zero() for s in slices.values())
+    # and back: the slices hold the flat table, term for term
+    flat = {(i, j, e): c for (i, j), s in slices.items() for e, c in s.coeffs.items()}
+    assert flat == law.table.coeffs
 
 
 FGL_KINDS = ["additive", "multiplicative", "sigma"]
@@ -2783,4 +2825,4 @@ EULER_BUILDERS = [
 @pytest.mark.parametrize("degree", [1, 4, 5, 8])
 def test_y_basis_class_rotates_to_the_gaussian_build(builders, m, degree):
     build, gaussian_build = builders
-    assert rotated(build(m, degree, 3), 3) == gaussian_build(m, degree, 3)
+    assert rotated(build(m, degree, 3)) == gaussian_build(m, degree, 3)

@@ -144,7 +144,7 @@ def test_gaussian_truth_is_nonzero():
 
 
 def test_gaussian_in_series():
-    # a MultiSeries carries any ring; a TruncatedSeries holds rationals only
+    # a MultiSeries carries any field of scalars; a TruncatedSeries holds rationals only
     s = MultiSeries(("z",), {(1,): I}, caps=(3,))
     sq = s * s
     assert sq.coeff((2,)) == -1
@@ -157,6 +157,19 @@ def test_truncated_series_refuses_non_rational_coefficients(c):
         ts("z", 3, {1: c})
     with pytest.raises(TypeError):
         TruncatedSeries.const("z", 3, c)
+
+
+def test_multi_series_refuses_series_coefficients():
+    # a q-series enters a table as a capped variable q, not as a coefficient
+    c = ts("q", 3, {0: 1, 1: 2})
+    for exps in ((1,), (5,)):  # kept or cut by the cap, it is refused
+        with pytest.raises(TypeError):
+            MultiSeries(("z",), {exps: c}, caps=(3,))
+    z = MultiSeries.gen(("z",), "z", caps=(3,))
+    with pytest.raises(TypeError):
+        z * c
+    with pytest.raises(TypeError):
+        z + c
 
 
 # ---------------------------------------------------------------- json codec
@@ -293,16 +306,18 @@ def test_exp_log_multi():
 
 
 def test_ring_coefficients_from_q_series():
+    # q is a capped parameter variable; slices() reads the z^k q-series
+    z, q = (MultiSeries.gen(("z", "q"), v, caps=(4, 3)) for v in "zq")
     t = ts("q", 3, {1: 1})
-    one = TruncatedSeries.one("q", 3)
-    c = MultiSeries(("z",), {(1,): one, (2,): t}, caps=(4,))
+    c = z + q * z * z
     g = c.reversion()
     # inverse of z + t z^2 is z - t z^2 + 2 t^2 z^3 - 5 t^3 z^4
-    assert g.coeff((2,)) == -t
-    assert g.coeff((3,)) == 2 * t * t
-    rt = c.subs({"z": g})
-    assert rt.coeff((1,)) == one
-    assert all(e == (1,) for e in rt.coeffs)
+    got = g.slices("q")
+    assert got[(1,)] == TruncatedSeries.one("q", 3)
+    assert got[(2,)] == -t
+    assert got[(3,)] == 2 * t * t
+    assert got[(4,)] == -5 * t * t * t
+    assert c.subs({"z": g, "q": q}) == z
 
 
 def test_reversion_of_integer_series_stays_exact():
