@@ -25,8 +25,8 @@ from .equivderham import (
     weil_relations_report,
 )
 from .euler import (
-    anomaly_factorization_ok,
     corrected_euler,
+    factorization_exact,
     g2_anomaly,
     g2_free_certificate,
     linear_anomaly,
@@ -43,7 +43,7 @@ from .fermion import (
     weyl_defect,
 )
 from .modforms import Lattice, check_weight, delta_q, eisenstein_lattice, eisenstein_q
-from .series import MultiSeries, TruncatedSeries, differing_terms
+from .series import MultiSeries, TruncatedSeries
 from .sheafmodel import (
     CircleActionSpace,
     FiniteGroupTable,
@@ -438,10 +438,40 @@ def _cmd_fermion(args):
     return 0
 
 
+# The most work (as _euler_work counts it) that euler builds, checks and
+# prints: about 10 s.  On a 2-vCPU VM (Python 3.11) 33 shapes took 0.2 to
+# 0.8 us per unit past 1 s (the table in tests/test_cli.py): (6, 16, 8) as
+# (roots, nilpotency, qorder) passes in 6.3 s, while (4, 24, 8) took 12.7 s
+# and (8, 16, 4) 39 s.
+EULER_WORK_LIMIT = 30_000_000
+
+
+def _euler_work(roots, degree, qorder):
+    """Estimated cost of the four euler classes, their factorization and print.
+
+    The largest product, of two full classes, pairs root monomials of total
+    degree at most D = degree (C(D + 2m, 2m) pairs for m roots) and q powers
+    summing to at most qorder (C(qorder + 2, 2)), and about one pair in 2^m
+    survives the classes' parities; a pair costs (D + qorder) / 32 units as
+    the coefficients lengthen.  Each printed cell, C(D + m, m) root
+    monomials by qorder + 1 q powers, costs 16 units; the classes' keys
+    cost m^2, and the corrected class's Eisenstein series D (qorder + 1).
+    Past 4096 roots or degree the pairs and cells are far over the limit,
+    and the caps keep the binomials small.
+    """
+    m, d = min(roots, 4096), min(degree, 4096)
+    pairs = comb(d + 2 * m, 2 * m) * comb(qorder + 2, 2) // 2**m if m else 0
+    cells = comb(d + m, m) * (qorder + 1)
+    return pairs * (degree + qorder) // 32 + 16 * cells + roots * roots + degree * (qorder + 1)
+
+
 def _cmd_euler(args):
     if _negative(args, "roots", "nilpotency", "qorder"):
         return 2
     m, deg, qo = args.roots, args.nilpotency, args.qorder
+    if _over_limit(_euler_work(m, deg, qo), EULER_WORK_LIMIT,
+                   f"--roots {m} --nilpotency {deg} --qorder {qo} needs about", "units"):
+        return 2
     tw = twisted_euler(m, deg, qo)
     co = corrected_euler(m, deg, qo)
     lin = linear_anomaly(m, deg, qo)
@@ -456,7 +486,7 @@ def _cmd_euler(args):
         "corrected": _class_json(co, names),
         "linear_anomaly": _class_json(lin, names),
         "g2_anomaly": _class_json(g2a, names),
-        "factorization_exact": anomaly_factorization_ok(m, deg, qo),
+        "factorization_exact": factorization_exact(tw, co, lin, g2a),
     }
     if args.json:
         return _emit_json(payload)
@@ -750,6 +780,11 @@ class CheckReport:
 # and extra holds more keys of the suite's JSON report.
 
 
+def _differing_terms(a: dict, b: dict) -> int:
+    """How many exponents carry different coefficients in two tables."""
+    return sum(1 for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
+
+
 def _first_diff(a: dict, b: dict):
     """The lowest exponent, in sorted order, whose coefficients differ, or None."""
     return min((e for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0)), default=None)
@@ -758,7 +793,7 @@ def _first_diff(a: dict, b: dict):
 def _sigma_identity(p, seed, tol):
     sizes = p["qorder"], p["zorder"]
     prod, expo = sigma_product(*sizes).coeffs, sigma_exponential(*sizes).coeffs
-    bad = differing_terms(prod, expo)
+    bad = _differing_terms(prod, expo)
     return bad == 0, [float(bad)], {}, {"first_diff": _first_diff(prod, expo)}
 
 
@@ -798,7 +833,7 @@ def _vacuum_character(p, seed, tol):
     sizes = p["rank"], p["qorder"], p["zorder"]
     ch = vacuum_character(*sizes)
     prod = vacuum_character_product(*sizes).coeffs
-    bad = differing_terms(ch.coeffs, prod)
+    bad = _differing_terms(ch.coeffs, prod)
     asym = weyl_defect(ch)
     extra = {"first_diff": _first_diff(ch.coeffs, prod)}
     return bad == 0 and asym == 0, [float(bad), float(asym)], {}, extra
@@ -823,9 +858,11 @@ def _looijenga(p, seed, tol):
 
 def _euler_anomaly(p, seed, tol):
     m, deg, qo = p["roots"], p["nilpotency"], p["qorder"]
-    cert = g2_free_certificate(corrected_euler(m, deg, qo), m)
+    co = corrected_euler(m, deg, qo)
+    cert = g2_free_certificate(co, m)
+    classes = twisted_euler(m, deg, qo), co, linear_anomaly(m, deg, qo), g2_anomaly(m, deg, qo)
     checks = [
-        anomaly_factorization_ok(m, deg, qo),
+        factorization_exact(*classes),
         cert.ok,
         whitney_defect(1, 1, deg, qo).is_zero(),
     ]

@@ -43,13 +43,21 @@ def _on_root(m: int, j: int, terms: dict) -> dict:
     return {(n,) + (0,) * j + (k,) + (0,) * (m - j - 1): c for (n, k), c in terms.items()}
 
 
-def twisted_euler(m: int, degree: int, qorder: int) -> MultiSeries:
-    """prod_j sigma(2 y_j), from one product-form (q, z) table."""
-    sigma = {(n, d): c * 2**d for (n, d), c in sigma_product(qorder, degree).coeffs.items()}
+def _sigma_2y(degree: int, qorder: int) -> dict:
+    """sigma(2 y) as terms {(n, d): c} of c q^n y^d, from one product-form table."""
+    return {(n, d): c * 2**d for (n, d), c in sigma_product(qorder, degree).coeffs.items()}
+
+
+def _twisted(m: int, degree: int, qorder: int, sigma: dict) -> MultiSeries:
     out = _class(m, degree, qorder, {(0,) * (m + 1): 1})
     for j in range(m):
         out = out * _class(m, degree, qorder, _on_root(m, j, sigma))
     return out
+
+
+def twisted_euler(m: int, degree: int, qorder: int) -> MultiSeries:
+    """prod_j sigma(2 y_j), from one product-form (q, z) table."""
+    return _twisted(m, degree, qorder, _sigma_2y(degree, qorder))
 
 
 def corrected_euler(m: int, degree: int, qorder: int) -> MultiSeries:
@@ -83,15 +91,20 @@ def g2_anomaly(m: int, degree: int, qorder: int) -> MultiSeries:
     return _class(m, degree, qorder, arg).exp()
 
 
+def factorization_exact(twisted, corrected, linear, g2) -> bool:
+    """Coefficient-exact check of twisted = corrected * linear * G_2 anomaly,
+    on classes already built."""
+    return twisted == corrected * linear * g2
+
+
 def anomaly_factorization_ok(m: int, degree: int, qorder: int) -> bool:
-    """Coefficient-exact check of twisted = corrected * linear * G_2 anomaly."""
-    lhs = twisted_euler(m, degree, qorder)
-    rhs = (
-        corrected_euler(m, degree, qorder)
-        * linear_anomaly(m, degree, qorder)
-        * g2_anomaly(m, degree, qorder)
+    """factorization_exact on the four classes of (m, degree, qorder)."""
+    return factorization_exact(
+        twisted_euler(m, degree, qorder),
+        corrected_euler(m, degree, qorder),
+        linear_anomaly(m, degree, qorder),
+        g2_anomaly(m, degree, qorder),
     )
-    return lhs == rhs
 
 
 @dataclass
@@ -130,10 +143,11 @@ def whitney_defect(m1: int, m2: int, degree: int, qorder: int) -> MultiSeries:
     """e(V + W) minus e(V) e(W) in the joint root algebra; zero when multiplicative."""
     m = m1 + m2
     v, bounds = ("q",) + root_vars(m), _bounds(m, degree, qorder)
-    total = twisted_euler(m, degree, qorder)
-    left = twisted_euler(m1, degree, qorder).lift(v, **bounds)
+    sigma = _sigma_2y(degree, qorder)
+    total = _twisted(m, degree, qorder, sigma)
+    left = _twisted(m1, degree, qorder, sigma).lift(v, **bounds)
     right = (
-        twisted_euler(m2, degree, qorder)
+        _twisted(m2, degree, qorder, sigma)
         .rename({f"y{j}": f"y{m1 + j}" for j in range(1, m2 + 1)})
         .lift(v, **bounds)
     )

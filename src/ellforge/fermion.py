@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .modforms import TWO_PI_I, Lattice, act
-from .series import MultiSeries, differing_terms
+from .series import MultiSeries
 from .sigma import sigma_exponential, sigma_num, sigma_product
 
 _EM_JMAX = 24
@@ -259,16 +259,20 @@ def vacuum_character_product(n: int, qorder: int, zorder: int) -> MultiSeries:
 
 def weyl_defect(char: MultiSeries) -> int:
     """Coefficients moved by the adjacent swaps of the z block, summed over
-    the swaps; 0 exactly when the character is symmetric."""
-    nz = len(char.vars) - 1
+    the swaps; 0 exactly when the character is symmetric.
+
+    A swap moves the coefficient at e when it differs from the one at the
+    swapped exponent f; where f holds none, the coefficient at f moves too.
+    """
+    table = char.coeffs
     moved = 0
-    for i in range(1, nz):
-        swapped = {}
-        for e, c in char.coeffs.items():
-            key = list(e)
-            key[i], key[i + 1] = key[i + 1], key[i]
-            swapped[tuple(key)] = c
-        moved += differing_terms(swapped, char.coeffs)
+    for i in range(1, len(char.vars) - 1):
+        for e, c in table.items():
+            a, b = e[i], e[i + 1]
+            if a != b:
+                f = e[:i] + (b, a) + e[i + 2 :]
+                if c != table.get(f, 0):
+                    moved += 1 if f in table else 2
     return moved
 
 

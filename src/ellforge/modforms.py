@@ -49,8 +49,14 @@ def divisor_sigma(k: int, n: int) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def eisenstein_q(k: int, order: int) -> TruncatedSeries:
-    """G_k(q) = -B_k/(2k) + sum_{n>=1} sigma_{k-1}(n) q^n, k even, k >= 2."""
+    """G_k(q) = -B_k/(2k) + sum_{n>=1} sigma_{k-1}(n) q^n, k even, k >= 2.
+
+    Memoized per (k, order), like delta_q: a weight check evaluates one
+    expansion at every sample.  Callers share the result and must not
+    change it.
+    """
     if k < 2 or k % 2:
         raise ValueError("k must be even and >= 2")
     table = {0: -bernoulli(k) / (2 * k)}
@@ -82,9 +88,11 @@ def qpochhammer(order: int, power: int = 1) -> TruncatedSeries:
     return TruncatedSeries("q", order, dict(enumerate(p)))
 
 
+@functools.lru_cache(maxsize=None)
 def delta_q(order: int) -> TruncatedSeries:
-    """The discriminant cusp form q * prod (1 - q^n)^24."""
-    return qpochhammer(order, 24).shift(1).truncate(order)
+    """The discriminant cusp form q * prod (1 - q^n)^24, memoized per order."""
+    shifted = {e + 1: c for e, c in qpochhammer(order, 24).coeffs.items()}
+    return TruncatedSeries("q", order, shifted, minexp=1)
 
 
 @dataclass(frozen=True)

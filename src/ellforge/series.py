@@ -90,15 +90,6 @@ class TruncatedSeries:
             self.var, self.trunc, {e: fn(c) for e, c in self.coeffs.items()}, self.minexp
         )
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by var**k (k of either sign)."""
-        m = self.minexp + k
-        if m < LAURENT_FLOOR:
-            raise ValueError("shift would cross the Laurent floor")
-        return TruncatedSeries(
-            self.var, self.trunc + k, {e + k: c for e, c in self.coeffs.items()}, m
-        )
-
     # ---- ring operations ----
 
     def _binop_check(self, other: "TruncatedSeries"):
@@ -250,9 +241,10 @@ class TruncatedSeries:
     # ---- numerics and serialization ----
 
     def evaluate(self, x: complex) -> complex:
+        # float(c) is n / d, and float * complex is complex(c) * complex bit for bit
         out = 0j
         for e, c in sorted(self.coeffs.items(), reverse=True):
-            out += complex(c) * x**e
+            out += c.numerator / c.denominator * x**e
         return out
 
     def to_json(self) -> dict:
@@ -308,24 +300,30 @@ def _exact_div(c, n: int):
     return c / n
 
 
-def differing_terms(a: dict, b: dict) -> int:
-    """How many exponents carry different coefficients in two tables."""
-    return sum(1 for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
+def _accumulate(table: dict, left, right, lim, rest=()) -> None:
+    """table[a + b] += x * y over the term pairs that survive the truncation.
 
-
-def _accumulate(table: dict, left, right, lim) -> None:
-    """table[a + b] += x * y over the bucket pairs whose keys add within lim."""
+    A bucket pair whose tops add within lim and the caps of rest keeps all
+    its term pairs untested, one whose keys add past lim none, and any
+    other is tested term by term at those caps.
+    """
     get = table.get
-    for ka, items_a in left:
-        room = lim[0] - ka[0]
-        for kb, items_b in right:
-            if kb[0] > room:
+    idx, caps = [i for i, _ in rest], [c for _, c in rest]
+    top = lim + tuple(caps)
+    for ta, items_a in left:
+        room = lim[0] - ta[0]
+        for tb, items_b in right:
+            if tb[0] > room:
                 break
-            if not all(map(le, map(add, ka, kb), lim)):
+            near = not all(map(le, map(add, ta, tb), top))
+            # zip stops at lim, the keys' part of top; a pair past it keeps no term
+            if near and not (rest and all(map(le, map(add, ta, tb), lim))):
                 continue
             for e1, c1 in items_a:
                 for e2, c2 in items_b:
                     e = tuple(map(add, e1, e2))
+                    if near and not all(map(le, map(e.__getitem__, idx), caps)):
+                        continue
                     p = c1 * c2
                     s = get(e)
                     table[e] = p if s is None else s + p
@@ -350,33 +348,37 @@ def _numerators(coeffs: dict):
 
 
 def _layout(caps, total, tgroup):
-    """Bucket key function and its limits for one truncation.
+    """Bucket key function, its limits and the other live caps (rest).
 
-    A key is (counted degree, exponents at the live caps), the counted
-    degree being 0 without a total.  A cap is live unless the total
-    implies it: a counted variable whose cap is at least the total.  An
-    exponent survives the truncation exactly when its key is <= the
-    limits coordinate-wise, and keys add under multiplication.
+    A cap is live unless the total implies it: a counted variable whose cap
+    is at least the total.  A key is (counted degree, exponent at the first
+    live cap), or without a total (that exponent,); keys add under
+    multiplication.  An exponent survives the truncation exactly when its
+    key is <= lim coordinate-wise and it is within the (index, cap) of rest.
     """
     live = [
         i for i, c in enumerate(caps or ())
         if total is None or i not in tgroup or c < total
     ]
-    lim = (0 if total is None else total,) + tuple(caps[i] for i in live)
-    counted = () if total is None else tgroup
+    counted, first = tgroup, live[:1]
+    if total is None:  # the first live cap leads, as if counted alone
+        counted, first, total = first, (), caps[first[0]] if first else 0
+    lim = (total,) + tuple(caps[i] for i in first)
 
     def key(e):
-        return (sum([e[i] for i in counted]), *[e[i] for i in live])
+        return (sum([e[i] for i in counted]), *[e[i] for i in first])
 
-    return key, lim
+    return key, lim, tuple((i, caps[i]) for i in live[1:])
 
 
-def _buckets(coeffs: dict, key) -> list:
-    """The (exponent, coefficient) pairs grouped by key, in increasing key."""
+def _buckets(coeffs: dict, key, rest=()) -> list:
+    """(top, [(exponent, coefficient)]) per key, in increasing key; top is
+    the key and the largest exponent of the terms at each cap of rest."""
     out = {}
     for e, c in coeffs.items():
         out.setdefault(key(e), []).append((e, c))
-    return sorted(out.items())
+    return [(k + tuple([max([e[i] for e, _ in items]) for i, _ in rest]), items)
+            for k, items in sorted(out.items())]
 
 
 class MultiSeries:
@@ -392,8 +394,9 @@ class MultiSeries:
     ``tgroup``, and ``subs`` targets must share one truncation: otherwise
     the result would hold terms some input leaves unknown.
 
-    ``__mul__``, ``subs`` and ``exp`` test the bounds once per pair of
-    buckets (``_layout``), keep every term of a pair that passes and drop
+    ``__mul__``, ``subs`` and ``exp`` bucket the terms by counted degree
+    and one capped variable (``_layout``), test the bounds once per pair of
+    buckets, term by term only where a pair may pass another cap, and drop
     the coefficients that cancelled once, at the end.  ``subs`` raises
     each mixed (multi-term) target to a power once per group of terms
     with the same exponents at the mixed targets.  ``__mul__`` clears each
@@ -539,13 +542,13 @@ class MultiSeries:
         self._compat(other)
         caps, total = self._merged_bounds(other)
         res = MultiSeries(self.vars, None, caps, total, self.tgroup)
-        key, lim = _layout(caps, total, self.tgroup)
+        key, lim, rest = _layout(caps, total, self.tgroup)
         a, b = _numerators(self.coeffs), _numerators(other.coeffs)
         if a is None or b is None:  # a ring beyond Q: no denominators to clear
             a, b = (self.coeffs, None), (other.coeffs, None)
         (na, da), (nb, db) = a, b
         table = {}
-        _accumulate(table, _buckets(na, key), _buckets(nb, key), lim)
+        _accumulate(table, _buckets(na, key, rest), _buckets(nb, key, rest), lim, rest)
         if da is None and db is None:
             res.coeffs = {e: c for e, c in table.items() if c}
         else:
@@ -633,13 +636,11 @@ class MultiSeries:
             if v not in args:
                 raise ValueError(f"no substitution given for {v!r}")
         res = MultiSeries.zero(proto.vars, proto.caps, proto.total, proto.tgroup)
-        key, lim = _layout(proto.caps, proto.total, proto.tgroup)
+        key, lim, rest = _layout(proto.caps, proto.total, proto.tgroup)
         nv = len(proto.vars)
-        # single-monomial targets act by exponent shift, a big saving when
-        # substituting generators; only genuinely mixed targets get powered,
-        # once per group of terms that share their exponents there
-        mono = []
-        mixed = []
+        # single-monomial targets act by exponent shift; only mixed targets
+        # get powered, once per group of terms with the same exponents there
+        mono, mixed = [], []
         for j, v in enumerate(self.vars):
             s = args[v]
             if len(s.coeffs) == 1:
@@ -658,15 +659,11 @@ class MultiSeries:
                     while len(plist) <= k:
                         plist.append(plist[-1] * plist[1])
                     prod = plist[k] if prod is None else prod * plist[k]
-            if prod is None:  # no mixed target: one pseudo-bucket, factor 1
-                buckets = [((0,) * len(lim), [(zero_key, 1)])]
-            else:
-                buckets = _buckets(prod.coeffs, key)
-                if not buckets:
-                    continue
+            factor = {zero_key: 1} if prod is None else prod.coeffs  # 1: no mixed target
+            if not (buckets := _buckets(factor, key, rest)):
+                continue
             for e, c in terms:
-                shift = [0] * nv
-                scal = c
+                shift, scal = [0] * nv, c
                 for j, me, mc in mono:
                     k = e[j]
                     if k:
@@ -674,7 +671,7 @@ class MultiSeries:
                             shift[i] += k * x
                         scal = scal * mc**k
                 if scal:
-                    _accumulate(table, [(key(shift), [(shift, scal)])], buckets, lim)
+                    _accumulate(table, _buckets({tuple(shift): scal}, key, rest), buckets, lim, rest)
         res.coeffs = {e: c for e, c in table.items() if c}
         return res
 
@@ -695,7 +692,7 @@ class MultiSeries:
             raise ValueError("exp requires zero constant term")
         if self.caps is None and any(not any(e[i] for i in self.tgroup) for e in self.coeffs):
             raise ValueError("exp of a term that no bound truncates")
-        key, lim = _layout(self.caps, self.total, self.tgroup)
+        key, lim, rest = _layout(self.caps, self.total, self.tgroup)
         cleared = _numerators(self.coeffs)
         num, den = cleared or (self.coeffs, None)
         den = den or 1
@@ -704,14 +701,14 @@ class MultiSeries:
         arg = {}  # degree -> buckets of A's numerators of that degree
         for e, c in num.items():
             arg.setdefault(sum(e[i] for i in grade), {})[e] = c
-        arg = {k: _buckets(t, key) for k, t in arg.items()}
+        arg = {k: _buckets(t, key, rest) for k, t in arg.items()}
         # a kept term's degree: at most the graded caps' sum, or the total if
         # that counts every graded variable, or else that of total factors of A
         if self.caps is not None:
             dmax = sum(self.caps[i] for i in grade)
         else:
             dmax = self.total * (1 if set(grade) <= set(self.tgroup) else max(arg, default=0))
-        layers = [(_buckets({zero_key: 1}, key), 1)]  # (buckets, denominator)
+        layers = [(_buckets({zero_key: 1}, key, rest), 1)]  # (buckets, denominator)
         out = {zero_key: 1}
         for d in range(1, dmax + 1):
             below = [(k, buckets, *layers[d - k]) for k, buckets in arg.items()
@@ -720,13 +717,13 @@ class MultiSeries:
             table = {}
             for k, buckets, layer, lden_b in below:
                 w = k * (lden // (d * den * lden_b))
-                weighted = [(ka, [(e, w * c) for e, c in items]) for ka, items in buckets]
-                _accumulate(table, weighted, layer, lim)
+                weighted = [(ta, [(e, w * c) for e, c in items]) for ta, items in buckets]
+                _accumulate(table, weighted, layer, lim, rest)
             table = {e: c for e, c in table.items() if c}
             if cleared is not None and (g := gcd(lden, *table.values())) > 1:
                 lden //= g
                 table = {e: c // g for e, c in table.items()}
-            layers.append((_buckets(table, key), lden))
+            layers.append((_buckets(table, key, rest), lden))
             scale = Fraction(1, lden)
             out.update((e, c * scale) for e, c in table.items())
         res = MultiSeries(self.vars, None, self.caps, self.total, self.tgroup)
@@ -785,11 +782,13 @@ class MultiSeries:
 
     def slices(self, name: str = "q") -> dict:
         """{exponents of the other variables: their series in name, cut at its cap}."""
-        i = self.vars.index(name)
-        rows = {}
-        for e, c in self.coeffs.items():
-            rows.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = c
-        return {k: TruncatedSeries(name, self.caps[i], row) for k, row in rows.items()}
+        i, rows = self.vars.index(name), {}
+        for e, c in self.coeffs.items():  # nonzero and within the cap: only ints convert
+            rows.setdefault(e[:i] + e[i + 1 :], {})[e[i]] = Fraction(c) if type(c) is int else c
+        for k, row in rows.items():
+            rows[k] = TruncatedSeries(name, self.caps[i])
+            rows[k].coeffs = row
+        return rows
 
     def as_univariate(self) -> "TruncatedSeries":
         if len(self.vars) != 1:

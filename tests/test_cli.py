@@ -502,6 +502,100 @@ def test_fermion_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+# The euler guard's calibration: (roots, nilpotency, qorder), the estimate
+# and the seconds of `cli.main(["euler", ...])` in process on a 2-vCPU VM
+# (Python 3.11.7), table printed to a buffer.  Past 1 s every shape took
+# 0.2 to 0.8 us per unit; the limit refuses the shapes past about 10 s.
+EULER_TIMINGS = [
+    ((3, 20, 12), 2987503, 1.26),
+    ((5, 16, 12), 17449915, 3.87),
+    ((1, 80, 40), 5417754, 4.58),
+    ((8, 12, 8), 21482085, 5.73),
+    ((2, 40, 20), 14989427, 6.20),
+    ((6, 16, 8), 26787174, 6.32),
+    ((3, 24, 16), 14990949, 6.55),
+    ((4, 24, 8), 32531350, 12.73),
+    ((8, 16, 4), 80850045, 38.71),
+]
+
+
+def test_euler_limit_splits_the_calibration_table():
+    for shape, estimate, seconds in EULER_TIMINGS:
+        assert cli._euler_work(*shape) == estimate
+        assert (estimate <= cli.EULER_WORK_LIMIT) == (seconds < 10), shape
+    # the shape that ran for over 40 s without a guard
+    assert cli._euler_work(8, 16, 12) > cli.EULER_WORK_LIMIT
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a class was built for a refused shape {args}")
+
+    for name in ("twisted_euler", "corrected_euler", "linear_anomaly", "g2_anomaly"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("roots, degree, qorder", [
+    (4, 24, 8), (8, 16, 12), (10**6, 0, 0), (0, 10**9, 0), (1, 0, 10**9), (10**400, 10**400, 1),
+])
+def test_euler_refuses_work_past_the_limit(roots, degree, qorder, monkeypatch, capsys):
+    """(4, 24, 8) is the smallest refused shape at 4 roots and degree 24; a
+    refused shape exits 2 before any class is built."""
+    _refuse_builds(monkeypatch)
+    estimate = cli._euler_work(roots, degree, qorder)
+    assert estimate > cli.EULER_WORK_LIMIT
+    argv = ["euler", "--roots", str(roots), "--nilpotency", str(degree), "--qorder", str(qorder)]
+    assert cli.main(argv) == 2
+    assert cli.main([*argv, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 2 * (
+        f"error: --roots {roots} --nilpotency {degree} --qorder {qorder} needs about "
+        f"{estimate} units, over the limit of {cli.EULER_WORK_LIMIT}\n"
+    )
+
+
+def test_euler_work_grows_with_every_size():
+    base = cli._euler_work(2, 8, 8)
+    assert base < min(cli._euler_work(3, 8, 8), cli._euler_work(2, 9, 8),
+                      cli._euler_work(2, 8, 9))
+
+
+def test_euler_accepts_the_size_next_to_the_limit(monkeypatch, capsys):
+    """qorder 7 at 4 roots and degree 24 passes the guard; small classes
+    stand in for its builds, each built once."""
+    assert cli._euler_work(4, 24, 7) <= cli.EULER_WORK_LIMIT < cli._euler_work(4, 24, 8)
+    built = []
+    for name in ("twisted_euler", "corrected_euler", "linear_anomaly", "g2_anomaly"):
+        def small(m, degree, qorder, real=getattr(cli, name), name=name):
+            built.append((name, m, degree, qorder))
+            return real(m, 3, 1)
+
+        monkeypatch.setattr(cli, name, small)
+    assert cli.main(["euler", "--roots", "4", "--nilpotency", "24", "--qorder", "7", "--json"]) == 0
+    assert sorted(built) == sorted(
+        (name, 4, 24, 7)
+        for name in ("twisted_euler", "corrected_euler", "linear_anomaly", "g2_anomaly")
+    )
+    assert capsys.readouterr().err == ""
+
+
+def test_euler_command_and_suite_build_each_class_once(monkeypatch, capsys):
+    built = []
+    for name in ("twisted_euler", "corrected_euler", "linear_anomaly", "g2_anomaly"):
+        def counted(*args, real=getattr(cli, name), name=name):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["euler", "--roots", "2", "--nilpotency", "4", "--qorder", "2"]) == 0
+    assert "factorization exact: yes" in capsys.readouterr().out
+    assert sorted(built) == ["corrected_euler", "g2_anomaly", "linear_anomaly", "twisted_euler"]
+    built.clear()
+    assert cli.run_checks(["euler-anomaly"], 0, None)[0].status == "pass"
+    assert sorted(built) == ["corrected_euler", "g2_anomaly", "linear_anomaly", "twisted_euler"]
+
+
 @pytest.mark.parametrize("argv", [
     ["modforms", "--qorder", "270222"],
     ["modforms", "--qorder", "1000000"],

@@ -8,6 +8,7 @@ from ellforge.euler import (
     CertificateReport,
     anomaly_factorization_ok,
     corrected_euler,
+    factorization_exact,
     g2_anomaly,
     g2_free_certificate,
     linear_anomaly,
@@ -53,6 +54,29 @@ def test_twisted_builds_the_product_form_once(monkeypatch):
     monkeypatch.setattr(euler, "sigma_product", counted)
     assert twisted_euler(2, 6, 4) == want
     assert calls == [(4, 6)]
+
+
+def test_whitney_builds_the_product_form_once(monkeypatch):
+    calls = []
+
+    def counted(qorder, zorder):
+        calls.append((qorder, zorder))
+        return factor_sigma_product(qorder, zorder)
+
+    monkeypatch.setattr(euler, "sigma_product", counted)
+    assert whitney_defect(2, 1, 6, 3).is_zero()
+    assert calls == [(3, 6)]
+
+
+def test_factorization_on_built_classes():
+    classes = [build(2, 6, 4) for build in
+               (twisted_euler, corrected_euler, linear_anomaly, g2_anomaly)]
+    assert factorization_exact(*classes)
+    # a class that is off by one coefficient breaks the factorization
+    tw, co, lin, g2 = classes
+    off = tw + MultiSeries(tw.vars, {(1, 1, 0): 1}, tw.caps, tw.total, tw.tgroup)
+    assert not factorization_exact(off, co, lin, g2)
+    assert not factorization_exact(tw, co, lin, linear_anomaly(2, 6, 4))
 
 
 def test_corrected_rank_one_support():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -10,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ellforge
 from ellforge.fermion import (
@@ -28,7 +30,12 @@ from ellforge.fermion import (
 from ellforge.modforms import Lattice
 from ellforge.series import MultiSeries
 from ellforge.sigma import sigma_num
-from test_oracles import loop_pf_truncated_ratio, row_pf_truncated_ratio, weight_eigenvalue
+from test_oracles import (
+    loop_pf_truncated_ratio,
+    loop_weyl_defect,
+    row_pf_truncated_ratio,
+    weight_eigenvalue,
+)
 
 LAT = Lattice(2j, 1.0)
 A = [SectorDatum(Fraction(1, 3))]
@@ -193,6 +200,30 @@ def test_weyl_defect_counts_moved_coefficients():
     # z1^3 alone: the swap moves it to z2^3, so both exponents differ
     odd = ch + MultiSeries(ch.vars, {(0, 3, 0): 1}, caps=ch.caps)
     assert weyl_defect(odd) == 2
+
+
+@st.composite
+def asymmetric_tables(draw):
+    """A table over (q, z1..zn) made symmetric in the z's, then moved: some
+    terms dropped, rescaled or added, with int and Fraction coefficients."""
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+    exps = st.tuples(st.integers(0, 2), *[st.integers(0, 3)] * n)
+    table = {}
+    for e, c in draw(st.dictionaries(exps, coeff, max_size=8)).items():
+        for zs in itertools.permutations(e[1:]):
+            table[(e[0], *zs)] = c
+    for e in draw(st.lists(st.sampled_from(sorted(table)), max_size=4)) if table else []:
+        table[e] = draw(st.sampled_from([0, 1, Fraction(1, 2)])) * table[e]
+    table.update(draw(st.dictionaries(exps, coeff, max_size=3)))
+    return MultiSeries(("q",) + tuple(f"z{i}" for i in range(1, n + 1)), table,
+                       caps=(2,) + (3,) * n)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(asymmetric_tables())
+def test_weyl_defect_matches_the_swapped_tables(char):
+    assert weyl_defect(char) == loop_weyl_defect(char)
 
 
 def test_character_q0_slice_single_variable():

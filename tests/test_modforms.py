@@ -7,7 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ellforge.euler import corrected_euler
 from ellforge.modforms import (
     Lattice,
     act,
@@ -19,11 +21,15 @@ from ellforge.modforms import (
     eisenstein_num,
     eisenstein_q,
     g2_anomaly_samples,
+    homogeneous_fit,
     g2_lattice,
     lattice_value,
     qpochhammer,
     random_lattice,
 )
+from ellforge.series import TruncatedSeries
+from ellforge.sigma import sigma_exponential
+from test_oracles import loop_evaluate
 
 
 def test_bernoulli_oracle():
@@ -46,6 +52,42 @@ def test_bernoulli_is_memoized():
     hits = bernoulli.cache_info().hits
     assert bernoulli(12) is first
     assert bernoulli.cache_info().hits == hits + 1
+
+
+def test_expansions_are_memoized_and_left_intact():
+    """eisenstein_q and delta_q hand every caller one shared series; after
+    the callers that read them have run, each still equals a fresh build."""
+    assert eisenstein_q(4, 9) is eisenstein_q(4, 9)
+    assert delta_q(9) is delta_q(9)
+    sigma_exponential(6, 8)
+    corrected_euler(2, 8, 6)
+    homogeneous_fit(eisenstein_q(4, 6) * eisenstein_q(6, 6), 10)
+    check_weight(lambda lat: eisenstein_lattice(4, lat), 4, count=3)
+    check_weight(lambda lat: lattice_value(delta_q(40), 12, lat), 12, count=3)
+    for k, n in [(2, 6), (4, 6), (4, 40), (6, 6), (6, 40), (8, 6), (2, 40)]:
+        fresh = eisenstein_q.__wrapped__(k, n)
+        assert eisenstein_q(k, n).coeffs == fresh.coeffs
+        assert eisenstein_q(k, n).trunc == fresh.trunc
+    for n in (0, 6, 40):
+        fresh = delta_q.__wrapped__(n)
+        assert delta_q(n).coeffs == fresh.coeffs
+        assert (delta_q(n).trunc, delta_q(n).minexp) == (fresh.trunc, fresh.minexp)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.dictionaries(
+        st.integers(0, 40),
+        st.fractions(max_denominator=10**30).filter(lambda c: c != 0)
+        | st.integers(-(10**40), 10**40).filter(bool).map(lambda n: Fraction(n, 3**50)),
+        max_size=12,
+    ),
+    st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+)
+def test_evaluate_matches_complex_of_each_coefficient_bit_for_bit(coeffs, x):
+    s = TruncatedSeries("q", 40, coeffs)
+    got, want = s.evaluate(x), loop_evaluate(s, x)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_divisor_sigma_oracle():

@@ -34,6 +34,7 @@ import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import add, le
 
 import mpmath
 import numpy as np
@@ -125,6 +126,9 @@ from ellforge.series import (
     LAURENT_FLOOR,
     MultiSeries,
     TruncatedSeries,
+    _buckets,
+    _layout,
+    _numerators,
     matrix_rank,
     nullspace,
     row_basis,
@@ -638,6 +642,181 @@ def loop_multi_subs(series, args):
             table[key] = val if s0 is None else s0 + val
     res.coeffs = {k: v for k, v in table.items() if v != 0}
     return res
+
+
+def full_key_layout(caps, total, tgroup):
+    """Bucket key function and its limits for one truncation.
+
+    A key is (counted degree, exponents at the live caps), the counted
+    degree being 0 without a total.  A cap is live unless the total
+    implies it: a counted variable whose cap is at least the total.  An
+    exponent survives the truncation exactly when its key is <= the
+    limits coordinate-wise, and keys add under multiplication.
+    """
+    live = [
+        i for i, c in enumerate(caps or ())
+        if total is None or i not in tgroup or c < total
+    ]
+    lim = (0 if total is None else total,) + tuple(caps[i] for i in live)
+    counted = () if total is None else tgroup
+
+    def key(e):
+        return (sum([e[i] for i in counted]), *[e[i] for i in live])
+
+    return key, lim
+
+
+def full_key_buckets(coeffs, key):
+    """The (exponent, coefficient) pairs grouped by key, in increasing key."""
+    out = {}
+    for e, c in coeffs.items():
+        out.setdefault(key(e), []).append((e, c))
+    return sorted(out.items())
+
+
+def full_key_accumulate(table, left, right, lim):
+    """table[a + b] += x * y over the bucket pairs whose keys add within lim."""
+    get = table.get
+    for ka, items_a in left:
+        room = lim[0] - ka[0]
+        for kb, items_b in right:
+            if kb[0] > room:
+                break
+            if not all(map(le, map(add, ka, kb), lim)):
+                continue
+            for e1, c1 in items_a:
+                for e2, c2 in items_b:
+                    e = tuple(map(add, e1, e2))
+                    p = c1 * c2
+                    s = get(e)
+                    table[e] = p if s is None else s + p
+
+
+def full_key_mul(a, b):
+    """MultiSeries.__mul__ on buckets keyed by every live cap, a bound test
+    per bucket pair and none per term."""
+    a._compat(b)
+    caps, total = a._merged_bounds(b)
+    res = MultiSeries(a.vars, None, caps, total, a.tgroup)
+    key, lim = full_key_layout(caps, total, a.tgroup)
+    x, y = _numerators(a.coeffs), _numerators(b.coeffs)
+    if x is None or y is None:
+        x, y = (a.coeffs, None), (b.coeffs, None)
+    (na, da), (nb, db) = x, y
+    table = {}
+    full_key_accumulate(table, full_key_buckets(na, key), full_key_buckets(nb, key), lim)
+    if da is None and db is None:
+        res.coeffs = {e: c for e, c in table.items() if c}
+    else:
+        den = (da or 1) * (db or 1)
+        res.coeffs = {e: Fraction(s, den) for e, s in table.items() if s}
+    return res
+
+
+def full_key_subs(series, args):
+    """MultiSeries.subs on the full-key buckets, powers by full_key_mul."""
+    proto = next(iter(args.values()))
+    res = MultiSeries.zero(proto.vars, proto.caps, proto.total, proto.tgroup)
+    key, lim = full_key_layout(proto.caps, proto.total, proto.tgroup)
+    zero_key = (0,) * len(proto.vars)
+    mono, mixed = [], []
+    for j, v in enumerate(series.vars):
+        s = args[v]
+        if len(s.coeffs) == 1:
+            ((me, mc),) = s.coeffs.items()
+            mono.append((j, me, mc))
+        else:
+            mixed.append((j, [res._like({zero_key: 1}), s]))
+    groups = {}
+    for e, c in series.coeffs.items():
+        groups.setdefault(tuple(e[j] for j, _ in mixed), []).append((e, c))
+    table = {}
+    for powers, terms in groups.items():
+        prod = None
+        for (_, plist), k in zip(mixed, powers):
+            if k:
+                while len(plist) <= k:
+                    plist.append(full_key_mul(plist[-1], plist[1]))
+                prod = plist[k] if prod is None else full_key_mul(prod, plist[k])
+        if prod is None:
+            buckets = [((0,) * len(lim), [(zero_key, 1)])]
+        else:
+            buckets = full_key_buckets(prod.coeffs, key)
+            if not buckets:
+                continue
+        for e, c in terms:
+            shift = [0] * len(proto.vars)
+            scal = c
+            for j, me, mc in mono:
+                if k := e[j]:
+                    for i, x in enumerate(me):
+                        shift[i] += k * x
+                    scal = scal * mc**k
+            if scal:
+                full_key_accumulate(table, [(key(shift), [(shift, scal)])], buckets, lim)
+    res.coeffs = {e: c for e, c in table.items() if c}
+    return res
+
+
+def full_key_exp(a):
+    """MultiSeries.exp's degree-layer recurrence on the full-key buckets."""
+    key, lim = full_key_layout(a.caps, a.total, a.tgroup)
+    zero_key = (0,) * len(a.vars)
+    cleared = _numerators(a.coeffs)
+    num, den = cleared or (a.coeffs, None)
+    den = den or 1
+    grade = [i for i in range(len(a.vars)) if all(e[i] for e in num)] or range(len(a.vars))
+    arg = {}
+    for e, c in num.items():
+        arg.setdefault(sum(e[i] for i in grade), {})[e] = c
+    arg = {k: full_key_buckets(t, key) for k, t in arg.items()}
+    if a.caps is not None:
+        dmax = sum(a.caps[i] for i in grade)
+    else:
+        dmax = a.total * (1 if set(grade) <= set(a.tgroup) else max(arg, default=0))
+    layers = [(full_key_buckets({zero_key: 1}, key), 1)]
+    out = {zero_key: 1}
+    for d in range(1, dmax + 1):
+        below = [(k, buckets, *layers[d - k]) for k, buckets in arg.items()
+                 if k <= d and layers[d - k][0]]
+        lden = math.lcm(*(d * den * lden_b for *_, lden_b in below))
+        table = {}
+        for k, buckets, layer, lden_b in below:
+            w = k * (lden // (d * den * lden_b))
+            weighted = [(ka, [(e, w * c) for e, c in items]) for ka, items in buckets]
+            full_key_accumulate(table, weighted, layer, lim)
+        table = {e: c for e, c in table.items() if c}
+        if cleared is not None and (g := math.gcd(lden, *table.values())) > 1:
+            lden //= g
+            table = {e: c // g for e, c in table.items()}
+        layers.append((full_key_buckets(table, key), lden))
+        out.update((e, c * Fraction(1, lden)) for e, c in table.items())
+    res = MultiSeries(a.vars, None, a.caps, a.total, a.tgroup)
+    res.coeffs = out
+    return res
+
+
+def loop_weyl_defect(char):
+    """Coefficients moved by the adjacent swaps of the z block, from a
+    swapped copy of the table per swap."""
+    moved = 0
+    for i in range(1, len(char.vars) - 1):
+        swapped = {}
+        for e, c in char.coeffs.items():
+            key = list(e)
+            key[i], key[i + 1] = key[i + 1], key[i]
+            swapped[tuple(key)] = c
+        keys = swapped.keys() | char.coeffs.keys()
+        moved += sum(1 for e in keys if swapped.get(e, 0) != char.coeffs.get(e, 0))
+    return moved
+
+
+def loop_evaluate(series, x):
+    """TruncatedSeries.evaluate through complex() of each coefficient."""
+    out = 0j
+    for e, c in sorted(series.coeffs.items(), reverse=True):
+        out += complex(c) * x**e
+    return out
 
 
 def loop_reversion(series):
@@ -2426,6 +2605,111 @@ def test_multi_mul_cancels_to_zero():
     c = MultiSeries(("x", "y", "q"), {(1, 0, 2): 1, (0, 1, 2): Fraction(-1, 2)}, **kw)
     assert (c * c).is_zero()  # every term is a multiple of q^4, past q's cap
     assert_same(c * c, loop_multi_mul(c, c))
+
+
+# layouts for the buckets keyed by (counted degree, first live cap): caps
+# alone (every cap live, several past the first), a total over a tgroup
+# with live caps inside and outside it, and a total over a tgroup that
+# leaves the other variables uncapped
+BUCKET_LAYOUTS = {
+    "caps-only": lambda n: dict(caps=(3, 2, 4, 2)[:n]),
+    "tgroup-total": lambda n: dict(caps=(4, 2, 3, 1)[:n], total=4, tgroup=(1, 2, 3)[: n - 1]),
+    "uncapped-outside": lambda n: dict(total=3, tgroup=(0, 2)[: max(n - 2, 1)]),
+}
+bucket_kinds = st.sampled_from(["int", "integral", "mixed", "fraction"])
+
+
+@st.composite
+def bucket_layouts(draw, n):
+    name = draw(st.sampled_from(sorted(BUCKET_LAYOUTS) + ["random"]))
+    if name != "random":
+        return BUCKET_LAYOUTS[name](n)
+    caps = draw(st.one_of(st.none(), st.tuples(*[st.integers(0, 4)] * n)))
+    total = draw(st.integers(0, 5) if caps is None else st.one_of(st.none(), st.integers(0, 5)))
+    tgroup = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return dict(caps=caps, total=total, tgroup=tuple(sorted(tgroup)))
+
+
+def assert_same_types(got, want):
+    assert_same(got, want)
+    assert list(map(type, got.coeffs.values())) == [type(want.coeffs[e]) for e in got.coeffs]
+
+
+@st.composite
+def bucket_products(draw):
+    n = draw(st.integers(2, 4))
+    vars, kind = ("q", "x", "y", "z")[:n], draw(bucket_kinds)
+    a_bounds = draw(bucket_layouts(n))
+    b_bounds = dict(a_bounds)
+    if a_bounds.get("caps") is not None and draw(st.booleans()):  # other caps
+        b_bounds["caps"] = tuple(max(c + draw(st.integers(-2, 2)), 0) for c in a_bounds["caps"])
+    a = draw(multi_series(vars, a_bounds, kind, max_terms=12))
+    b = draw(multi_series(vars, b_bounds, kind, max_terms=12))
+    return a, b
+
+
+@settings(max_examples=400, derandomize=True)
+@given(bucket_products())
+def test_multi_mul_matches_full_key_buckets(case):
+    a, b = case
+    assert_same_types(a * b, full_key_mul(a, b))
+    assert_same_types(b * a, full_key_mul(b, a))
+
+
+@st.composite
+def bucket_exp_args(draw):
+    n = draw(st.integers(1, 4))
+    bounds = draw(bucket_layouts(n))
+    kind = draw(bucket_kinds)
+    return draw(multi_series(("q", "x", "y", "z")[:n], bounds, kind, constant=False))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bucket_exp_args())
+def test_multi_exp_matches_full_key_buckets(a):
+    assume(a.caps is not None or all(any(e[i] for i in a.tgroup) for e in a.coeffs))
+    assert_same_types(a.exp(), full_key_exp(a))
+
+
+@st.composite
+def bucket_substitutions(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    src_vars, dst_vars = ("x", "y", "q")[:n], ("q", "u", "v", "w")[:m]
+    kind = draw(bucket_kinds)
+    series = draw(multi_series(src_vars, draw(bucket_layouts(n)), kind))
+    bounds = draw(bucket_layouts(m))
+    args = {}
+    for v in src_vars:
+        size = draw(st.sampled_from([0, 1, 2, 4]))
+        args[v] = draw(multi_series(dst_vars, bounds, kind, size, False)) if size else (
+            MultiSeries.zero(dst_vars, **bounds)
+        )
+    return series, args
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bucket_substitutions())
+def test_multi_subs_matches_full_key_buckets(case):
+    series, args = case
+    assert_same_types(series.subs(args), full_key_subs(series, args))
+
+
+def test_disjoint_factors_pass_every_bucket_pair():
+    """The vacuum character's factors live in disjoint z's, so every bucket
+    pair within q's cap keeps all its terms untested."""
+    caps = (3, 4, 4, 4)
+    V = ("q", "z1", "z2", "z3")
+    a = MultiSeries(V, {(n, i, j, 0): Fraction(i - j, n + 1) for n in range(4)
+                        for i in range(5) for j in range(5)}, caps=caps)
+    b = MultiSeries(V, {(n, 0, 0, k): n + k for n in range(4) for k in range(5)}, caps=caps)
+    key, lim, rest = _layout(caps, None, tuple(range(4)))
+    assert lim == (3,) and rest == ((1, 4), (2, 4), (3, 4))
+    top = lim + tuple(c for _, c in rest)
+    for ta, _ in _buckets(a.coeffs, key, rest):
+        for tb, _ in _buckets(b.coeffs, key, rest):
+            if ta[0] + tb[0] <= lim[0]:
+                assert all(x + y <= c for x, y, c in zip(ta, tb, top))
+    assert_same_types(a * b, full_key_mul(a, b))
 
 
 def test_gaussian_products_collapse_to_fractions():
