@@ -25,10 +25,13 @@ model makes at its edge, and evaluates a Chern-Weil polynomial on the
 curvature.
 
 Coefficients are ints or Fractions, kept as given: integral inputs stay
-ints through products, derivations and substitutions, and only a
-division (such as the 1/2 of the Weil differential) makes a Fraction.
-All linear algebra is exact over the rationals; cohomology and
-invariants are computed on finite blocks that the operators preserve.
+ints through products, derivations and substitutions.  Every operator
+built here is integral: the Weil differential and the curvature write
+(1/2) f^a_bc eps^b eps^c as the sum over b < c, and the Lie derivative
+L = d iota + iota d is one even derivation given by its generator images.
+Exact linear algebra over the rationals makes the only Fractions;
+cohomology and invariants are computed on finite blocks that the
+operators preserve.
 """
 from __future__ import annotations
 
@@ -290,6 +293,8 @@ class LieAlgebra:
     f: tuple  # f[a][b][c] = coefficient of T_a in [T_b, T_c]
 
     def __post_init__(self):
+        # nested tuples, so that the algebra is hashable (see _poly_world)
+        object.__setattr__(self, "f", tuple(tuple(map(tuple, plane)) for plane in self.f))
         f, n = self.f, range(self.dim)
         if any(f[a][b][c] != -f[a][c][b] for a in n for b in n for c in n):
             raise ValueError("structure constants not antisymmetric")
@@ -344,17 +349,18 @@ def weil_world(lie: LieAlgebra) -> GradedWorld:
 def weil_d(lie: LieAlgebra, world: GradedWorld) -> Derivation:
     """d eps^a = e^a - (1/2) f^a_bc eps^b eps^c,  d e^a = f^a_bc e^b eps^c.
 
-    The sign on the curvature image is forced by d^2 = 0 together with
-    the Jacobi identity; the opposite sign fails already on su(2).
+    The eps are odd and f^a is antisymmetric in b, c, so the half sum is
+    the sum over b < c and the images are integral.  The sign on the
+    curvature image is forced by d^2 = 0 together with the Jacobi
+    identity; the opposite sign fails already on su(2).
     """
     images = {}
     for a in range(lie.dim):
         img = world.gen(f"e{a}")
-        for b in range(lie.dim):
-            for c in range(lie.dim):
-                coef = lie.f[a][b][c]
-                if coef:
-                    img = img - world.gen(f"ep{b}") * world.gen(f"ep{c}") * Fraction(coef, 2)
+        for b, c in itertools.combinations(range(lie.dim), 2):
+            coef = lie.f[a][b][c]
+            if coef:
+                img = img - world.gen(f"ep{b}") * world.gen(f"ep{c}") * coef
         images[f"ep{a}"] = img
         de = GradedElement.zero(world)
         for b in range(lie.dim):
@@ -376,13 +382,19 @@ def weil_contraction(lie: LieAlgebra, world: GradedWorld, vector) -> Derivation:
     return Derivation(world, 1, images)
 
 
-def lie_operator(d: Derivation, iota: Derivation):
-    """Cartan homotopy formula: L = d iota + iota d."""
+def lie_operator(d: Derivation, iota: Derivation) -> Derivation:
+    """Cartan homotopy formula L = d iota + iota d, as one even derivation.
 
-    def op(x):
-        return d(iota(x)) + iota(d(x))
-
-    return op
+    The graded commutator of the odd derivations d and iota is an even
+    derivation, so its images d(iota g) + iota(d g) of the generators g
+    determine it.
+    """
+    world = d.world
+    images = {}
+    for name in world.index:
+        g = world.gen(name)
+        images[name] = d(iota(g)) + iota(d(g))
+    return Derivation(world, 0, images)
 
 
 def _basis_vector(lie, a):
@@ -464,6 +476,8 @@ def weil_relations_report(lie: LieAlgebra, degree: int = 8) -> RelationsReport:
     1999, ch. 3).  The verdict therefore holds in every degree: degree is
     only recorded in the report and does not change it.  The sign s is
     measured, +1 first, then -1, and reported as 0 if neither holds.
+    [L_a, L_b] = s L_[a,b] is checked for a < b only: it reads 0 = 0 for
+    a = b, and swapping a and b negates both sides.
     """
     world = weil_world(lie)
     d = weil_d(lie, world)
@@ -473,13 +487,14 @@ def weil_relations_report(lie: LieAlgebra, degree: int = 8) -> RelationsReport:
     gens = [world.gen(name) for name, _ in world.evens + world.odds]
     pairs = list(itertools.product(range(n), repeat=2))
     iota_br = {ab: weil_contraction(lie, world, lie.bracket_coeffs(*ab)) for ab in pairs}
-    lie_br = {ab: lie_operator(d, io) for ab, io in iota_br.items()}
+    below = list(itertools.combinations(range(n), 2))
+    lie_br = {ab: lie_operator(d, iota_br[ab]) for ab in below}
 
     d2 = all(d(d(x)).is_zero() for x in gens)
     i2 = all(io(io(x)).is_zero() for io in iotas for x in gens)
     anti = all(
         (iotas[a](iotas[b](x)) + iotas[b](iotas[a](x))).is_zero()
-        for a, b in itertools.combinations(range(n), 2)
+        for a, b in below
         for x in gens
     )
     dl = all((d(la(x)) - la(d(x))).is_zero() for la in lies for x in gens)
@@ -487,7 +502,7 @@ def weil_relations_report(lie: LieAlgebra, degree: int = 8) -> RelationsReport:
     def bracket_holds(s):
         return all(
             (lies[a](lies[b](x)) - lies[b](lies[a](x)) - lie_br[a, b](x) * s).is_zero()
-            for a, b in pairs
+            for a, b in below
             for x in gens
         )
 
@@ -922,11 +937,25 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
 # A polynomial {exponents: c} on the Lie algebra is an element of the world
 # of even degree-2 generators x_0..x_{dim-1}, which pair with the curvature
 # components.  The coadjoint action of X = X^a T_a is the derivation
-# x_b -> -f^b_ac X^a x_c, and P(-F) is the ring map x_a -> -F^a.
+# x_b -> -f^b_ac X^a x_c, and P(-F) is the ring map x_a -> -F^a.  Each Lie
+# algebra has one such world, built with its basis coadjoint derivations on
+# first use, so polynomials of one algebra compare equal across calls.
+
+_POLY_WORLDS = {}
+
+
+def _poly_world(lie: LieAlgebra):
+    """The shared polynomial world of lie and its coadjoint derivations along T_a."""
+    if lie not in _POLY_WORLDS:
+        world = GradedWorld([(f"x{a}", 2) for a in range(lie.dim)], [])
+        _POLY_WORLDS[lie] = world, [
+            _coadjoint(lie, world, _basis_vector(lie, a)) for a in range(lie.dim)
+        ]
+    return _POLY_WORLDS[lie]
 
 
 def _poly(lie: LieAlgebra, poly: dict) -> GradedElement:
-    world = GradedWorld([(f"x{a}", 2) for a in range(lie.dim)], [])
+    world = _poly_world(lie)[0]
     return GradedElement(world, {(tuple(e), ()): c for e, c in poly.items()})
 
 
@@ -942,6 +971,13 @@ def _coadjoint(lie: LieAlgebra, world: GradedWorld, X) -> Derivation:
     })
 
 
+def _defects(lie: LieAlgebra, p: GradedElement):
+    """Coadjoint derivatives of the polynomial element p along each T_a."""
+    return [
+        {e: c for (e, _), c in ad(p).coeffs.items()} for ad in _poly_world(lie)[1]
+    ]
+
+
 def invariance_defects(lie: LieAlgebra, poly: dict):
     """Coadjoint derivative of the polynomial along each basis direction.
 
@@ -949,11 +985,7 @@ def invariance_defects(lie: LieAlgebra, poly: dict):
     T_a is -f^b_ac x_c dP/dx_b, a dict keyed by exponent tuples, and P is
     invariant when every defect vanishes.
     """
-    p = _poly(lie, poly)
-    return [
-        {e: c for (e, _), c in _coadjoint(lie, p.world, _basis_vector(lie, a))(p).coeffs.items()}
-        for a in range(lie.dim)
-    ]
+    return _defects(lie, _poly(lie, poly))
 
 
 def is_invariant_poly(lie: LieAlgebra, poly: dict) -> bool:
@@ -961,17 +993,20 @@ def is_invariant_poly(lie: LieAlgebra, poly: dict) -> bool:
 
 
 def curvature(lie: LieAlgebra, conn):
-    """F^a = dA^a + (1/2) f^a_bc A^b A^c for a list of one-form components."""
+    """F^a = dA^a + (1/2) f^a_bc A^b A^c for a list of one-form components.
+
+    The A^b are odd and f^a is antisymmetric in b, c, so the half sum is
+    the sum over b < c, with integral coefficients.
+    """
     world = conn[0].world
     d = form_d(world)
     out = []
     for a in range(lie.dim):
         f = d(conn[a])
-        for b in range(lie.dim):
-            for c in range(lie.dim):
-                coef = lie.f[a][b][c]
-                if coef:
-                    f = f + conn[b] * conn[c] * Fraction(coef, 2)
+        for b, c in itertools.combinations(range(lie.dim), 2):
+            coef = lie.f[a][b][c]
+            if coef:
+                f = f + conn[b] * conn[c] * coef
         out.append(f)
     return out
 
@@ -984,9 +1019,10 @@ def _at_minus_curvature(lie: LieAlgebra, p: GradedElement, conn):
 
 def chern_weil(lie: LieAlgebra, poly: dict, conn):
     """Evaluate an invariant polynomial on minus the curvature of the connection."""
-    if not is_invariant_poly(lie, poly):
+    p = _poly(lie, poly)
+    if any(_defects(lie, p)):
         raise ValueError("polynomial is not invariant under the coadjoint action")
-    return _at_minus_curvature(lie, _poly(lie, poly), conn)
+    return _at_minus_curvature(lie, p, conn)
 
 
 def gauge_defect(lie: LieAlgebra, poly: dict, conn, direction):

@@ -13,6 +13,7 @@ enumerated by brute force at the end of the module.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,13 +92,19 @@ def _active_weights(space, h):
 # equivderham.circle_complex), block by charge-0 multidegree, and
 # circle_d is the only Cartan differential.  Real coordinates appear only
 # at the edge, in the rescaled y' = i y, dy' = i dy, u0' = i u0, where the
-# change of coordinates is rational both ways: z = x + y', zb = x - y',
-# u = u0' and x = (z + zb)/2, y' = (z - zb)/2, u0' = u (forms alike).
+# change of coordinates is integral both ways: z = x + y', zb = x - y',
+# u = u0' one way, and 2x = z + zb, 2y' = z - zb, u0' = u the other (forms
+# alike).  The second is the inverse of the first after the ring map that
+# doubles every x, y', dx and dy'; that map commutes with the real Cartan
+# differential (d x = dx, and d dx is linear in the coordinates), so
+# cocycles go to cocycles both ways.
 # A rescaled term c key is c i^kappa key, kappa counting its u0, y and dy
 # factors, and _fold splits off its real and imaginary parts.  Those of one
 # W-block and degree span its real cocycles, in the canonical basis that
-# series.row_basis gives.  circle_d is rational, so a real cochain is
-# closed when it kills the weight images of both folded parts.
+# series.row_basis gives; each weight-basis cocycle enters as a primitive
+# integer vector, which spans the same line.  circle_d is rational, so a
+# real cochain is closed when it kills the weight images of both folded
+# parts.
 
 
 def _real_images(k):
@@ -112,12 +119,12 @@ def _real_images(k):
 
 
 def _weight_images(world, k):
-    """Images of the rescaled real generators in world, which is circle_world(k)."""
-    half = Fraction(1, 2)
+    """Integral images of the doubled rescaled real generators in world,
+    which is circle_world(k): x_2j-1 -> z_j + zb_j, x_2j -> z_j - zb_j."""
     images = {"u0": world.gen("u")}
     for j in range(1, k + 1):
         for z, x in (("z", "x"), ("dz", "dx")):
-            zj, zbj = world.gen(f"{z}{j}") * half, world.gen(f"{z}b{j}") * half
+            zj, zbj = world.gen(f"{z}{j}"), world.gen(f"{z}b{j}")
             images[f"{x}{2 * j - 1}"], images[f"{x}{2 * j}"] = zj + zbj, zj - zbj
     return images
 
@@ -131,12 +138,32 @@ def _fold(coeffs):
     return parts
 
 
+_COCYCLE_OPS = {}
+
+
+def _cocycle_ops(ws):
+    """Shared per-weights weight-basis world, circle_d and weight images."""
+    if ws not in _COCYCLE_OPS:
+        world = circle_world(len(ws))
+        _COCYCLE_OPS[ws] = (
+            world, circle_d(weight_action(ws), world), _weight_images(world, len(ws))
+        )
+    return _COCYCLE_OPS[ws]
+
+
 def _is_cocycle(ws, el):
     """Whether circle_d(weight_action(ws)) kills the real cochain el."""
-    world = circle_world(len(ws))
-    d, images = circle_d(weight_action(ws), world), _weight_images(world, len(ws))
+    world, d, images = _cocycle_ops(ws)
     return all(d(substitute(GradedElement(el.world, part), world, images)).is_zero()
                for part in _fold(el.coeffs))
+
+
+def _primitive(v):
+    """The dict vector v scaled to coprime integers, with its signs kept."""
+    den = math.lcm(*(c.denominator for c in v.values()))
+    ints = {j: c.numerator * (den // c.denominator) for j, c in v.items()}
+    g = math.gcd(*ints.values())
+    return {j: c // g for j, c in ints.items()}
 
 
 def _real_basis(els, world, images):
@@ -178,7 +205,7 @@ def local_sections(space, h, degree_bound, wmax=None):
     basis = {deg: [] for deg in range(degree_bound + 1)}
     for deg in basis:
         for _, group in itertools.groupby(blocks, key=lambda b: b.w):
-            els = [GradedElement(cworld, {b.keys[deg][j]: c for j, c in v.items()})
+            els = [GradedElement(cworld, {b.keys[deg][j]: c for j, c in _primitive(v).items()})
                    for b in group for v in b.cocycles[deg]]
             if els:
                 basis[deg] += _real_basis(els, world, images)

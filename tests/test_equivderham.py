@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellforge import equivderham
 from ellforge.equivderham import (
     GradedElement,
     GradedWorld,
@@ -106,14 +107,15 @@ def test_integral_inputs_stay_int(weights):
     assert _int_only(form_d(fw)(fw.gen("x1") * fw.gen("x2") * 3))
 
 
-def test_weil_d_halves_stay_fractions():
-    # d eps^0 = e^0 - (1/2) f^0_bc eps^b eps^c: the eps term is a sum of halves
+def test_weil_d_images_are_integral():
+    # d eps^0 = e^0 - (1/2) f^0_bc eps^b eps^c: the two halves of the eps term
+    # are one term of the sum over b < c
     world = weil_world(su2())
     image = weil_d(su2(), world).images["ep0"]
     e0, = world.gen("e0").coeffs
     ep12, = (world.gen("ep1") * world.gen("ep2")).coeffs
     assert image.coeffs == {e0: 1, ep12: -1}
-    assert type(image.coeffs[e0]) is int and type(image.coeffs[ep12]) is Fraction
+    assert type(image.coeffs[e0]) is int and type(image.coeffs[ep12]) is int
 
 
 def test_even_generators_commute():
@@ -553,6 +555,29 @@ def test_chern_weil_output_closed_and_gauge_invariant():
         assert d(out).is_zero()
         direction = [Fraction(rng.randrange(-2, 3)) for _ in range(4)]
         assert gauge_defect(alg, poly, conn, direction).is_zero()
+
+
+def test_chern_weil_builds_each_coadjoint_derivation_once(monkeypatch):
+    built = []
+
+    def counted(lie, world, X, real=equivderham._coadjoint):
+        built.append(lie.label)
+        return real(lie, world, X)
+
+    monkeypatch.setattr(equivderham, "_coadjoint", counted)
+    monkeypatch.setattr(equivderham, "_POLY_WORLDS", {})
+    w = form_world(2)
+    rng = random.Random(5)
+    for i in range(20):
+        alg = u2() if i % 2 else su2()
+        conn = _random_connection(alg, w, rng)
+        assert form_d(w)(chern_weil(alg, _trace_square(alg.dim), conn)).is_zero()
+    assert sorted(built) == ["su2"] * 3 + ["u2"] * 4
+
+
+def test_polynomials_of_one_algebra_share_a_world():
+    poly = _trace_square(4)
+    assert equivderham._poly(u2(), poly) == equivderham._poly(u2(), poly)
 
 
 def test_curvature_of_flat_connection_vanishes():

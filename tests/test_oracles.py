@@ -49,6 +49,7 @@ from ellforge.equivderham import (
     LieAlgebra,
     ReductionReport,
     RelationsReport,
+    basic_subspace,
     cartan_cohomology,
     circle_complex,
     circle_d,
@@ -99,10 +100,11 @@ from ellforge.euler import (
 from ellforge.modforms import Lattice, eisenstein_num, eisenstein_q, qpochhammer
 from ellforge.sheafmodel import (
     CircleActionSpace,
+    SectionsReport,
     _fold,
     _is_cocycle,
+    _real_basis,
     _real_images,
-    _weight_images,
     _world,
     fixed_locus,
     local_sections,
@@ -1198,18 +1200,46 @@ def reduce_su_type(cls):
 # ------------------------------------------------------ Weil monomial sweep
 
 
+def composed_lie_operator(d, iota):
+    """Cartan homotopy formula applied as composed operators: x -> d iota x + iota d x."""
+
+    def op(x):
+        return d(iota(x)) + iota(d(x))
+
+    return op
+
+
+def composed_basic_subspace(lie: LieAlgebra, degree: int):
+    """basic_subspace with each L_a applied through composed_lie_operator."""
+    world = weil_world(lie)
+    keys = weil_block(lie, world, degree)
+    if not keys:
+        return []
+    d = weil_d(lie, world)
+    row_blocks = []
+    for a in range(lie.dim):
+        io = weil_contraction(lie, world, _basis_vector(lie, a))
+        row_blocks.append(
+            _operator_rows(io, world, keys, weil_block(lie, world, degree - 1))
+        )
+        row_blocks.append(_operator_rows(composed_lie_operator(d, io), world, keys, keys))
+    return [GradedElement(world, {keys[j]: c for j, c in v.items()})
+            for v in joint_nullspace(row_blocks, len(keys))]
+
+
 def sweep_weil_relations_report(lie: LieAlgebra, degree: int = 8) -> RelationsReport:
     """Exercise d, iota, L on every monomial up to the degree bound.
 
     The commutator [L_a, L_b] is compared against both signs of
-    L_[a,b]; the measured sign is reported rather than assumed.
+    L_[a,b], over every ordered pair; the measured sign is reported
+    rather than assumed.
     """
     world = weil_world(lie)
     d = weil_d(lie, world)
     iotas = [
         weil_contraction(lie, world, _basis_vector(lie, a)) for a in range(lie.dim)
     ]
-    lies = [lie_operator(d, iotas[a]) for a in range(lie.dim)]
+    lies = [composed_lie_operator(d, iotas[a]) for a in range(lie.dim)]
 
     monos = []
     for n in range(degree + 1):
@@ -2026,6 +2056,38 @@ def test_splice_sign_counts_inversions(rest, odd, data):
 def test_weil_relations_match_monomial_sweep(make, degree):
     lie = make()
     assert weil_relations_report(lie, degree) == sweep_weil_relations_report(lie, degree)
+
+
+@st.composite
+def weil_cases(draw):
+    """An algebra, one of its contractions and an element of degree <= 6."""
+    lie = draw(st.sampled_from([u1(), su2(), u2()]))
+    world = weil_world(lie)
+    keys = [key for deg in range(7) for key in weil_block(lie, world, deg)]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), small_fracs, max_size=6))
+    vector = draw(st.one_of(
+        st.integers(0, lie.dim - 1).map(lambda a: _basis_vector(lie, a)),
+        st.lists(small_fracs, min_size=lie.dim, max_size=lie.dim),
+    ))
+    return lie, world, vector, GradedElement(world, coeffs)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(weil_cases())
+def test_lie_operator_is_the_composed_homotopy(case):
+    lie, world, vector, x = case
+    d = weil_d(lie, world)
+    iota = weil_contraction(lie, world, vector)
+    got = lie_operator(d, iota)
+    assert isinstance(got, Derivation) and got.parity == 0
+    assert got(x) == composed_lie_operator(d, iota)(x)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_basic_subspace_matches_the_composed_lie_derivatives(degree):
+    got = basic_subspace(u2(), degree)
+    want = composed_basic_subspace(u2(), degree)
+    assert [el.coeffs for el in got] == [el.coeffs for el in want]
 
 
 _WEIL_D = weil_d
@@ -3041,20 +3103,108 @@ def test_substitute_matches_products(ws, h, degree):
                 assert substitute(el, worldp, images) == product_substitute(el, worldp, images)
 
 
+def halved_weight_images(world, k):
+    """Images of the rescaled real generators in circle_world(k): the exact
+    inverse of _real_images, x = (z + zb)/2 and y' = (z - zb)/2."""
+    half = Fraction(1, 2)
+    images = {"u0": world.gen("u")}
+    for j in range(1, k + 1):
+        for z, x in (("z", "x"), ("dz", "dx")):
+            zj, zbj = world.gen(f"{z}{j}") * half, world.gen(f"{z}b{j}") * half
+            images[f"{x}{2 * j - 1}"], images[f"{x}{2 * j}"] = zj + zbj, zj - zbj
+    return images
+
+
+def halved_is_cocycle(ws, el):
+    """Whether circle_d kills the real cochain el, through fresh halved images."""
+    world = circle_world(len(ws))
+    d, images = circle_d(weight_action(ws), world), halved_weight_images(world, len(ws))
+    return all(d(substitute(GradedElement(el.world, part), world, images)).is_zero()
+               for part in _fold(el.coeffs))
+
+
+def unscaled_local_sections(space, h, degree_bound, wmax=None):
+    """local_sections with each cocycle entering _real_basis as nullspace returns it."""
+    if wmax is None:
+        wmax = degree_bound
+    h = (Fraction(h[0]), Fraction(h[1]))
+    ws = tuple(space.weights[j] for j in fixed_locus(space, h))
+    cworld, blocks = circle_complex(ws, degree_bound, wmax)
+    world, images = _world(len(ws)), _real_images(len(ws))
+    basis = {deg: [] for deg in range(degree_bound + 1)}
+    for deg in basis:
+        for _, group in itertools.groupby(blocks, key=lambda b: b.w):
+            els = [GradedElement(cworld, {b.keys[deg][j]: c for j, c in v.items()})
+                   for b in group for v in b.cocycles[deg]]
+            if els:
+                basis[deg] += _real_basis(els, world, images)
+    cdims = [sum(len(b.cocycles[deg]) for b in blocks) for deg in basis]
+    hdims = [sum(b.cohomology(deg) for b in blocks) for deg in basis]
+    return SectionsReport(h, fixed_locus(space, h), degree_bound, wmax, cdims, hdims, basis)
+
+
+SHEAF_GRID_ANCHORS = [
+    (0, 0),
+    (Fraction(1, 2), 0),
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 5), 0),
+    (Fraction(1, 4), Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("ws", [(0,), (1,), (1, 2), (1, -2), (0, 3), (2, 3, 5)])
+@pytest.mark.parametrize("h", SHEAF_GRID_ANCHORS)
+def test_local_sections_match_the_unscaled_cocycles(ws, h):
+    space = CircleActionSpace(ws)
+    for degree in range(5):
+        for wmax in sorted({min(degree, 2), degree}):
+            rep = local_sections(space, h, degree, wmax)
+            assert rep == unscaled_local_sections(space, h, degree, wmax)
+
+
+def _random_real_cochain(world, rng):
+    """A few monomials of world with small rational coefficients."""
+    ne, no = len(world.evens), len(world.odds)
+    coeffs = {}
+    for _ in range(rng.randrange(1, 5)):
+        e = tuple(rng.randrange(3) if i else rng.randrange(2) for i in range(ne))
+        o = tuple(sorted(rng.sample(range(no), rng.randrange(min(no, 3) + 1))))
+        coeffs[e, o] = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    return GradedElement(world, coeffs)
+
+
+# no empty weights: every cochain on a point is a polynomial in u0, a cocycle
+@pytest.mark.parametrize("ws", [(0,), (1,), (1, 2), (1, -2), (0, 3), (2, 3, 5)])
+def test_is_cocycle_matches_the_halved_images(ws):
+    rng = random.Random(sum(ws) * 7 + len(ws))
+    world = _world(len(ws))
+    basis = [el for els in local_sections(CircleActionSpace(ws), (0, 0), 3).basis.values()
+             for el in els]
+    verdicts = []
+    for _ in range(60):
+        el = rng.choice(basis) * rng.choice((1, Fraction(-3, 2)))
+        if rng.random() < 0.5:  # most of these are not cocycles
+            el = el + _random_real_cochain(world, rng)
+        verdict = _is_cocycle(ws, el)
+        assert verdict == halved_is_cocycle(ws, el)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def transported_d(ws):
     """circle_d(weight_action(ws)) carried to the real world generator by generator.
 
     A real generator g is i^-kappa(g) times its rescaled self, with kappa(g)
-    = 1 for u0, the y_j and the dy_j and 0 otherwise.  Its weight image goes
-    through circle_d and back, and _fold splits the result into re + i im;
-    the real image of d g is re when kappa(g) = 0 and im when it is 1, and
-    the other part vanishes.
+    = 1 for u0, the y_j and the dy_j and 0 otherwise.  Its weight image (the
+    exact inverse of _real_images) goes through circle_d and back, and _fold
+    splits the result into re + i im; the real image of d g is re when
+    kappa(g) = 0 and im when it is 1, and the other part vanishes.
     """
     k = len(ws)
     cworld, world = circle_world(k), _world(k)
     d, forward = circle_d(weight_action(ws), cworld), _real_images(k)
     images = {}
-    for g, img in _weight_images(cworld, k).items():
+    for g, img in halved_weight_images(cworld, k).items():
         re, im = (GradedElement(world, p) for p in _fold(substitute(d(img), world, forward).coeffs))
         if g == "u0" or int(g.lstrip("dx")) % 2 == 0:
             re, im = im, re

@@ -293,6 +293,27 @@ def test_transition_chain_matches_direct():
         assert far.anchor == direct.anchor
 
 
+def test_cocycle_checks_build_each_differential_once(monkeypatch):
+    # make_section and transition check cocycles through circle_d; each
+    # weight tuple's differential is built on first use and then kept
+    built = []
+
+    def counted(action, world, real=sheafmodel.circle_d):
+        built.append(tuple(row[i] for i, row in enumerate(action["u"])))
+        return real(action, world)
+
+    monkeypatch.setattr(sheafmodel, "circle_d", counted)
+    monkeypatch.setattr(sheafmodel, "_COCYCLE_OPS", {})
+    sp = CircleActionSpace((1, 2))
+    for el in local_sections(sp, (0, 0), 4).basis[2]:
+        s = make_section(sp, (0, 0), cocycle=el, truncation=4)
+        mid = transition(sp, (0, 0), (HALF, 0), s)
+        end = transition(sp, (HALF, 0), (HALF, HALF), mid)
+        transition(sp, (HALF, HALF), (Fraction(1, 5), 0), end)
+        transition(sp, (0, 0), (Fraction(1, 5), 0), s)
+    assert sorted(built) == [(), (1, 2), (2,)]
+
+
 def test_transition_needs_containment():
     sp = CircleActionSpace((1, 2))
     s = make_section(sp, (HALF, 0), truncation=4)
