@@ -416,13 +416,16 @@ def weil_block(lie: LieAlgebra, world: GradedWorld, degree: int):
 
 
 def _compositions(total, slots):
+    """The slots-tuples of naturals that sum to total, in lexicographic order.
+
+    Stars and bars: the slots - 1 bars sit among total + slots - 1 places,
+    and their combinations, in lexicographic order, give the parts in it.
+    """
     if slots == 0:
         return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            out.append((first,) + rest)
-    return out
+    n = total + slots - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n,)))
+            for bars in itertools.combinations(range(n), slots - 1)]
 
 
 def _operator_rows(op, world, src_keys, dst_keys):
@@ -654,11 +657,22 @@ def _forms(nm):
     return forms
 
 
+_CIRCLE_OPS = {}
+
+
+def _circle_ops(weights):
+    """The weight-basis world and circle_d of a weight tuple, built on first
+    use and shared by circle_complex and the sheaf layer's cocycle checks."""
+    if weights not in _CIRCLE_OPS:
+        world = circle_world(len(weights))
+        _CIRCLE_OPS[weights] = world, circle_d(weight_action(weights), world)
+    return _CIRCLE_OPS[weights]
+
+
 def circle_complex(weights, degree_bound: int, wmax: int):
     """World and charge-0 blocks with W <= wmax, by increasing W."""
     k = len(weights)
-    world = circle_world(k)
-    d = circle_d(weight_action(weights), world)
+    world, d = _circle_ops(tuple(weights))
     blocks = []
     for w in range(wmax + 1):
         for nm in _compositions(w, 2 * k):
@@ -728,27 +742,24 @@ _GL2 = {
     "u21": ((0, 0), (1, 0)),
     "u22": ((0, 0), (0, 1)),
 }
-_EVEN_CHARGE = ((0, 0), (1, -1), (-1, 1), (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
-_ODD_CHARGE = ((1, 0), (0, 1), (-1, 0), (0, -1))
+def _gl2_keys(xdeg, fdeg, udeg):
+    """Monomials with the given x-, form and u-degree, by (E_11, E_22) charge.
 
-
-def _charge(key):
-    """(E_11, E_22) charge of a monomial."""
-    e, o = key
-    gens = [c for k, c in zip(e, _EVEN_CHARGE) for _ in range(k)]
-    gens += [_ODD_CHARGE[b] for b in o]
-    return sum(c[0] for c in gens), sum(c[1] for c in gens)
-
-
-def _gl2_keys(xdeg, fdeg, udeg, charge):
-    """Monomials with the given x-, form and u-degree and (E_11, E_22) charge."""
-    keys = (
-        (ue + xe, o)
-        for ue in _compositions(udeg, 4)
-        for xe in _compositions(xdeg, 4)
-        for o in itertools.combinations(range(4), fdeg)
-    )
-    return [key for key in keys if _charge(key) == charge]
+    One enumeration, over the u-exponents, then the x-exponents, then the
+    odd subsets, appends each key to the list of its charge, so each list
+    keeps that order.  The charge adds up per factor: (u12 - u21)(e1 - e2)
+    from U, (z_j - zb_j) e_j from the x-exponents, and e_j for dz_j and
+    -e_j for dzb_j (odd indices j - 1 and j + 1).
+    """
+    odd = [(o, (0 in o) - (2 in o), (1 in o) - (3 in o))
+           for o in itertools.combinations(range(4), fdeg)]
+    blocks = {}
+    for ue in _compositions(udeg, 4):
+        for xe in _compositions(xdeg, 4):
+            c1, c2 = ue[1] - ue[2] + xe[0] - xe[2], ue[2] - ue[1] + xe[1] - xe[3]
+            for o, o1, o2 in odd:
+                blocks.setdefault((c1 + o1, c2 + o2), []).append((ue + xe, o))
+    return blocks
 
 
 def _gl2_lie(world, i, j):
@@ -876,9 +887,9 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
 
     def solve(xdeg, fdeg, udeg):
         """The u(2)-invariants and the swap-fixed torus invariants of a block."""
-        keys = _gl2_keys(xdeg, fdeg, udeg, (0, 0))
-        rows = [_operator_rows(la, world, keys, _gl2_keys(xdeg, fdeg, udeg, c))
-                for la, c in lies]
+        blocks = _gl2_keys(xdeg, fdeg, udeg)
+        keys = blocks.get((0, 0), [])
+        rows = [_operator_rows(la, world, keys, blocks.get(c, [])) for la, c in lies]
         group = [{keys[j]: c for j, c in v.items()} for v in joint_nullspace(rows, len(keys))]
         return group, _swap_fixed(filter(_on_torus, keys))
 
@@ -914,7 +925,9 @@ def torus_reduction_check(degree_bound: int = 4, poly_bound: int = 2) -> Reducti
     torus_cohomology = cohomology(1, lambda x: _restrict(d(x).coeffs))
 
     # u11 - u22 restricted from nothing invariant, even below degree 2
-    restricted = [_restrict(v) for v in solve(0, 0, 1)[0]]
+    block = (0, 0, 1)  # solved above once degree_bound >= 2
+    group = solved[block][0] if block in solved else solve(*block)[0]
+    restricted = [_restrict(v) for v in group]
     u11, u22 = (next(iter(world.gen(u).coeffs)) for u in ("u11", "u22"))
     witness = {u11: 1, u22: -1}
     witness_excluded = _span_rank(restricted + [witness]) > _span_rank(restricted)

@@ -835,16 +835,22 @@ class MultiSeries:
 _TRACE = os.environ.get("ELLFORGE_TRACE") == "1"
 
 
-def _subtract(row, f, piv):
-    """row -= f * piv on sparse dict rows, dropping entries that cancel."""
-    f = -f
-    for j, x in piv.items():
-        if j not in row:
-            row[j] = f * x
-        elif v := row[j] + f * x:
-            row[j] = v
+def _subtract(row, j, piv, ints):
+    """row <- a row - b piv for a = piv[j] and b = row[j], dropping the
+    entries that cancel, column j among them; an int row then loses its
+    content, so that it stays primitive."""
+    a, b = piv[j], -row[j]
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, x in piv.items():
+        if v := row.get(k, 0) + b * x:
+            row[k] = v
         else:
-            del row[j]
+            del row[k]
+    if ints and (g := gcd(*row.values())) > 1:
+        for k in row:
+            row[k] //= g
 
 
 def rref(rows, ncols: int):
@@ -856,40 +862,47 @@ def rref(rows, ncols: int):
     other rows, which vanish in the first ncols columns.  Each row is
     reduced by the pivot rows at its leading column, and a full
     back-substitution makes the result the unique RREF.
+
+    The elimination is fraction-free, as in Bareiss (Math. Comp. 22, 1968):
+    a rational input is cleared to int rows, a row r is reduced by a pivot
+    row p as a r - b p with a and b their entries at r's lead, and every
+    row is kept primitive by its gcd.  Rows over a field beyond Q take the
+    same steps without the content one.
+    Each pivot row is divided by its lead once, at the end, so the pivot
+    rows are the canonical RREF's, in Fractions.  A row without a pivot is
+    the one of the Fraction elimination times a nonzero rational: it is
+    empty exactly when that one is, and solve_exact reads nothing else.
     """
     start = time.perf_counter()
-    piv = {}  # pivot column -> row with 1 there, zeros at earlier pivots
+    cleared = [_numerators(row) for row in rows]
+    ints = None not in cleared
+    piv = {}  # pivot column -> row with zeros at earlier pivots
     rest = []
-    nnz = 0
-    for row in rows:
-        row = dict(row)
-        nnz += len(row)
-        while True:
-            lead = min((j for j in row if j < ncols), default=None)
-            if lead not in piv:
-                break
-            _subtract(row, row[lead], piv[lead])
-        if lead is None:
+    for row, c in zip(rows, cleared):
+        row = dict(c[0] if ints else row)
+        while (lead := min(row, default=ncols)) in piv:
+            _subtract(row, lead, piv[lead], ints)
+        if lead >= ncols:
             rest.append(row)
-            continue
-        inv = Fraction(1) / row[lead]
-        piv[lead] = {j: x * inv for j, x in row.items()}
+        else:
+            piv[lead] = row
     pivots = sorted(piv)
     for c in reversed(pivots):
-        row = piv[c]
-        for k in [k for k in row if k != c and k in piv]:
-            _subtract(row, row[k], piv[k])
+        for k in [k for k in piv[c] if k != c and k in piv]:
+            _subtract(piv[c], k, piv[k], ints)
+    over = Fraction if ints else lambda x, lead: x * (Fraction(1) / lead)
+    mat = [{j: over(x, piv[c][c]) for j, x in piv[c].items()} for c in pivots]
     if _TRACE:
         frame = sys._getframe(1)
         while frame.f_code in _ELIMINATION_CODES:
             frame = frame.f_back
         print(
             f"rref caller={frame.f_globals['__name__']}.{frame.f_code.co_name} "
-            f"shape={len(rows)}x{ncols} nnz={nnz} rank={len(pivots)} "
+            f"shape={len(rows)}x{ncols} nnz={sum(map(len, rows))} rank={len(pivots)} "
             f"seconds={time.perf_counter() - start:.6f}",
             file=sys.stderr,
         )
-    return [piv[c] for c in pivots] + rest, pivots
+    return mat + rest, pivots
 
 
 def matrix_rank(rows, ncols: int) -> int:

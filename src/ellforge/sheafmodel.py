@@ -20,11 +20,9 @@ from fractions import Fraction
 from .equivderham import (
     GradedElement,
     GradedWorld,
+    _circle_ops,
     circle_complex,
-    circle_d,
-    circle_world,
     substitute,
-    weight_action,
 )
 from .series import MultiSeries, TruncatedSeries, matrix_rank, row_basis
 from .sigma import sigma_product
@@ -142,12 +140,11 @@ _COCYCLE_OPS = {}
 
 
 def _cocycle_ops(ws):
-    """Shared per-weights weight-basis world, circle_d and weight images."""
+    """The per-weights world and circle_d that circle_complex shares, and
+    the weight images, built once per weight tuple."""
     if ws not in _COCYCLE_OPS:
-        world = circle_world(len(ws))
-        _COCYCLE_OPS[ws] = (
-            world, circle_d(weight_action(ws), world), _weight_images(world, len(ws))
-        )
+        world, d = _circle_ops(ws)
+        _COCYCLE_OPS[ws] = world, d, _weight_images(world, len(ws))
     return _COCYCLE_OPS[ws]
 
 

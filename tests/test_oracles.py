@@ -22,6 +22,9 @@ taken over the support of each weight vector, are checked against the
 sweep over all 0/1 vectors.  The accessors that only tests call (a mode
 eigenvalue, the degree parts of a graded element, a series' counted
 degree, a law's q^0 slice and a series' derivative) live here too.
+The fraction-free elimination is checked against the Fraction
+Gauss-Jordan on dict rows that it replaced, and the U(2) keys bucketed
+by charge against the per-charge filter and the recursive compositions.
 """
 from __future__ import annotations
 
@@ -35,13 +38,14 @@ from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import add, le
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from ellforge import equivderham
+from ellforge import equivderham, series
 from ellforge.equivderham import (
     Derivation,
     GradedElement,
@@ -77,6 +81,7 @@ from ellforge.equivderham import (
     _basis_vector,
     _compositions,
     _forms,
+    _gl2_keys,
     _operator_rows,
     _eps_f,
     _splice,
@@ -203,6 +208,47 @@ def dense_solve(rows, rhs, ncols):
     for r, c in enumerate(pivots):
         sol[c] = mat[r][ncols]
     return sol
+
+
+def fraction_subtract(row, f, piv):
+    """row -= f * piv on sparse dict rows, dropping entries that cancel."""
+    f = -f
+    for j, x in piv.items():
+        if j not in row:
+            row[j] = f * x
+        elif v := row[j] + f * x:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan on dict rows in Fractions (the replaced series.rref).
+
+    Each row is reduced by the normalized pivot rows at its leading column
+    and normalized when it becomes a pivot row; the rows without a pivot
+    come back exactly as that elimination leaves them.
+    """
+    piv = {}
+    rest = []
+    for row in rows:
+        row = dict(row)
+        while True:
+            lead = min((j for j in row if j < ncols), default=None)
+            if lead not in piv:
+                break
+            fraction_subtract(row, row[lead], piv[lead])
+        if lead is None:
+            rest.append(row)
+            continue
+        inv = Fraction(1) / row[lead]
+        piv[lead] = {j: x * inv for j, x in row.items()}
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        row = piv[c]
+        for k in [k for k in row if k != c and k in piv]:
+            fraction_subtract(row, row[k], piv[k])
+    return [piv[c] for c in pivots] + rest, pivots
 
 
 def restrict_and_recombine(row_blocks, ncols):
@@ -1722,6 +1768,47 @@ def real_localized_rank(space, h, hp, degree_bound, wmax):
 # ---------------------------------------------- real-coordinate torus reduction
 
 
+def recursive_compositions(total, slots):
+    """_compositions by recursion on the first part (the replaced code)."""
+    if slots == 0:
+        return [()] if total == 0 else []
+    out = []
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, slots - 1):
+            out.append((first,) + rest)
+    return out
+
+
+# (E_11, E_22) charges of u11, u12, u21, u22, z1, z2, zb1, zb2 and of
+# dz1, dz2, dzb1, dzb2
+GL2_EVEN_CHARGE = ((0, 0), (1, -1), (-1, 1), (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
+GL2_ODD_CHARGE = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def gl2_charge(key):
+    """(E_11, E_22) charge of a monomial, generator by generator."""
+    e, o = key
+    gens = [c for k, c in zip(e, GL2_EVEN_CHARGE) for _ in range(k)]
+    gens += [GL2_ODD_CHARGE[b] for b in o]
+    return sum(c[0] for c in gens), sum(c[1] for c in gens)
+
+
+def gl2_block(xdeg, fdeg, udeg):
+    """Every monomial with the given x-, form and u-degree."""
+    return [
+        (ue + xe, o)
+        for ue in recursive_compositions(udeg, 4)
+        for xe in recursive_compositions(xdeg, 4)
+        for o in itertools.combinations(range(4), fdeg)
+    ]
+
+
+def filtered_gl2_keys(xdeg, fdeg, udeg, charge):
+    """The monomials of one charge, the block filtered (the replaced
+    per-charge enumeration)."""
+    return [key for key in gl2_block(xdeg, fdeg, udeg) if gl2_charge(key) == charge]
+
+
 def real_torus_reduction_check(degree_bound, poly_bound):
     """torus_reduction_check's report from real-coordinate invariant solves.
 
@@ -1974,6 +2061,79 @@ def test_joint_nullspace_matches_restrict_and_recombine(n, data):
     ))
     joint = joint_nullspace([as_dicts(rows) for rows in blocks], n)
     assert as_dense(joint, n) == restrict_and_recombine(blocks, n)
+
+
+# integer and rational matrices up to 12 x 12 with large entries and
+# repeated rows, against the Fraction Gauss-Jordan it replaced
+big_ints = st.integers(-10**9, 10**9)
+big_fracs = st.builds(Fraction, big_ints, st.integers(1, 10**4))
+
+
+@st.composite
+def wide_matrices(draw):
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), draw(st.sampled_from([big_ints, big_fracs])))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows[:12], n
+
+
+def fraction_eliminated(fn, *args):
+    """fn, a caller of series.rref, run on the Fraction elimination."""
+    with mock.patch.object(series, "rref", fraction_rref):
+        return fn(*args)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(wide_matrices())
+def test_integer_rref_matches_the_fraction_elimination(case):
+    rows, n = case
+    mat, pivots = rref(as_dicts(rows), n)
+    want, want_pivots = fraction_rref(as_dicts(rows), n)
+    r = len(pivots)
+    assert pivots == want_pivots
+    assert mat[:r] == want[:r]
+    assert all(type(x) is Fraction for row in mat[:r] for x in row.values())
+    assert len(mat) == len(rows)
+    assert not any(mat[r:]) and not any(want[r:])
+    assert matrix_rank(as_dicts(rows), n) == r
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(wide_matrices())
+def test_integer_kernels_match_the_fraction_elimination(case):
+    rows, n = case
+    for fn in (nullspace, row_basis):
+        got, want = fn(as_dicts(rows), n), fraction_eliminated(fn, as_dicts(rows), n)
+        assert got == want
+        assert all(type(x) is Fraction for v in got for x in v.values())
+        assert [list(v) for v in got] == [list(v) for v in want]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(wide_matrices(), st.data())
+def test_integer_solve_matches_the_fraction_elimination(case, data):
+    rows, n = case
+    entry = st.one_of(st.just(0), big_ints, big_fracs)
+    if data.draw(st.booleans()):  # consistent: the image of a drawn vector
+        x = data.draw(st.lists(entry, min_size=n, max_size=n))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    aug = as_dicts([row + [b] for row, b in zip(rows, rhs)])
+    mat, pivots = rref(aug, n)
+    want, want_pivots = fraction_rref(aug, n)
+    r = len(pivots)
+    assert pivots == want_pivots
+    # without a pivot a row vanishes left of the bar, and right of it it
+    # is zero exactly when the Fraction elimination's row is
+    assert all(j >= n for row in mat[r:] for j in row)
+    assert [not row for row in mat[r:]] == [not row for row in want[r:]]
+    assert mat[:r] == want[:r]
+    sol = solve_exact(as_dicts(rows), rhs, n)
+    assert sol == fraction_eliminated(solve_exact, as_dicts(rows), rhs, n)
+    assert sol is None or all(type(x) is Fraction for x in sol.values())
 
 
 # ---------------------------------------------------------------- derivations
@@ -3242,6 +3402,35 @@ def test_torus_reduction_matches_real_invariant_solves(degree_bound, poly_bound)
     rep = torus_reduction_check(degree_bound, poly_bound)
     assert rep == want  # dataclass equality: every field
     assert rep.ok == want.ok
+
+
+@pytest.mark.parametrize("slots", range(7))
+def test_compositions_match_the_recursion(slots):
+    for total in range(9):
+        assert _compositions(total, slots) == recursive_compositions(total, slots)
+
+
+def test_gl2_keys_bucket_the_filtered_enumeration():
+    for xdeg, fdeg, udeg in itertools.product(range(4), range(5), range(4)):
+        blocks = _gl2_keys(xdeg, fdeg, udeg)
+        every = gl2_block(xdeg, fdeg, udeg)
+        charges = {gl2_charge(key) for key in every}
+        assert set(blocks) == charges
+        assert sum(map(len, blocks.values())) == len(every)
+        for charge in charges:
+            assert blocks[charge] == filtered_gl2_keys(xdeg, fdeg, udeg, charge)
+
+
+def test_torus_reduction_on_the_filtered_keys(monkeypatch):
+    def filtered(xdeg, fdeg, udeg):
+        return {c: filtered_gl2_keys(xdeg, fdeg, udeg, c)
+                for c in ((0, 0), (-1, 1), (1, -1))}
+
+    rep = torus_reduction_check(4, 2)
+    assert rep.group_dims[4] == 16 and rep.torus_dims[4] == 17
+    assert rep.group_cohomology == rep.torus_cohomology == {0: 1, 1: 0, 2: 1, 3: 0, 4: 2}
+    monkeypatch.setattr(equivderham, "_gl2_keys", filtered)
+    assert torus_reduction_check(4, 2) == rep
 
 
 # ------------------------------------------------------ Euler classes in y = iF

@@ -14,7 +14,7 @@ from ellforge.equivderham import (
     u1,
     weight_action,
 )
-from ellforge import sheafmodel
+from ellforge import equivderham, sheafmodel
 from ellforge.series import MultiSeries, TruncatedSeries
 from ellforge.sheafmodel import (
     CircleActionSpace,
@@ -294,15 +294,17 @@ def test_transition_chain_matches_direct():
 
 
 def test_cocycle_checks_build_each_differential_once(monkeypatch):
-    # make_section and transition check cocycles through circle_d; each
-    # weight tuple's differential is built on first use and then kept
+    # local_sections builds its complex through circle_complex, and
+    # make_section and transition check cocycles through circle_d; all of
+    # them share one differential per weight tuple, built on first use
     built = []
 
-    def counted(action, world, real=sheafmodel.circle_d):
+    def counted(action, world, real=equivderham.circle_d):
         built.append(tuple(row[i] for i, row in enumerate(action["u"])))
         return real(action, world)
 
-    monkeypatch.setattr(sheafmodel, "circle_d", counted)
+    monkeypatch.setattr(equivderham, "circle_d", counted)
+    monkeypatch.setattr(equivderham, "_CIRCLE_OPS", {})
     monkeypatch.setattr(sheafmodel, "_COCYCLE_OPS", {})
     sp = CircleActionSpace((1, 2))
     for el in local_sections(sp, (0, 0), 4).basis[2]:
@@ -311,6 +313,7 @@ def test_cocycle_checks_build_each_differential_once(monkeypatch):
         end = transition(sp, (HALF, 0), (HALF, HALF), mid)
         transition(sp, (HALF, HALF), (Fraction(1, 5), 0), end)
         transition(sp, (0, 0), (Fraction(1, 5), 0), s)
+    local_sections(sp, (0, 0), 4)
     assert sorted(built) == [(), (1, 2), (2,)]
 
 
