@@ -240,17 +240,18 @@ def _mul2(g, h):
 
 
 def random_unimodular(rng: random.Random, tau: complex, min_imag: float = 0.2):
-    """A short random word in the standard generators.
+    """A short random word in the standard generators, not a translation.
 
-    Rejects words that drag Im(gamma*tau) below min_imag, where the
-    truncated q-expansions would stop being trustworthy.
+    Rejects translations (c = 0), which every q-expansion satisfies, and
+    words that drag Im(gamma*tau) below min_imag, where the truncated
+    q-expansions would stop being trustworthy.
     """
     while True:
         g = (1, 0, 0, 1)
         for _ in range(rng.randrange(1, 5)):
             g = _mul2(g, rng.choice(_GENS))
         c, d = g[2], g[3]
-        if (tau.imag / abs(c * tau + d) ** 2) >= min_imag:
+        if c and (tau.imag / abs(c * tau + d) ** 2) >= min_imag:
             return g
 
 
@@ -352,8 +353,6 @@ def g2_anomaly_samples(count: int = 10, seed: int = 1, qorder: int = 40):
         lat = random_lattice(rng)
         gamma = random_unimodular(rng, lat.tau)
         c, d = gamma[2], gamma[3]
-        if c == 0:
-            continue
         mu = random_scale(rng)
         resid = g2_lattice(act(gamma, mu, lat), qorder) - mu ** (-4) * g2_lattice(lat, qorder)
         out.append(resid * mu**4 * lat.lam2**2 * (c * lat.tau + d) / c)

@@ -202,41 +202,18 @@ class TruncatedSeries:
 
     # ---- composition and reversion ----
 
+    def _multi(self, trunc: int) -> "MultiSeries":
+        """This power series as a one-variable MultiSeries capped at trunc."""
+        return MultiSeries((self.var,), {(e,): c for e, c in self.coeffs.items()}, caps=(trunc,))
+
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner); inner must have zero constant term."""
-        if any(e < 0 for e in self.coeffs) or any(e < 0 for e in inner.coeffs):
-            raise ValueError("compose requires power series")
-        if inner.coeff(0) != 0:
-            raise ValueError("inner series must have zero constant term")
+        """self(inner), by MultiSeries.subs; inner must have zero constant term."""
         trunc = min(self.trunc, inner.trunc)
-        out = TruncatedSeries.zero(inner.var, trunc)
-        c0 = self.coeff(0)
-        if c0 != 0:
-            out = out + c0
-        p = TruncatedSeries.one(inner.var, trunc)
-        for e in range(1, trunc + 1):
-            p = p * inner
-            if p.is_zero():
-                break
-            c = self.coeffs.get(e)
-            if c is not None:
-                out = out + p * c
-        return out
+        return self._multi(trunc).subs({self.var: inner._multi(trunc)}).as_univariate()
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse of c1*x + c2*x^2 + ... with c1 invertible."""
-        if self.coeff(0) != 0:
-            raise ValueError("reversion requires zero constant term")
-        c1 = self.coeff(1)
-        if c1 == 0:
-            raise ValueError("reversion requires an invertible linear coefficient")
-        n = self.trunc
-        g = TruncatedSeries(self.var, n, {1: Fraction(1) / c1})
-        for k in range(2, n + 1):
-            err = self.compose(g).coeff(k)
-            if err != 0:
-                g = g + TruncatedSeries(self.var, n, {k: -err / c1})
-        return g
+        """Compositional inverse of c1*x + c2*x^2 + ..., by MultiSeries.reversion."""
+        return self._multi(self.trunc).reversion().as_univariate()
 
     # ---- numerics and serialization ----
 
@@ -332,15 +309,15 @@ def _accumulate(table: dict, left, right, lim, rest=()) -> None:
 def _numerators(coeffs: dict):
     """(numerators, d): the table as ints over the lcm d of its denominators.
 
-    d is None for a table of ints alone, returned as it is; the result is
-    None for a table holding anything but ints and Fractions.
+    d is None for a table of ints alone, returned as it is; anything but
+    ints and Fractions raises TypeError.
     """
     dens = set()
     for c in coeffs.values():
         if type(c) is Fraction:
             dens.add(c.denominator)
-        elif type(c) is not int:
-            return None
+        elif not isinstance(c, int):
+            raise TypeError(f"unsupported coefficient {c!r}: not a rational")
     if not dens:
         return coeffs, None
     d = lcm(*dens)
@@ -386,10 +363,10 @@ class MultiSeries:
 
     Truncation: an optional per-variable cap vector and an optional total
     degree, counted over a chosen subset of the variables (``tgroup``,
-    default all); at least one must be set.  Coefficients are scalars: int,
-    Fraction or another exact field's elements; a TruncatedSeries raises
-    TypeError.  A series over the q-expansion ring is flat, with q one more
-    capped variable, and ``slices`` reads back its q-series per monomial.
+    default all); at least one must be set.  Coefficients are ints or
+    Fractions, and anything else raises TypeError.  A series over the
+    q-expansion ring is flat, with q one more capped variable, and
+    ``slices`` reads back its q-series per monomial.
     Operands of one operation must count their totals over the same
     ``tgroup``, and ``subs`` targets must share one truncation: otherwise
     the result would hold terms some input leaves unknown.
@@ -400,11 +377,11 @@ class MultiSeries:
     the coefficients that cancelled once, at the end.  ``subs`` raises
     each mixed (multi-term) target to a power once per group of terms
     with the same exponents at the mixed targets.  ``__mul__`` clears each
-    rational operand to int numerators over its common denominator and
-    builds each product coefficient once, as a Fraction over the two.
+    operand to int numerators over its common denominator and builds each
+    product coefficient once, as a Fraction over the two.
     Type rule: the product of two tables of ints alone holds ints; if
     either operand holds a Fraction, every product coefficient is a
-    Fraction.  Coefficients of another field multiply as they are.
+    Fraction.
     """
 
     __slots__ = ("vars", "caps", "total", "tgroup", "coeffs")
@@ -428,8 +405,9 @@ class MultiSeries:
                     raise ValueError("exponent arity mismatch")
                 if any(x < 0 for x in e):
                     raise ValueError("negative exponent in MultiSeries")
-                if isinstance(c, TruncatedSeries):
-                    raise TypeError(f"series coefficient {c!r}: make q a capped variable")
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"unsupported coefficient {c!r}: not a rational"
+                                    " (for a q-series, make q a capped variable)")
                 if not self._keep(e):
                     continue
                 if c:
@@ -543,10 +521,7 @@ class MultiSeries:
         caps, total = self._merged_bounds(other)
         res = MultiSeries(self.vars, None, caps, total, self.tgroup)
         key, lim, rest = _layout(caps, total, self.tgroup)
-        a, b = _numerators(self.coeffs), _numerators(other.coeffs)
-        if a is None or b is None:  # a ring beyond Q: no denominators to clear
-            a, b = (self.coeffs, None), (other.coeffs, None)
-        (na, da), (nb, db) = a, b
+        (na, da), (nb, db) = _numerators(self.coeffs), _numerators(other.coeffs)
         table = {}
         _accumulate(table, _buckets(na, key, rest), _buckets(nb, key, rest), lim, rest)
         if da is None and db is None:
@@ -683,9 +658,8 @@ class MultiSeries:
         holds (all of them if none is), so every term of A has positive
         degree and the layers are few.  From A's int numerators over D,
         layer d is built as int numerators over one denominator, reduced by
-        their gcd: D^d d! would grow without bound.  Other coefficients are
-        their own numerators, with D = 1.  The truncation must bound every
-        term of A, or exp(A) would not be finite.
+        their gcd: D^d d! would grow without bound.  The truncation must
+        bound every term of A, or exp(A) would not be finite.
         """
         zero_key = (0,) * len(self.vars)
         if zero_key in self.coeffs:
@@ -693,8 +667,7 @@ class MultiSeries:
         if self.caps is None and any(not any(e[i] for i in self.tgroup) for e in self.coeffs):
             raise ValueError("exp of a term that no bound truncates")
         key, lim, rest = _layout(self.caps, self.total, self.tgroup)
-        cleared = _numerators(self.coeffs)
-        num, den = cleared or (self.coeffs, None)
+        num, den = _numerators(self.coeffs)
         den = den or 1
         n = len(self.vars)
         grade = [i for i in range(n) if all(e[i] for e in num)] or range(n)
@@ -720,7 +693,7 @@ class MultiSeries:
                 weighted = [(ta, [(e, w * c) for e, c in items]) for ta, items in buckets]
                 _accumulate(table, weighted, layer, lim, rest)
             table = {e: c for e, c in table.items() if c}
-            if cleared is not None and (g := gcd(lden, *table.values())) > 1:
+            if (g := gcd(lden, *table.values())) > 1:
                 lden //= g
                 table = {e: c // g for e, c in table.items()}
             layers.append((_buckets(table, key, rest), lden))
@@ -835,9 +808,9 @@ class MultiSeries:
 _TRACE = os.environ.get("ELLFORGE_TRACE") == "1"
 
 
-def _subtract(row, j, piv, ints):
+def _subtract(row, j, piv):
     """row <- a row - b piv for a = piv[j] and b = row[j], dropping the
-    entries that cancel, column j among them; an int row then loses its
+    entries that cancel, column j among them; the row then loses its
     content, so that it stays primitive."""
     a, b = piv[j], -row[j]
     if a != 1:
@@ -848,7 +821,7 @@ def _subtract(row, j, piv, ints):
             row[k] = v
         else:
             del row[k]
-    if ints and (g := gcd(*row.values())) > 1:
+    if (g := gcd(*row.values())) > 1:
         for k in row:
             row[k] //= g
 
@@ -864,24 +837,22 @@ def rref(rows, ncols: int):
     back-substitution makes the result the unique RREF.
 
     The elimination is fraction-free, as in Bareiss (Math. Comp. 22, 1968):
-    a rational input is cleared to int rows, a row r is reduced by a pivot
+    each rational row is cleared to ints, a row r is reduced by a pivot
     row p as a r - b p with a and b their entries at r's lead, and every
-    row is kept primitive by its gcd.  Rows over a field beyond Q take the
-    same steps without the content one.
-    Each pivot row is divided by its lead once, at the end, so the pivot
-    rows are the canonical RREF's, in Fractions.  A row without a pivot is
-    the one of the Fraction elimination times a nonzero rational: it is
-    empty exactly when that one is, and solve_exact reads nothing else.
+    row is kept primitive by its gcd.  Each pivot row is divided by its
+    lead once, at the end, so the pivot rows are the canonical RREF's, in
+    Fractions.  A row without a pivot is the one of the Fraction
+    elimination times a nonzero rational: it is empty exactly when that
+    one is, and solve_exact reads nothing else.  An entry that is neither
+    an int nor a Fraction raises TypeError.
     """
     start = time.perf_counter()
-    cleared = [_numerators(row) for row in rows]
-    ints = None not in cleared
     piv = {}  # pivot column -> row with zeros at earlier pivots
     rest = []
-    for row, c in zip(rows, cleared):
-        row = dict(c[0] if ints else row)
+    for row in rows:
+        row = dict(_numerators(row)[0])
         while (lead := min(row, default=ncols)) in piv:
-            _subtract(row, lead, piv[lead], ints)
+            _subtract(row, lead, piv[lead])
         if lead >= ncols:
             rest.append(row)
         else:
@@ -889,9 +860,8 @@ def rref(rows, ncols: int):
     pivots = sorted(piv)
     for c in reversed(pivots):
         for k in [k for k in piv[c] if k != c and k in piv]:
-            _subtract(piv[c], k, piv[k], ints)
-    over = Fraction if ints else lambda x, lead: x * (Fraction(1) / lead)
-    mat = [{j: over(x, piv[c][c]) for j, x in piv[c].items()} for c in pivots]
+            _subtract(piv[c], k, piv[k])
+    mat = [{j: Fraction(x, piv[c][c]) for j, x in piv[c].items()} for c in pivots]
     if _TRACE:
         frame = sys._getframe(1)
         while frame.f_code in _ELIMINATION_CODES:

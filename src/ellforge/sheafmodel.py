@@ -149,10 +149,14 @@ def _cocycle_ops(ws):
 
 
 def _is_cocycle(ws, el):
-    """Whether circle_d(weight_action(ws)) kills the real cochain el."""
+    """Whether circle_d(weight_action(ws)) kills the real cochain el.
+
+    Closedness does not depend on scale, so each part is tested as its
+    primitive int multiple.
+    """
     world, d, images = _cocycle_ops(ws)
-    return all(d(substitute(GradedElement(el.world, part), world, images)).is_zero()
-               for part in _fold(el.coeffs))
+    parts = (GradedElement(el.world, _primitive(part)) for part in _fold(el.coeffs))
+    return all(d(substitute(part, world, images)).is_zero() for part in parts)
 
 
 def _primitive(v):

@@ -26,6 +26,7 @@ from ellforge.modforms import (
     lattice_value,
     qpochhammer,
     random_lattice,
+    random_unimodular,
 )
 from ellforge.series import TruncatedSeries
 from ellforge.sigma import sigma_exponential
@@ -194,6 +195,15 @@ def test_g2_breaks_weight_law():
     rep = check_weight(g2_lattice, 2, seed=5)
     assert not rep.ok
     assert rep.max_rel > 1e-3
+
+
+def test_weight_samples_are_never_translations():
+    # every sample of this seed was once a translation (c = 0), which every
+    # q-expansion satisfies, so G2 passed the check
+    rep = check_weight(g2_lattice, 2, count=10, seed=657807189, tol=1e-9)
+    assert not rep.ok
+    rng = random.Random(0)
+    assert all(random_unimodular(rng, 1j)[2] for _ in range(200))
 
 
 def test_g2_anomaly_constant():

@@ -627,7 +627,11 @@ def loop_multi_mul(a, b):
 
 
 def loop_multi_exp(a):
-    """exp(a) as the sum of term = term * a / k, to the nilpotency bound."""
+    """exp(a) as the sum of term = term * a / k, to the nilpotency bound.
+
+    The products are loop_multi_mul's and the sums are taken coefficient
+    by coefficient, so the library's arithmetic is never called.
+    """
     zero_key = (0,) * len(a.vars)
     if a.coeffs.get(zero_key, 0) != 0:
         raise ValueError("exp requires zero constant term")
@@ -636,10 +640,15 @@ def loop_multi_exp(a):
     out = MultiSeries.one(a.vars, a.caps, a.total, a.tgroup)
     term = out
     for k in range(1, bound + 1):
-        term = term * a * Fraction(1, k)
+        term = loop_multi_mul(term, a)
         if term.is_zero():
             break
-        out = out + term
+        term.coeffs = {e: c * Fraction(1, k) for e, c in term.coeffs.items()}
+        for e, c in term.coeffs.items():
+            if s := out.coeffs.get(e, 0) + c:
+                out.coeffs[e] = s
+            else:
+                del out.coeffs[e]
     return out
 
 
@@ -747,10 +756,7 @@ def full_key_mul(a, b):
     caps, total = a._merged_bounds(b)
     res = MultiSeries(a.vars, None, caps, total, a.tgroup)
     key, lim = full_key_layout(caps, total, a.tgroup)
-    x, y = _numerators(a.coeffs), _numerators(b.coeffs)
-    if x is None or y is None:
-        x, y = (a.coeffs, None), (b.coeffs, None)
-    (na, da), (nb, db) = x, y
+    (na, da), (nb, db) = _numerators(a.coeffs), _numerators(b.coeffs)
     table = {}
     full_key_accumulate(table, full_key_buckets(na, key), full_key_buckets(nb, key), lim)
     if da is None and db is None:
@@ -810,8 +816,7 @@ def full_key_exp(a):
     """MultiSeries.exp's degree-layer recurrence on the full-key buckets."""
     key, lim = full_key_layout(a.caps, a.total, a.tgroup)
     zero_key = (0,) * len(a.vars)
-    cleared = _numerators(a.coeffs)
-    num, den = cleared or (a.coeffs, None)
+    num, den = _numerators(a.coeffs)
     den = den or 1
     grade = [i for i in range(len(a.vars)) if all(e[i] for e in num)] or range(len(a.vars))
     arg = {}
@@ -834,7 +839,7 @@ def full_key_exp(a):
             weighted = [(ka, [(e, w * c) for e, c in items]) for ka, items in buckets]
             full_key_accumulate(table, weighted, layer, lim)
         table = {e: c for e, c in table.items() if c}
-        if cleared is not None and (g := math.gcd(lden, *table.values())) > 1:
+        if (g := math.gcd(lden, *table.values())) > 1:
             lden //= g
             table = {e: c // g for e, c in table.items()}
         layers.append((full_key_buckets(table, key), lden))
@@ -990,9 +995,8 @@ def q_zero_slice(law):
 class Gaussian:
     """Gaussian rational re + im*i with exact Fraction parts.
 
-    A second coefficient field for the elimination and MultiSeries tests,
-    whose code works over any field, and the field of the F-basis Euler
-    builders below; a TruncatedSeries holds rationals only.
+    The field of the F-basis Euler builders below and of the realified
+    representations; the library's series and eliminations refuse it.
     """
 
     __slots__ = ("re", "im")
@@ -1155,8 +1159,10 @@ def derivative(s):
 
 # The Euler classes in the roots F_j with z_j = 2 i F_j, over the
 # Gaussian rationals.  As in the library's y-basis classes, q is one more
-# MultiSeries variable: a class is a series in (F1..Fm, q), total degree
-# counted in the roots and q capped at the q-order.
+# variable: a class is a table over (F1..Fm, q), total degree counted in
+# the roots and q capped at the q-order.  The library's series hold
+# rationals only, so the tables are multiplied and exponentiated by the
+# oracle loops alone, and each builder returns its coefficient dict.
 
 
 def f_vars(m):
@@ -1173,61 +1179,67 @@ def _root_terms(m, j, k, series, unit):
     return {e + (n,): c * unit for n, c in series.coeffs.items()}
 
 
+def gaussian_table(m, degree, qorder, table=None):
+    """A class over (F1..Fm, q) holding table as it is, for the oracle loops.
+
+    Without a table it is the class 1.
+    """
+    out = MultiSeries.one(f_vars(m) + ("q",), **_fq(m, degree, qorder))
+    if table is not None:
+        out.coeffs = {e: c for e, c in table.items() if c and keep(out, e)}
+    return out
+
+
 def gaussian_twisted_euler(m, degree, qorder):
     """prod_j sigma(2 i F_j)."""
-    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     sigma = sigma_product(qorder, degree)
-    out = MultiSeries.one(v, **kw)
+    out = gaussian_table(m, degree, qorder)
     for j in range(m):
         table = {}
         for k in range(1, degree + 1):
             table.update(_root_terms(m, j, k, sigma.coeff_in("z", k).as_univariate(), TWO_I**k))
-        out = out * MultiSeries(v, table, **kw)
-    return out
+        out = loop_multi_mul(out, gaussian_table(m, degree, qorder, table))
+    return out.coeffs
 
 
 def gaussian_corrected_euler(m, degree, qorder):
     """prod_j (2 i F_j) exp(sum_{k>=2} w_k G_2k (2 i F_j)^{2k})."""
-    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     one_q = TruncatedSeries.one("q", qorder)
-    out = MultiSeries.one(v, **kw)
+    out = gaussian_table(m, degree, qorder)
     for j in range(m):
         arg = {}
         for k in range(2, degree // 2 + 1):
             g = eisenstein_q(2 * k, qorder) * exp_weight(k)
             arg.update(_root_terms(m, j, 2 * k, g, TWO_I ** (2 * k)))
-        lead = MultiSeries(v, _root_terms(m, j, 1, one_q, TWO_I), **kw)
-        out = out * lead * MultiSeries(v, arg, **kw).exp()
-    return out
+        lead = gaussian_table(m, degree, qorder, _root_terms(m, j, 1, one_q, TWO_I))
+        out = loop_multi_mul(out, lead)
+        out = loop_multi_mul(out, loop_multi_exp(gaussian_table(m, degree, qorder, arg)))
+    return out.coeffs
 
 
 def gaussian_linear_anomaly(m, degree, qorder):
     """exp(-i sum F_j)."""
-    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     one_q = TruncatedSeries.one("q", qorder)
     arg = {}
     for j in range(m):
         arg.update(_root_terms(m, j, 1, one_q, -I))
-    return MultiSeries(v, arg, **kw).exp()
+    return loop_multi_exp(gaussian_table(m, degree, qorder, arg)).coeffs
 
 
 def gaussian_g2_anomaly(m, degree, qorder):
     """exp(4 G_2 sum F_j^2)."""
-    v, kw = f_vars(m) + ("q",), _fq(m, degree, qorder)
     arg = {}
     for j in range(m):
         arg.update(_root_terms(m, j, 2, eisenstein_q(2, qorder), 4))
-    return MultiSeries(v, arg, **kw).exp()
+    return loop_multi_exp(gaussian_table(m, degree, qorder, arg)).coeffs
 
 
 def rotated(cls):
-    """A class over (q, y1..ym), read in F over (F1..Fm, q).
+    """The coefficients of a class over (q, y1..ym), read in F over (F1..Fm, q).
 
     c q^n y^e is i^|e| c q^n F^e.
     """
-    m = len(cls.vars) - 1
-    table = {e[1:] + e[:1]: c * I ** sum(e[1:]) for e, c in cls.coeffs.items()}
-    return MultiSeries(f_vars(m) + ("q",), table, **_fq(m, cls.total, cls.caps[0]))
+    return {e[1:] + e[:1]: c * I ** sum(e[1:]) for e, c in cls.coeffs.items()}
 
 
 def reduce_su_type(cls):
@@ -1928,18 +1940,12 @@ def real_torus_reduction_check(degree_bound, poly_bound):
 # ---------------------------------------------------------------- strategies
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-# mostly zeros, now and then a Gaussian rational, real ones included
-entries = st.one_of(
-    st.just(Fraction(0)),
-    st.just(Fraction(0)),
-    small_fracs,
-    st.builds(Gaussian, st.integers(-2, 2), st.integers(0, 2)),
-)
+# mostly zeros
 real_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fracs)
 
 
 @st.composite
-def matrices(draw, elements=entries, max_rows=7, ncols=None):
+def matrices(draw, elements=real_entries, max_rows=7, ncols=None):
     n = ncols if ncols is not None else draw(st.integers(1, 7))
     row = st.lists(elements, min_size=n, max_size=n)
     rows = draw(st.lists(row, max_size=max_rows))
@@ -1949,7 +1955,7 @@ def matrices(draw, elements=entries, max_rows=7, ncols=None):
 
 
 def is_exact(x):
-    return isinstance(x, (Fraction, Gaussian))
+    return isinstance(x, Fraction)
 
 
 # ---------------------------------------------------------------- elimination
@@ -2026,7 +2032,7 @@ def test_row_basis_is_the_double_nullspace(case):
 @given(matrices(), st.data())
 def test_augmented_rows_and_solve_match_dense(case, data):
     rows, n = case
-    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    rhs = data.draw(st.lists(real_entries, min_size=len(rows), max_size=len(rows)))
     aug = [row + [b] for row, b in zip(rows, rhs)]
     mat, pivots = rref(as_dicts(aug), n)
     assert all(x != 0 for row in mat for x in row.values())
@@ -2624,27 +2630,24 @@ def test_coordinate_w_matches_factor_products(degree, qorder):
 
 # ------------------------------------------------------------------- series
 
-ring_kinds = st.sampled_from(["fraction", "gaussian"])
 # rational tables that the products clear to int numerators: ints alone,
-# integral Fractions alone, and ints mixed with Fractions
+# integral Fractions alone, and ints mixed with Fractions.  The per-term
+# loops keep each term's own type, so their tests draw Fractions alone
+# ("fraction"); all_kinds is every kind.
 rational_kinds = st.sampled_from(["int", "integral", "mixed"])
+all_kinds = st.sampled_from(["int", "integral", "mixed", "fraction"])
 
 
 def ring_element(kind):
-    """A nonzero-or-zero element of the coefficient ring named by ``kind``."""
-    unit = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    """A nonzero-or-zero rational of the kind named by ``kind``."""
     if kind == "int":
         return st.integers(-3, 3)
     if kind == "integral":
         return st.integers(-3, 3).map(Fraction)
     if kind == "mixed":
         return st.one_of(st.integers(-3, 3), small_fracs)
-    if kind == "fraction":
-        return st.one_of(unit, small_fracs)
-    return st.one_of(
-        unit,
-        st.builds(lambda re, im: Gaussian(re, im) if im else re, small_fracs, small_fracs),
-    )
+    unit = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    return st.one_of(unit, small_fracs)
 
 
 def shape(series):
@@ -2696,7 +2699,7 @@ def multi_series(draw, vars, bounds, kind, max_terms=7, constant=True):
 
 
 @st.composite
-def products(draw, kinds=ring_kinds):
+def products(draw, kinds=st.just("fraction")):
     n = draw(st.integers(2, 3))
     vars = ("x", "y", "z")[:n]
     kind = draw(kinds)
@@ -2739,7 +2742,7 @@ def test_multi_mul_keeps_the_type_rule(case):
 @st.composite
 def exp_args(draw):
     n = draw(st.integers(1, 3))
-    kind = draw(st.one_of(ring_kinds, rational_kinds))
+    kind = draw(all_kinds)
     bounds = draw(layouts(n))
     return draw(multi_series(("x", "y", "z")[:n], bounds, kind, constant=False))
 
@@ -2782,7 +2785,7 @@ def substitutions(draw):
     m = draw(st.integers(1, 3))
     src_vars = ("x", "y", "q")[:n]
     dst_vars = ("u", "v", "w")[:m]
-    kind = draw(ring_kinds)
+    kind = "fraction"
     series = draw(multi_series(src_vars, draw(layouts(n)), kind))
     bounds = draw(layouts(m))
     args = {}
@@ -2838,7 +2841,6 @@ BUCKET_LAYOUTS = {
     "tgroup-total": lambda n: dict(caps=(4, 2, 3, 1)[:n], total=4, tgroup=(1, 2, 3)[: n - 1]),
     "uncapped-outside": lambda n: dict(total=3, tgroup=(0, 2)[: max(n - 2, 1)]),
 }
-bucket_kinds = st.sampled_from(["int", "integral", "mixed", "fraction"])
 
 
 @st.composite
@@ -2860,7 +2862,7 @@ def assert_same_types(got, want):
 @st.composite
 def bucket_products(draw):
     n = draw(st.integers(2, 4))
-    vars, kind = ("q", "x", "y", "z")[:n], draw(bucket_kinds)
+    vars, kind = ("q", "x", "y", "z")[:n], draw(all_kinds)
     a_bounds = draw(bucket_layouts(n))
     b_bounds = dict(a_bounds)
     if a_bounds.get("caps") is not None and draw(st.booleans()):  # other caps
@@ -2882,7 +2884,7 @@ def test_multi_mul_matches_full_key_buckets(case):
 def bucket_exp_args(draw):
     n = draw(st.integers(1, 4))
     bounds = draw(bucket_layouts(n))
-    kind = draw(bucket_kinds)
+    kind = draw(all_kinds)
     return draw(multi_series(("q", "x", "y", "z")[:n], bounds, kind, constant=False))
 
 
@@ -2897,7 +2899,7 @@ def test_multi_exp_matches_full_key_buckets(a):
 def bucket_substitutions(draw):
     n, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
     src_vars, dst_vars = ("x", "y", "q")[:n], ("q", "u", "v", "w")[:m]
-    kind = draw(bucket_kinds)
+    kind = draw(all_kinds)
     series = draw(multi_series(src_vars, draw(bucket_layouts(n)), kind))
     bounds = draw(bucket_layouts(m))
     args = {}
@@ -2932,16 +2934,6 @@ def test_disjoint_factors_pass_every_bucket_pair():
             if ta[0] + tb[0] <= lim[0]:
                 assert all(x + y <= c for x, y, c in zip(ta, tb, top))
     assert_same_types(a * b, full_key_mul(a, b))
-
-
-def test_gaussian_products_collapse_to_fractions():
-    kw = dict(total=3)
-    a = MultiSeries(("x", "y"), {(1, 0): I, (0, 1): Gaussian(1, 1)}, **kw)
-    b = MultiSeries(("x", "y"), {(1, 0): I, (0, 1): Gaussian(1, -1)}, **kw)
-    got = a * b
-    assert_same(got, loop_multi_mul(a, b))
-    assert type(got.coeffs[(2, 0)]) is Fraction and got.coeffs[(2, 0)] == -1
-    assert type(got.coeffs[(0, 2)]) is Fraction and got.coeffs[(0, 2)] == 2
 
 
 @st.composite
@@ -2993,15 +2985,11 @@ def test_truncated_mul_over_common_denominators(a, b):
 
 @st.composite
 def revertible(draw):
-    """A one-variable series whose linear coefficient is a unit of its ring."""
-    kind = draw(ring_kinds)
+    """A one-variable series whose linear coefficient is a nonzero rational."""
     n = draw(st.integers(1, 6))
     bounds = draw(st.sampled_from([dict(caps=(n,)), dict(total=n)]))
-    table = draw(st.dictionaries(st.integers(2, 6), ring_element(kind), max_size=4))
-    unit = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]))
-    if kind == "gaussian" and draw(st.booleans()):
-        unit = Gaussian(unit, 1)
-    table[1] = unit
+    table = draw(st.dictionaries(st.integers(2, 6), ring_element("fraction"), max_size=4))
+    table[1] = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]))
     return MultiSeries(("z",), {(e,): c for e, c in table.items()}, **bounds)
 
 

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellforge.series import MultiSeries, TruncatedSeries
+from ellforge.equivderham import GradedElement, form_world
+from ellforge.series import (
+    MultiSeries,
+    TruncatedSeries,
+    nullspace,
+    row_basis,
+    rref,
+    solve_exact,
+)
 from test_oracles import Gaussian, I, derivative, log, truncated_exp
 
 
@@ -143,12 +151,34 @@ def test_gaussian_truth_is_nonzero():
     assert [c for c in row if c] == [Gaussian(2, -1)]
 
 
-def test_gaussian_in_series():
-    # a MultiSeries carries any field of scalars; a TruncatedSeries holds rationals only
-    s = MultiSeries(("z",), {(1,): I}, caps=(3,))
-    sq = s * s
-    assert sq.coeff((2,)) == -1
-    assert isinstance(sq.coeff((2,)), Fraction)
+# ------------------------------------------------------ coefficient contract
+
+# every exact object and elimination holds rationals only: ints and Fractions
+NON_RATIONALS = {"float": 0.5, "complex": 1j, "gaussian": Gaussian(0, 1)}
+
+
+def _graded_element(c):
+    w = form_world(2)
+    (key,) = w.gen("x1").coeffs
+    return GradedElement(w, {key: c})
+
+
+CONSUMERS = {
+    "MultiSeries": lambda c: MultiSeries(("z",), {(1,): c}, caps=(3,)),
+    "TruncatedSeries": lambda c: ts("z", 3, {1: c}),
+    "GradedElement": _graded_element,
+    "rref": lambda c: rref([{0: 1, 1: c}], 2),
+    "nullspace": lambda c: nullspace([{0: c}], 2),
+    "solve_exact": lambda c: solve_exact([{0: 1}], [c], 1),
+    "row_basis": lambda c: row_basis([{0: 2}, {1: c}], 2),
+}
+
+
+@pytest.mark.parametrize("kind", NON_RATIONALS)
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_non_rational_coefficients_raise_type_error(consumer, kind):
+    with pytest.raises(TypeError, match="not a rational"):
+        CONSUMERS[consumer](NON_RATIONALS[kind])
 
 
 @pytest.mark.parametrize("c", [Gaussian(0, 1), 1j, 0.5, "1"])
