@@ -20,11 +20,13 @@ finite product is evaluated through Euler's product for the sine,
         = [sin(pi ca)/sin(pi cb)] / prod_{m > P} (1 - ca^2/m^2)/(1 - cb^2/m^2),
 
 in scalar cmath: one sine ratio and a few terms of a power series per row
-(see _row_log_ratio), so the cost is O(rows) rather than O(modes).  Only a
-row whose head cut P0, about 3 |c| + 48 for its shift c, reaches P (a
-caller's small P) is multiplied out.  The rows' logs are summed exactly
-and their signs counted as an int; nothing here uses numpy, so every bit
-of a window is independent of the CPU's SIMD dispatch.
+(see _row_log_ratio).  Rows past |Im c| = T are far: their sine ratios and
+tails sum in closed form (_far_log), so a window costs O(near rows), about
+2 T / Im tau + 2 per component, not O(M) or O(modes).  Only a near row
+whose head cut P0, about 3 |c| + 48 for its shift c, reaches P (a caller's
+small P) is multiplied out.  The logs are summed exactly and the signs
+counted as an int; nothing here uses numpy, so every bit of a window is
+independent of the CPU's SIMD dispatch.
 
 The raw window limit differs from the closed form by exp((S_a - S_b)/2)
 with S the sum of the component coordinates; pf_truncated_ratio removes
@@ -34,6 +36,7 @@ pf_closed(a) / pf_closed(b).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -160,6 +163,39 @@ def _row_log_ratio(
     return log, ka - kb
 
 
+def _far_log(Aa: complex, Ab: complex, tau: complex, below, above, zetas) -> complex:
+    """Summed log of the far rows c = n tau + A, n in below (Im c < -T) or
+    above (Im c > T).  Their sine ratios are e^(+/- pi i (Aa - Ab)), the
+    parity (-1)^(ka - kb) cancelling e^(-/+ pi i (ka - kb)): no flips.  Their
+    tails sum_k (ca^2k - cb^2k) zetas[k-1] / k add up to (Aa - Ab) sum_j
+    C(2k, j) tau^j S_j e_(2k-j), S_j = sum n^j exact and e_m = sum_(i < m)
+    Aa^i Ab^(m-1-i), up to the K where _row_log_ratio's bound, summed over
+    the rows, is < 1e-20; 0 if there are no far rows."""
+    far, d = [r for r in (below, above) if r], Aa - Ab
+    ends = (n * tau + A for r in far for n in (r[0], r[-1]) for A in (Aa, Ab))
+    big = max(map(abs, ends), default=0) ** 2
+    bound, K = 2 * sum(map(len, far)) * abs(d) * math.sqrt(big), 0
+    while K < len(zetas) and bound * zetas[K] >= 1e-20:
+        K, bound = K + 1, bound * big
+    # S_j = F_j(v) - F_j(u - 1) over each far range [u, v], with F_j(x) = sum_(0 < n <= x) n^j
+    # from (x + 1)^(j+1) - 1 = sum_(i <= j) C(j + 1, i) F_i(x), true at every integer x
+    S, e = [0] * 2 * K, [0j, 1]
+    for r in far:
+        for x, sign in ((r[-1], 1), (r[0] - 1, -1)):
+            F = []
+            for j in range(2 * K):
+                top = (x + 1) ** (j + 1) - 1 - sum(math.comb(j + 1, i) * f for i, f in enumerate(F))
+                F.append(top // (j + 1))
+                S[j] += sign * F[j]
+    for m in range(1, 2 * K):
+        e.append(Aa * e[m] + Ab**m)
+    tail = sum(
+        z / k * sum(math.comb(2 * k, j) * S[j] * tau**j * e[2 * k - j] for j in range(2 * k))
+        for k, z in enumerate(zetas[:K], 1)
+    )
+    return d * (tail - 1j * math.pi * (len(above) - len(below)))
+
+
 def pf_truncated_ratio(
     sector_a, sector_b, lat: Lattice, M: int, P: int | None = None
 ) -> complex:
@@ -167,16 +203,20 @@ def pf_truncated_ratio(
 
     The error decays like 1/M; with the default P = 4 M^2 the relative
     deviation from the closed form drops below 1e-4 by M = 800 on
-    lattices with Im tau >= 1.  Each row is one _row_log_ratio; the rows'
-    logs are summed exactly (math.fsum) and their sign flips counted as an
+    lattices with Im tau >= 1.  Row n of a component has the shifts
+    c = n tau + A; it is far if 3 |c| + 48 < P and Im ca, Im cb are past T
+    on one side, T = log(4e20 dim / (1 - |q|)) / 2 pi, so that the factors
+    (1 - e^(+/-2 pi i c)) dropped over all far rows, a geometric series,
+    total under 1e-20.  Far rows sum in closed form (_far_log), each near
+    row is one _row_log_ratio; logs add by math.fsum and sign flips as an
     int.  Empty sectors give exactly 1.
 
-    A row's head cut P0 is P, where the row is multiplied out, or else
+    A near row's head cut P0 is P, where the row is multiplied out, or else
     above 3 |c|, which bounds the power series beyond P.  The integer k
     nearest Re c is formed once: c - k is the eigenvalue nearest zero
     (clamped to the modes |m| <= P when P0 = P; below, |k| < P0), and
     k_a - k_b the row's sign flips.  The first row, in (component, n)
-    order, with a vanishing eigenvalue raises.
+    order, with a vanishing eigenvalue raises; a far row cannot vanish.
     """
     if len(sector_a) != len(sector_b):
         raise ValueError("sectors must have equal dimension for a finite ratio")
@@ -184,13 +224,19 @@ def pf_truncated_ratio(
         P = 4 * M * M
     if M < 1 or P < 1:
         raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
-    tau = lat.tau
+    tau, y = lat.tau, lat.tau.imag
     zetas = [_zeta_tail(2 * k, float(P)) for k in range(1, _EM_JMAX + 1)]
+    T = math.log(4e20 * max(len(sector_a), 1) / -math.expm1(-2 * math.pi * y)) / (2 * math.pi)
     logs, flips = [], 0
     for j, (da, db) in enumerate(zip(sector_a, sector_b)):
-        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
-        for n in range(-M, M + 1):
-            ca, cb = _row_shift(ta, n, tau), _row_shift(tb, n, tau)
+        Aa, Ab = (_row_shift(_twists(d, lat.lam2), 0, tau) for d in (da, db))
+        h = int((P - 49 - 3 * max(abs(Aa), abs(Ab))) / (3 * abs(tau)))  # |n| < h: 3|c| + 48 < P
+        lo, hi = sorted((Aa.imag, Ab.imag))
+        below = range(max(-M, 1 - h), min(math.ceil((-T - hi) / y) - 1, h - 1) + 1)
+        above = range(max(math.floor((T - lo) / y) + 1, 1 - h), min(M, h - 1) + 1)
+        cuts = [-M] + [x for r in (below, above) if r for x in (r.start, r.stop)] + [M + 1]
+        for n in itertools.chain(*map(range, cuts[::2], cuts[1::2])):
+            ca, cb = n * tau + Aa, n * tau + Ab
             P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
             ka, kb = round(ca.real), round(cb.real)
             if P0 == P:
@@ -204,6 +250,7 @@ def pf_truncated_ratio(
             log, f = _row_log_ratio(ca, cb, ka, kb, P0, P, zetas)
             logs.append(log)
             flips += f
+        logs.append(_far_log(Aa, Ab, tau, below, above, zetas))
     s_a = sum(sector_z(d, lat) for d in sector_a)
     s_b = sum(sector_z(d, lat) for d in sector_b)
     logs.append(-(s_a - s_b) / 2)

@@ -434,16 +434,21 @@ class FormalGroupLaw:
         return self.table.slices("q").get((i, j), zero)
 
     def evaluate(self, x: complex, y: complex, q: complex) -> complex:
-        """F(x, y) at a point, each x^i y^j coefficient by Horner in q.
+        """F(x, y) at a point, each x^i y^j coefficient by Horner in q over
+        the table's ints, each entering the complex sum as its correctly
+        rounded float.
 
         The terms are summed in sorted (i, j) order, so the float result
         depends on the law alone, not on the order the table was built in.
         """
+        rows = {}
+        for (a, b, e), c in self.table.coeffs.items():
+            rows.setdefault((a, b), {})[e] = c
         total = 0j
-        for (a, b), s in sorted(self.table.slices("q").items()):
+        for (a, b), row in sorted(rows.items()):
             h = 0j
-            for e in range(max(s.coeffs), -1, -1):
-                h = h * q + s.coeff(e)
+            for e in range(max(row), -1, -1):
+                h = h * q + row.get(e, 0)
             total += h * x**a * y**b
         return total
 

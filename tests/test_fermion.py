@@ -9,11 +9,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellforge
+from ellforge import fermion
 from ellforge.fermion import (
     MultiplierCheck,
     SectorDatum,
@@ -105,6 +107,26 @@ def test_window_rejects_empty_or_negative_sizes(M, P):
 @pytest.mark.parametrize("M, P", [(1, None), (5, 3), (20, None)])
 def test_empty_sector_ratio_is_exactly_one(M, P):
     assert pf_truncated_ratio([], [], LAT, M, P) == 1
+
+
+def test_window_evaluates_the_same_near_rows_at_any_M():
+    """Rows past Im c = +/- T sum in closed form, so the rows evaluated one
+    by one (_row_log_ratio calls) are the same at M = 100 and 100,000: at
+    most 2 (ceil(T / Im tau) + 2) per component, where T keeps the dropped
+    factors (1 - e^(+/-2 pi i c)) of all far rows under 1e-20."""
+    lat = Lattice(0.3 + 1.2j, 1.0)
+    a = [SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.1 + 0.05j), SectorDatum(Fraction(-2, 7))]
+    b = [SectorDatum(Fraction(1, 4), Fraction(-2, 7), 0.02j), SectorDatum(Fraction(3, 5), Fraction(1, 2))]
+    y = lat.tau.imag
+    T = math.log(4e20 * len(a) / -math.expm1(-2 * math.pi * y)) / (2 * math.pi)
+    closed = pf_closed(a, lat) / pf_closed(b, lat)
+    counts = []
+    for M in (100, 100_000):
+        with mock.patch.object(fermion, "_row_log_ratio", wraps=fermion._row_log_ratio) as spy:
+            value = pf_truncated_ratio(a, b, lat, M)
+        counts.append(spy.call_count)
+    assert counts[0] == counts[1] <= 2 * (math.ceil(T / y) + 2) * len(a)
+    assert abs(value - closed) <= 1e-5 * abs(closed)
 
 
 def _pole_message(sector_a, sector_b):
@@ -265,12 +287,13 @@ def test_looijenga_labels_and_types():
 
 
 def test_pf_truncated_ratio_is_pinned_bit_for_bit():
-    # the row shifts convert each datum's twists once and each row is
-    # Euler's sine product with the power-series tail beyond P; the float
-    # expression and so every bit of the result must stay as it is.  The
-    # exact window of test_oracles (50-digit log-gamma) puts this value
-    # 3.4e-15 from exact, where the paired-mode kernel's
-    # 0x1.495a5ef152028p-6 was 3.0e-14 away.
+    # each near row is Euler's sine product with the power-series tail
+    # beyond P and the far rows sum in closed form; the float expression
+    # and so every bit of the result must stay as it is.  The 50-digit
+    # log-gamma window of test_oracles at the exact row shifts puts this
+    # value 1.3e-15 from exact, where the all-rows kernel's
+    # 0x1.495a5ef15214ep-6 was 6.7e-14 away; from the window at that
+    # kernel's own float shifts, the two are 6.7e-14 and 3.4e-15 away.
     a = [SectorDatum(Fraction(1, 3), Fraction(1, 5), 0.1 + 0.05j), SectorDatum(Fraction(-2, 7))]
     b = [
         SectorDatum(Fraction(1, 4), Fraction(-2, 7), 0.02j),
@@ -278,7 +301,7 @@ def test_pf_truncated_ratio_is_pinned_bit_for_bit():
     ]
     lat = Lattice((0.3 + 1.2j) * (1.1 - 0.1j), 1.1 - 0.1j)
     v = pf_truncated_ratio(a, b, lat, 60)
-    assert (v.real.hex(), v.imag.hex()) == ("0x1.495a5ef15214ep-6", "-0x1.77d7f1f05a6d6p-3")
+    assert (v.real.hex(), v.imag.hex()) == ("0x1.495a5ef151b3bp-6", "-0x1.77d7f1f05a53cp-3")
     w = pf_rowlimit_ratio(a, b, lat, 8)
     assert (w.real.hex(), w.imag.hex()) == ("0x1.443b71d4bfa90p-6", "-0x1.76ca2ea4b817bp-3")
 
@@ -322,7 +345,7 @@ def test_pins_do_not_depend_on_the_numpy_dispatch():
     # numpy, so a narrower SIMD dispatch cannot move a bit of either pin
     default = _pins_in_fresh_interpreter(narrow=False)
     assert default == [
-        "0x1.495a5ef15214ep-6", "-0x1.77d7f1f05a6d6p-3",
+        "0x1.495a5ef151b3bp-6", "-0x1.77d7f1f05a53cp-3",
         "0x1.443b71d4bfa90p-6", "-0x1.76ca2ea4b817bp-3", "False",
     ]
     assert _pins_in_fresh_interpreter(narrow=True) == default

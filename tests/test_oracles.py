@@ -14,10 +14,13 @@ Gaussian rationals, the Euler
 classes built over them in F (the library builds them in y = iF), the
 series ``log`` the library no longer needs and the dict calculus (partial
 derivatives, term-by-term evaluation) that the Chern-Weil checks ran on
-before they became a derivation and a ring map.  A 50-digit log-gamma
-evaluation of the whole window (checked once against every mode
-multiplied out in 40-digit decimal) measures how far the float windows
-are from exact, row by row and in all, and the circle complex's forms,
+before they became a derivation and a ring map.  The all-rows Pfaffian
+kernel that the closed-form sum over the far rows replaced is kept, and
+so is the law evaluation through q-slices of Fractions.  A 50-digit
+log-gamma evaluation of the whole window (checked once against every
+mode multiplied out in 40-digit decimal), at the float row shifts or at
+the exact ones, measures how far the float windows are from exact, row
+by row and in all, and the circle complex's forms,
 taken over the support of each weight vector, are checked against the
 sweep over all 0/1 vectors.  The accessors that only tests call (a mode
 eigenvalue, the degree parts of a graded element, a series' counted
@@ -378,7 +381,8 @@ def nearest_mode(c, P0):
 
 
 def window_shifts(sector_a, sector_b, lat, M):
-    """(ca, cb) for every row of the window, in (component, n) order."""
+    """(ca, cb) for every row of the window, in (component, n) order, as
+    the all-rows kernel rounds them: (n - alpha2) tau + alpha1 + X / lam2."""
     for da, db in zip(sector_a, sector_b):
         ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
         for n in range(-M, M + 1):
@@ -446,9 +450,9 @@ def exact_row_log_ratio(ca, cb, P):
 def exact_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The window itself, every mode |m| <= P of every row, at 50 digits.
 
-    The row shifts are the library's floats (window_shifts); from there on
-    nothing is rounded to a double until the end, so this measures the
-    whole of a kernel's error: its heads, its tails and its sum.
+    The row shifts are the all-rows kernel's floats (window_shifts); from
+    there on nothing is rounded to a double until the end, so this measures
+    the whole of that kernel's error: its heads, its tails and its sum.
     """
     if P is None:
         P = 4 * M * M
@@ -457,6 +461,73 @@ def exact_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     s_b = sum(sector_z(d, lat) for d in sector_b)
     with mpmath.workdps(50):
         total = mpmath.fsum(exact_row_log_ratio(ca, cb, P) for ca, cb in rows)
+        return complex(mpmath.exp(total - mpmath.mpc(s_a - s_b) / 2))
+
+
+def all_rows_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
+    """Every row of the window as its own _row_log_ratio, at the shift
+    (n - alpha2) tau + alpha1 + X / lam2 (the all-rows kernel that the
+    closed-form sum over the far rows replaced)."""
+    if len(sector_a) != len(sector_b):
+        raise ValueError("sectors must have equal dimension for a finite ratio")
+    if P is None:
+        P = 4 * M * M
+    if M < 1 or P < 1:
+        raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
+    tau = lat.tau
+    zetas = [_zeta_tail(2 * k, float(P)) for k in range(1, _EM_JMAX + 1)]
+    logs, flips = [], 0
+    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
+        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
+        for n in range(-M, M + 1):
+            ca, cb = _row_shift(ta, n, tau), _row_shift(tb, n, tau)
+            P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
+            ka, kb = round(ca.real), round(cb.real)
+            if P0 == P:
+                ka, kb = min(max(ka, -P), P), min(max(kb, -P), P)
+            gap_a, gap_b = abs(ca - ka), abs(cb - kb)
+            if min(gap_a, gap_b) < 1e-12:
+                raise ValueError(
+                    f"vanishing eigenvalue in component {j} at "
+                    f"(n={n}, m={-kb if gap_b < gap_a else -ka})"
+                )
+            log, f = _row_log_ratio(ca, cb, ka, kb, P0, P, zetas)
+            logs.append(log)
+            flips += f
+    s_a = sum(sector_z(d, lat) for d in sector_a)
+    s_b = sum(sector_z(d, lat) for d in sector_b)
+    logs.append(-(s_a - s_b) / 2)
+    out = cmath.exp(complex(math.fsum(x.real for x in logs), math.fsum(x.imag for x in logs)))
+    return -out if flips % 2 else out
+
+
+def exact_shift_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
+    """The 50-digit log-gamma window at the exact row shifts.
+
+    Each shift (n - alpha2) tau + alpha1 + X / lam2 is formed in mpmath
+    from the Fraction twists and the float tau, lam2 and X, so no row
+    carries a rounded shift.  exact_pf_truncated_ratio instead starts from
+    the float shifts of the all-rows kernel, which defines the window that
+    kernel computes but not the one a kernel at other float shifts does.
+    The factor e^(-(S_a - S_b)/2) is the library's float, as in both.
+    """
+    if P is None:
+        P = 4 * M * M
+    s_a = sum(sector_z(d, lat) for d in sector_a)
+    s_b = sum(sector_z(d, lat) for d in sector_b)
+    with mpmath.workdps(50):
+        tau, lam2 = mpmath.mpc(lat.tau), mpmath.mpc(lat.lam2)
+
+        def shift(d, n):
+            a1 = mpmath.mpf(d.alpha1.numerator) / d.alpha1.denominator
+            a2 = mpmath.mpf(d.alpha2.numerator) / d.alpha2.denominator
+            return (n - a2) * tau + a1 + mpmath.mpc(d.X) / lam2
+
+        total = mpmath.fsum(
+            exact_row_log_ratio(shift(da, n), shift(db, n), P)
+            for da, db in zip(sector_a, sector_b)
+            for n in range(-M, M + 1)
+        )
         return complex(mpmath.exp(total - mpmath.mpc(s_a - s_b) / 2))
 
 
@@ -469,7 +540,7 @@ def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The window multiplied out mode by mode in 40-digit decimal.
 
     Every factor (ca^2 - m^2)/(cb^2 - m^2), 1 <= m <= P, and ca/cb is
-    formed from the library's float row shifts, which Decimal holds
+    formed from the all-rows kernel's float row shifts, which Decimal holds
     exactly, so the rounding is some 1e-35.  The exponent range is
     unbounded: the numerator and denominator products reach about
     10^10^5 at M = 30.
@@ -2462,20 +2533,67 @@ _TWISTED_B = [SectorDatum(Fraction(1, 4), Fraction(-1, 6), -0.05 + 0.11j)]
         (_THIRD, _QUARTER, Lattice(2j, 1.0), 100),
         (_TWISTED_A, _TWISTED_B, Lattice(0.3 + 1.2j, 1.0), 100),
         (_THIRD, _QUARTER, Lattice(2j, 1.0), 400),
+        (_THIRD, _QUARTER, Lattice(0.3 + 1.2j, 1.0), 800),
     ],
-    ids=["pinned-M60", "tau-2i-M100", "tau-0.3+1.2i-M100", "tau-2i-M400"],
+    ids=["pinned-M60", "tau-2i-M100", "tau-0.3+1.2i-M100", "tau-2i-M400", "tau-0.3+1.2i-M800"],
 )
 def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
-    """Within 1e-13 of the exact window (every mode |m| <= P, at 50
-    digits), and no farther than the block-log kernel.  The paired-mode
-    kernel this replaced missed the bound through its float tails between
-    each head cut and P: 1.5e-13 at tau = 2i, M = 100 and 2.7e-12 at
-    M = 400."""
-    want = exact_pf_truncated_ratio(sector_a, sector_b, lat, M)
-    got = abs(pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
-    old = abs(row_pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
-    assert got <= 1e-13
+    """Within 1e-14 of the exact-shift window (every mode |m| <= P of each
+    exact row shift, at 50 digits) and within 1e-13 of the float-shift
+    window (the same at the all-rows kernel's float shifts), and no farther
+    from the exact-shift window than the all-rows or the block-log kernel.
+    From the exact-shift window the kernel is 1.3e-15, 1.9e-16, 1.0e-15,
+    1.9e-16 and 1.2e-15 away on these cases, the all-rows kernel it
+    replaced 6.7e-14, 1.9e-16, 3.8e-14, 1.9e-16 and 3.5e-14: each of that
+    kernel's rows carried its own rounded shift into the sum.  The
+    paired-mode kernel before both missed the float-shift bound through its
+    float tails between each head cut and P: 1.5e-13 at tau = 2i, M = 100
+    and 2.7e-12 at M = 400."""
+    want = exact_shift_pf_truncated_ratio(sector_a, sector_b, lat, M)
+    value = pf_truncated_ratio(sector_a, sector_b, lat, M)
+    got = abs(value - want) / abs(want)
+    old = min(
+        abs(kernel(sector_a, sector_b, lat, M) - want) / abs(want)
+        for kernel in (all_rows_pf_truncated_ratio, row_pf_truncated_ratio)
+    )
+    assert got <= 1e-14
     assert got <= old
+    floats = exact_pf_truncated_ratio(sector_a, sector_b, lat, M)
+    assert abs(value - floats) <= 1e-13 * abs(floats)
+
+
+@st.composite
+def far_row_cases(draw):
+    """Windows with no far rows (small M or P), far rows on one side only
+    (alpha2 far apart, so |Im(A_a - A_b)| is large) or on both, and small P,
+    where the rows whose head cut reaches P are multiplied out."""
+    twist = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    datum = st.builds(SectorDatum, twist, twist, st.complex_numbers(max_magnitude=0.3))
+    dim = draw(st.integers(1, 2))
+    sector_a = draw(st.lists(datum, min_size=dim, max_size=dim))
+    sector_b = draw(st.lists(datum, min_size=dim, max_size=dim))
+    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.0)))
+    M = draw(st.integers(1, 90))
+    P = draw(st.one_of(st.none(), st.integers(1, 60), st.integers(61, 400)))
+    return sector_a, sector_b, Lattice(tau, 1.0), M, P
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(far_row_cases())
+@example(([SectorDatum(Fraction(1, 3))], [SectorDatum(Fraction(1, 4), Fraction(10))],
+          Lattice(1j, 1.0), 14, None))  # far rows below only
+@example(([SectorDatum(Fraction(1))], [SectorDatum(Fraction(1, 4))], Lattice(1.2j, 1.0), 30, 40))
+def test_pf_truncated_ratio_matches_all_rows(case):
+    try:
+        want, want_error = _outcome(all_rows_pf_truncated_ratio, *case)
+    except OverflowError:  # the ratio itself is past a double's range
+        with pytest.raises(OverflowError):
+            pf_truncated_ratio(*case)
+        return
+    value, error = _outcome(pf_truncated_ratio, *case)
+    assert error == want_error
+    if want_error is None:
+        assert abs(value - want) <= 1e-11 * abs(want)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-9])
@@ -3145,6 +3263,32 @@ def test_packed_check_sees_a_unit_change(sigma_10_6, term, delta):
     assert not bad.is_associative()
     assert not multiseries_defect(bad).is_zero()
     assert bad.associativity_defect() == multiseries_defect(bad)
+
+
+def slices_evaluate(law, x, y, q):
+    """FormalGroupLaw.evaluate through the law's q-slices: a TruncatedSeries
+    of Fractions per x^i y^j, each coefficient made complex by the numbers
+    ABCs (the evaluation that Horner over the table's ints replaced)."""
+    total = 0j
+    for (a, b), s in sorted(law.table.slices("q").items()):
+        h = 0j
+        for e in range(max(s.coeffs), -1, -1):
+            h = h * q + s.coeff(e)
+        total += h * x**a * y**b
+    return total
+
+
+@pytest.mark.parametrize(
+    "kind, degree, qorder",
+    [("sigma", 10, 6), ("sigma", 6, 3), ("sigma", 16, 10), ("multiplicative", 3, 0)],
+)
+def test_evaluate_matches_the_slices_bit_for_bit(kind, degree, qorder):
+    law = fgl_from_coordinate(kind, degree, qorder)
+    grid = [0.2, -0.35, 0.1, 0.1 + 0.05j, -0.07 + 0.3j, 1.5, 0j]
+    qs = [Lattice(2j, 1.0).q, Lattice(0.3 + 1.2j, 1.0).q, 0.5 - 0.25j, 0.0]
+    for x, y, q in itertools.product(grid, grid, qs):
+        got, want = law.evaluate(x, y, q), slices_evaluate(law, x, y, q)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 @settings(max_examples=80, derandomize=True)
