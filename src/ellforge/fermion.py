@@ -204,12 +204,14 @@ def pf_truncated_ratio(
     The error decays like 1/M; with the default P = 4 M^2 the relative
     deviation from the closed form drops below 1e-4 by M = 800 on
     lattices with Im tau >= 1.  Row n of a component has the shifts
-    c = n tau + A; it is far if 3 |c| + 48 < P and Im ca, Im cb are past T
-    on one side, T = log(4e20 dim / (1 - |q|)) / 2 pi, so that the factors
-    (1 - e^(+/-2 pi i c)) dropped over all far rows, a geometric series,
-    total under 1e-20.  Far rows sum in closed form (_far_log), each near
-    row is one _row_log_ratio; logs add by math.fsum and sign flips as an
-    int.  Empty sectors give exactly 1.
+    c = (n - n0) tau + A, with n0 the integer nearest the mean alpha2 of
+    its two sides, so that A is small and its rounding does not pile up
+    over the rows.  A row |n| <= M is far if 3 |c| + 48 < P and Im ca,
+    Im cb are past T on one side, T = log(4e20 dim / (1 - |q|)) / 2 pi, so
+    that the factors (1 - e^(+/-2 pi i c)) dropped over all far rows, a
+    geometric series, total under 1e-20.  Far rows sum in closed form
+    (_far_log), each near row is one _row_log_ratio; logs add by
+    math.fsum and sign flips as an int.  Empty sectors give exactly 1.
 
     A near row's head cut P0 is P, where the row is multiplied out, or else
     above 3 |c|, which bounds the power series beyond P.  The integer k
@@ -229,12 +231,14 @@ def pf_truncated_ratio(
     T = math.log(4e20 * max(len(sector_a), 1) / -math.expm1(-2 * math.pi * y)) / (2 * math.pi)
     logs, flips = [], 0
     for j, (da, db) in enumerate(zip(sector_a, sector_b)):
-        Aa, Ab = (_row_shift(_twists(d, lat.lam2), 0, tau) for d in (da, db))
-        h = int((P - 49 - 3 * max(abs(Aa), abs(Ab))) / (3 * abs(tau)))  # |n| < h: 3|c| + 48 < P
-        lo, hi = sorted((Aa.imag, Ab.imag))
-        below = range(max(-M, 1 - h), min(math.ceil((-T - hi) / y) - 1, h - 1) + 1)
-        above = range(max(math.floor((T - lo) / y) + 1, 1 - h), min(M, h - 1) + 1)
-        cuts = [-M] + [x for r in (below, above) if r for x in (r.start, r.stop)] + [M + 1]
+        n0 = round((da.alpha2 + db.alpha2) / 2)  # rows run over n - n0, so A is formed small
+        shifted = (replace(d, alpha2=d.alpha2 - n0) for d in (da, db))
+        Aa, Ab = (_row_shift(_twists(d, lat.lam2), 0, tau) for d in shifted)
+        h = int((P - 49 - 3 * max(abs(Aa), abs(Ab))) / (3 * abs(tau)))  # |n - n0| < h: P0 < P
+        lo, hi, first, last = *sorted((Aa.imag, Ab.imag)), -M - n0, M - n0
+        below = range(max(first, 1 - h), min(last, math.ceil((-T - hi) / y) - 1, h - 1) + 1)
+        above = range(max(first, math.floor((T - lo) / y) + 1, 1 - h), min(last, h - 1) + 1)
+        cuts = [first] + [x for r in (below, above) if r for x in (r.start, r.stop)] + [last + 1]
         for n in itertools.chain(*map(range, cuts[::2], cuts[1::2])):
             ca, cb = n * tau + Aa, n * tau + Ab
             P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
@@ -245,7 +249,7 @@ def pf_truncated_ratio(
             if min(gap_a, gap_b) < 1e-12:
                 raise ValueError(
                     f"vanishing eigenvalue in component {j} at "
-                    f"(n={n}, m={-kb if gap_b < gap_a else -ka})"
+                    f"(n={n + n0}, m={-kb if gap_b < gap_a else -ka})"
                 )
             log, f = _row_log_ratio(ca, cb, ka, kb, P0, P, zetas)
             logs.append(log)

@@ -441,16 +441,22 @@ class FormalGroupLaw:
         The terms are summed in sorted (i, j) order, so the float result
         depends on the law alone, not on the order the table was built in.
         """
-        rows = {}
-        for (a, b, e), c in self.table.coeffs.items():
-            rows.setdefault((a, b), {})[e] = c
         total = 0j
-        for (a, b), row in sorted(rows.items()):
+        for (a, b), row in sorted(self._rows().items()):
             h = 0j
-            for e in range(max(row), -1, -1):
-                h = h * q + row.get(e, 0)
+            for c in reversed(row):
+                h = h * q + c
             total += h * x**a * y**b
         return total
+
+    def _rows(self) -> dict[tuple[int, int], list[int]]:
+        """{(a, b): [c_0, ..., c_qorder]}, the q-coefficients of x^a y^b."""
+        rows = {}
+        for (a, b, e), c in self.table.coeffs.items():
+            if not isinstance(c, int):
+                raise ValueError(f"law coefficient {c!r} at x^{a} y^{b} q^{e} is not an integer")
+            rows.setdefault((a, b), [0] * (self.qorder + 1))[e] = c
+        return rows
 
     def is_unital(self) -> bool:
         """F(x, 0) = x: the only y-free term of the table is x itself."""
@@ -462,15 +468,10 @@ class FormalGroupLaw:
 
     def associativity_defect(self) -> MultiSeries:
         """F(F(x,y),w) - F(x,F(y,w)) in the exact quotient ring, on packed ints."""
-        degree, slots = self.degree, self.qorder + 1
-        rows = {}
-        for (a, b, e), c in self.table.coeffs.items():
-            if not isinstance(c, int):
-                raise ValueError(f"law coefficient {c!r} at x^{a} y^{b} q^{e} is not an integer")
-            rows.setdefault((a, b), [0] * slots)[e] = c
+        degree, rows = self.degree, self._rows()
         if (0, 0) in rows:
             raise ValueError("substitution target has nonzero constant term")
-        ring = _Packed(_defect_width(rows, degree), slots)
+        ring = _Packed(_defect_width(rows, degree), self.qorder + 1)
         defect = _defect(ring, {key: ring.pack(row) for key, row in rows.items()}, degree)
         coeffs = {
             (a, b, c, e): d

@@ -14,9 +14,10 @@ Gaussian rationals, the Euler
 classes built over them in F (the library builds them in y = iF), the
 series ``log`` the library no longer needs and the dict calculus (partial
 derivatives, term-by-term evaluation) that the Chern-Weil checks ran on
-before they became a derivation and a ring map.  The all-rows Pfaffian
-kernel that the closed-form sum over the far rows replaced is kept, and
-so is the law evaluation through q-slices of Fractions.  A 50-digit
+before they became a derivation and a ring map.  The per-ratio and
+block-log Pfaffian windows take every row on its own, so they check the
+closed-form sum over the far rows too; the law evaluation through
+q-slices of Fractions is kept as well.  A 50-digit
 log-gamma evaluation of the whole window (checked once against every
 mode multiplied out in 40-digit decimal), at the float row shifts or at
 the exact ones, measures how far the float windows are from exact, row
@@ -382,7 +383,7 @@ def nearest_mode(c, P0):
 
 def window_shifts(sector_a, sector_b, lat, M):
     """(ca, cb) for every row of the window, in (component, n) order, as
-    the all-rows kernel rounds them: (n - alpha2) tau + alpha1 + X / lam2."""
+    the all-rows windows round them: (n - alpha2) tau + alpha1 + X / lam2."""
     for da, db in zip(sector_a, sector_b):
         ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
         for n in range(-M, M + 1):
@@ -450,9 +451,9 @@ def exact_row_log_ratio(ca, cb, P):
 def exact_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The window itself, every mode |m| <= P of every row, at 50 digits.
 
-    The row shifts are the all-rows kernel's floats (window_shifts); from
+    The row shifts are the all-rows windows' floats (window_shifts); from
     there on nothing is rounded to a double until the end, so this measures
-    the whole of that kernel's error: its heads, its tails and its sum.
+    the whole of such a window's error: its heads, its tails and its sum.
     """
     if P is None:
         P = 4 * M * M
@@ -464,51 +465,14 @@ def exact_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
         return complex(mpmath.exp(total - mpmath.mpc(s_a - s_b) / 2))
 
 
-def all_rows_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
-    """Every row of the window as its own _row_log_ratio, at the shift
-    (n - alpha2) tau + alpha1 + X / lam2 (the all-rows kernel that the
-    closed-form sum over the far rows replaced)."""
-    if len(sector_a) != len(sector_b):
-        raise ValueError("sectors must have equal dimension for a finite ratio")
-    if P is None:
-        P = 4 * M * M
-    if M < 1 or P < 1:
-        raise ValueError(f"window needs M >= 1 and P >= 1, got M={M}, P={P}")
-    tau = lat.tau
-    zetas = [_zeta_tail(2 * k, float(P)) for k in range(1, _EM_JMAX + 1)]
-    logs, flips = [], 0
-    for j, (da, db) in enumerate(zip(sector_a, sector_b)):
-        ta, tb = _twists(da, lat.lam2), _twists(db, lat.lam2)
-        for n in range(-M, M + 1):
-            ca, cb = _row_shift(ta, n, tau), _row_shift(tb, n, tau)
-            P0 = min(int(3 * max(abs(ca), abs(cb))) + 48, P)
-            ka, kb = round(ca.real), round(cb.real)
-            if P0 == P:
-                ka, kb = min(max(ka, -P), P), min(max(kb, -P), P)
-            gap_a, gap_b = abs(ca - ka), abs(cb - kb)
-            if min(gap_a, gap_b) < 1e-12:
-                raise ValueError(
-                    f"vanishing eigenvalue in component {j} at "
-                    f"(n={n}, m={-kb if gap_b < gap_a else -ka})"
-                )
-            log, f = _row_log_ratio(ca, cb, ka, kb, P0, P, zetas)
-            logs.append(log)
-            flips += f
-    s_a = sum(sector_z(d, lat) for d in sector_a)
-    s_b = sum(sector_z(d, lat) for d in sector_b)
-    logs.append(-(s_a - s_b) / 2)
-    out = cmath.exp(complex(math.fsum(x.real for x in logs), math.fsum(x.imag for x in logs)))
-    return -out if flips % 2 else out
-
-
 def exact_shift_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The 50-digit log-gamma window at the exact row shifts.
 
     Each shift (n - alpha2) tau + alpha1 + X / lam2 is formed in mpmath
     from the Fraction twists and the float tau, lam2 and X, so no row
     carries a rounded shift.  exact_pf_truncated_ratio instead starts from
-    the float shifts of the all-rows kernel, which defines the window that
-    kernel computes but not the one a kernel at other float shifts does.
+    the float shifts of the all-rows windows, which defines the window those
+    compute but not the one a kernel at other float shifts does.
     The factor e^(-(S_a - S_b)/2) is the library's float, as in both.
     """
     if P is None:
@@ -540,7 +504,7 @@ def decimal_pf_truncated_ratio(sector_a, sector_b, lat, M, P=None):
     """The window multiplied out mode by mode in 40-digit decimal.
 
     Every factor (ca^2 - m^2)/(cb^2 - m^2), 1 <= m <= P, and ca/cb is
-    formed from the all-rows kernel's float row shifts, which Decimal holds
+    formed from the all-rows windows' float row shifts, which Decimal holds
     exactly, so the rounding is some 1e-35.  The exponent range is
     unbounded: the numerator and denominator products reach about
     10^10^5 at M = 30.
@@ -2492,24 +2456,32 @@ def pfaffian_cases(draw):
     return sector_a, sector_b, Lattice(tau * lam2, lam2), M, P
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(pfaffian_cases())
-def test_pf_truncated_ratio_matches_loop(case):
+def same_window(oracle, case):
+    """pf_truncated_ratio against an all-rows window: the same ValueError
+    text, within 1e-11, and an OverflowError where the oracle's ratio is
+    past a double's range."""
+    try:
+        want, want_error = _outcome(oracle, *case)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            pf_truncated_ratio(*case)
+        return
     value, error = _outcome(pf_truncated_ratio, *case)
-    want, want_error = _outcome(loop_pf_truncated_ratio, *case)
     assert error == want_error
     if want_error is None:
         assert abs(value - want) <= 1e-11 * abs(want)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pfaffian_cases())
+def test_pf_truncated_ratio_matches_loop(case):
+    same_window(loop_pf_truncated_ratio, case)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(pfaffian_cases())
 def test_pf_truncated_ratio_matches_row_window(case):
-    value, error = _outcome(pf_truncated_ratio, *case)
-    want, want_error = _outcome(row_pf_truncated_ratio, *case)
-    assert error == want_error
-    if want_error is None:
-        assert abs(value - want) <= 1e-11 * abs(want)
+    same_window(row_pf_truncated_ratio, case)
 
 
 _PINNED_A = [
@@ -2540,8 +2512,8 @@ _TWISTED_B = [SectorDatum(Fraction(1, 4), Fraction(-1, 6), -0.05 + 0.11j)]
 def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
     """Within 1e-14 of the exact-shift window (every mode |m| <= P of each
     exact row shift, at 50 digits) and within 1e-13 of the float-shift
-    window (the same at the all-rows kernel's float shifts), and no farther
-    from the exact-shift window than the all-rows or the block-log kernel.
+    window (the same at the all-rows windows' float shifts), and no farther
+    from the exact-shift window than the block-log kernel.
     From the exact-shift window the kernel is 1.3e-15, 1.9e-16, 1.0e-15,
     1.9e-16 and 1.2e-15 away on these cases, the all-rows kernel it
     replaced 6.7e-14, 1.9e-16, 3.8e-14, 1.9e-16 and 3.5e-14: each of that
@@ -2552,10 +2524,7 @@ def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
     want = exact_shift_pf_truncated_ratio(sector_a, sector_b, lat, M)
     value = pf_truncated_ratio(sector_a, sector_b, lat, M)
     got = abs(value - want) / abs(want)
-    old = min(
-        abs(kernel(sector_a, sector_b, lat, M) - want) / abs(want)
-        for kernel in (all_rows_pf_truncated_ratio, row_pf_truncated_ratio)
-    )
+    old = abs(row_pf_truncated_ratio(sector_a, sector_b, lat, M) - want) / abs(want)
     assert got <= 1e-14
     assert got <= old
     floats = exact_pf_truncated_ratio(sector_a, sector_b, lat, M)
@@ -2565,17 +2534,26 @@ def test_pf_truncated_ratio_is_near_the_exact_heads(sector_a, sector_b, lat, M):
 @st.composite
 def far_row_cases(draw):
     """Windows with no far rows (small M or P), far rows on one side only
-    (alpha2 far apart, so |Im(A_a - A_b)| is large) or on both, and small P,
-    where the rows whose head cut reaches P are multiplied out."""
+    (alpha2 far apart, so |Im(A_a - A_b)| is large) or on both, far rows
+    on one side that run on past |n| = M (alpha2 of both sectors lifted by
+    the same integer, more than M + 10 / Im tau), and small P, where the
+    rows whose head cut reaches P are multiplied out."""
     twist = st.fractions(min_value=-6, max_value=6, max_denominator=7)
     datum = st.builds(SectorDatum, twist, twist, st.complex_numbers(max_magnitude=0.3))
     dim = draw(st.integers(1, 2))
-    sector_a = draw(st.lists(datum, min_size=dim, max_size=dim))
-    sector_b = draw(st.lists(datum, min_size=dim, max_size=dim))
     tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.0)))
-    M = draw(st.integers(1, 90))
+    M = draw(st.one_of(st.integers(1, 6), st.integers(1, 90)))
     P = draw(st.one_of(st.none(), st.integers(1, 60), st.integers(61, 400)))
+    side = draw(st.sampled_from([0, 0, 1, -1]))
+    lift = side * (M + math.ceil(10 / tau.imag) + draw(st.integers(6, 9)))
+    sector_a, sector_b = (
+        [replace(d, alpha2=d.alpha2 + lift) for d in draw(st.lists(datum, min_size=dim, max_size=dim))]
+        for _ in range(2)
+    )
     return sector_a, sector_b, Lattice(tau, 1.0), M, P
+
+
+_FAR_PAST_M = [SectorDatum(Fraction(0), Fraction(10))], [SectorDatum(Fraction(1, 3), Fraction(10))]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -2583,17 +2561,10 @@ def far_row_cases(draw):
 @example(([SectorDatum(Fraction(1, 3))], [SectorDatum(Fraction(1, 4), Fraction(10))],
           Lattice(1j, 1.0), 14, None))  # far rows below only
 @example(([SectorDatum(Fraction(1))], [SectorDatum(Fraction(1, 4))], Lattice(1.2j, 1.0), 30, 40))
+@example((*_FAR_PAST_M, Lattice(1j, 1.0), 1, 400))  # far rows n = -1..2 below, M = 1
+@example((*[[replace(d, alpha2=-d.alpha2) for d in s] for s in _FAR_PAST_M], Lattice(1j, 1.0), 1, 400))
 def test_pf_truncated_ratio_matches_all_rows(case):
-    try:
-        want, want_error = _outcome(all_rows_pf_truncated_ratio, *case)
-    except OverflowError:  # the ratio itself is past a double's range
-        with pytest.raises(OverflowError):
-            pf_truncated_ratio(*case)
-        return
-    value, error = _outcome(pf_truncated_ratio, *case)
-    assert error == want_error
-    if want_error is None:
-        assert abs(value - want) <= 1e-11 * abs(want)
+    same_window(loop_pf_truncated_ratio, case)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-9])
