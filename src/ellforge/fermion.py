@@ -75,9 +75,9 @@ def pf_closed(sector, lat: Lattice) -> complex:
 # ------------------------------------------------------------ window ratio
 
 
-def _twists(datum: SectorDatum, lam2: complex) -> tuple[complex, complex, complex]:
-    """(alpha1, alpha2, X / lam2) as complex numbers, converted once per datum."""
-    return complex(datum.alpha1), complex(datum.alpha2), datum.X / lam2
+def _twists(datum: SectorDatum, lam2: complex, n0: int = 0) -> tuple[complex, complex, complex]:
+    """(alpha1, alpha2 - n0, X / lam2) as complex numbers, converted once per datum."""
+    return complex(datum.alpha1), complex(datum.alpha2 - n0), datum.X / lam2
 
 
 def _row_shift(twists, n: int, tau: complex) -> complex:
@@ -231,9 +231,8 @@ def pf_truncated_ratio(
     T = math.log(4e20 * max(len(sector_a), 1) / -math.expm1(-2 * math.pi * y)) / (2 * math.pi)
     logs, flips = [], 0
     for j, (da, db) in enumerate(zip(sector_a, sector_b)):
-        n0 = round((da.alpha2 + db.alpha2) / 2)  # rows run over n - n0, so A is formed small
-        shifted = (replace(d, alpha2=d.alpha2 - n0) for d in (da, db))
-        Aa, Ab = (_row_shift(_twists(d, lat.lam2), 0, tau) for d in shifted)
+        n0 = round((float(da.alpha2) + float(db.alpha2)) / 2)  # rows run over n - n0
+        Aa, Ab = (_row_shift(_twists(d, lat.lam2, n0), 0, tau) for d in (da, db))
         h = int((P - 49 - 3 * max(abs(Aa), abs(Ab))) / (3 * abs(tau)))  # |n - n0| < h: P0 < P
         lo, hi, first, last = *sorted((Aa.imag, Ab.imag)), -M - n0, M - n0
         below = range(max(first, 1 - h), min(last, math.ceil((-T - hi) / y) - 1, h - 1) + 1)

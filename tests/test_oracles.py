@@ -2553,16 +2553,18 @@ def far_row_cases(draw):
     return sector_a, sector_b, Lattice(tau, 1.0), M, P
 
 
-_FAR_PAST_M = [SectorDatum(Fraction(0), Fraction(10))], [SectorDatum(Fraction(1, 3), Fraction(10))]
-
-
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(far_row_cases())
 @example(([SectorDatum(Fraction(1, 3))], [SectorDatum(Fraction(1, 4), Fraction(10))],
           Lattice(1j, 1.0), 14, None))  # far rows below only
 @example(([SectorDatum(Fraction(1))], [SectorDatum(Fraction(1, 4))], Lattice(1.2j, 1.0), 30, 40))
-@example((*_FAR_PAST_M, Lattice(1j, 1.0), 1, 400))  # far rows n = -1..2 below, M = 1
-@example((*[[replace(d, alpha2=-d.alpha2) for d in s] for s in _FAR_PAST_M], Lattice(1j, 1.0), 1, 400))
+# every row of the window far, and the far rows run on past |n| = M = 1
+@example(([SectorDatum(Fraction(0), Fraction(10))], [SectorDatum(Fraction(1, 3), Fraction(10))],
+          Lattice(1j, 1.0), 1, 400))
+@example(([SectorDatum(Fraction(0), Fraction(-10))], [SectorDatum(Fraction(1, 3), Fraction(-10))],
+          Lattice(1j, 1.0), 1, 400))
+@example(([SectorDatum(Fraction(0), Fraction(3))], [SectorDatum(Fraction(1, 3), Fraction(2))],
+          Lattice(1j, 1.0), 5, None))  # rows counted from n0 = 2; the eigenvalue at n = 3 vanishes
 def test_pf_truncated_ratio_matches_all_rows(case):
     same_window(loop_pf_truncated_ratio, case)
 
